@@ -1,34 +1,45 @@
 """Certification of evaluation codes: MDS checks and Schur-square ranks.
 
-The headline operation is :func:`non_rs_certificate`.  It establishes MDS-ness
-by exhaustively testing every k-subset of generator columns, then sizes the
-component-wise (Schur) square of the code.  For an MDS code of dimension
-k <= n/2, a Schur-square dimension of at least 2k certifies that the code is
-not monomially equivalent to any Reed-Solomon code, because every generalized
-Reed-Solomon code of those parameters has Schur-square dimension exactly
-2k - 1.  The square's dimension is computed twice, from independent inputs --
-once from pairwise products of generator rows, once from the evaluated
-exponent sumset -- and the two must agree.
+The headline operation is :func:`non_rs_certificate`.  It decides whether
+every k-subset of generator columns is independent by one of two routes.
+Both walk the k-subsets in lexicographic order and report the first
+dependent one, so the witness never depends on the route or on how the
+walk is split across workers:
 
-Witness selection is deterministic: the lexicographically first failing
-column subset, no matter how the scan is partitioned across workers.
+* exponents {0..k} minus {k - r} (every family and every search result):
+  the k x k minor on points S is the Vandermonde determinant of S times
+  e_r(S), so the e_r walk :func:`conditions.check_esym` answers;
+* any other exponent set: :func:`mds_exhaustive`, Gaussian elimination
+  shared along the walk, optionally split over worker processes.
+
+A witness is always confirmed by one rank of its k columns.  On request
+(``cross_check``) the answer is derived again -- by :func:`mds_exhaustive`
+on the e_r route, by a from-scratch rank of every k-subset on the other --
+and any disagreement is an error.
+
+It then sizes the component-wise (Schur) square of the code.  For an MDS
+code of dimension k <= n/2, a Schur-square dimension of at least 2k
+certifies that the code is not monomially equivalent to any Reed-Solomon
+code, because every generalized Reed-Solomon code of those parameters has
+Schur-square dimension exactly 2k - 1.  The square's dimension is computed
+twice, from independent inputs -- once from pairwise products of generator
+rows, once from the evaluated exponent sumset -- and the two must agree.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
 
+from . import conditions
+from .conditions import SUBSET_GUARD, ConditionSpec
 from .errors import InfeasibleError, InvalidParamsError, RankDeficientError, TooLargeError
-from .evalcode import EvalCode, generator_matrix, sumset
+from .evalcode import EvalCode, gap_order, generator_matrix, sumset
 from .field import FieldContext, FieldElement, fe_pow
 from .matrix import MatrixFq, matrix_from_rows, null_space, rank
-
-#: Default ceiling on the number of column subsets an exhaustive MDS scan
-#: may visit.
-SUBSET_GUARD = 10**7
 
 #: Default ceiling on q^k for full codebook enumeration.
 CODEWORD_GUARD = 1 << 22
@@ -56,6 +67,33 @@ class Certificate:
 # Exhaustive MDS scan
 
 
+def _extend_basis(ctx: FieldContext, basis: list, v: Sequence[FieldElement]) -> Optional[list]:
+    """Reduced row-echelon basis of span(basis + [v]), or None if v is in the span.
+
+    `basis` is a list of (pivot position, row) pairs in reduced form: each row
+    is 1 at its own pivot and 0 at every other pivot.  It is not modified.
+    """
+    zero = ctx.zero()
+    mul, sub = ctx.mul, ctx.sub
+    for p, b in basis:
+        f = v[p]
+        if f != zero:
+            v = [sub(x, mul(f, y)) for x, y in zip(v, b)]
+    piv = next((i for i, x in enumerate(v) if x != zero), None)
+    if piv is None:
+        return None
+    inv = ctx.inv(v[piv])
+    v = [mul(inv, x) for x in v]
+    out = []
+    for p, b in basis:
+        f = b[piv]
+        if f != zero:
+            b = [sub(x, mul(f, y)) for x, y in zip(b, v)]
+        out.append((p, b))
+    out.append((piv, v))
+    return out
+
+
 def _first_dependent_subset(
     ctx: FieldContext,
     cols: list[tuple[FieldElement, ...]],
@@ -65,40 +103,53 @@ def _first_dependent_subset(
 ) -> Optional[tuple[int, ...]]:
     """Scan `count` k-subsets in lex order starting at `start_rank`.
 
-    Returns the first whose columns are dependent, else None.  Runs its own
-    tiny elimination so worker processes need nothing but plain data.
+    Returns the first whose columns are dependent, else None.  Elimination
+    is shared along the walk: ``bases[i]`` is the reduced basis of the
+    prefix ``combo[:i]``, and advancing position i rebuilds only the levels
+    above it.  A leaf then costs one dot product: with k - 1 pivots there is
+    one free coordinate, and the last column is dependent exactly when its
+    reduction vanishes there.  A dependent prefix makes its whole subtree
+    dependent, and the current combination is the first subset in it.
+    Needs nothing but plain data, so worker processes can run it.
     """
     n = len(cols)
     combo = list(_combination_at_rank(n, k, start_rank))
     zero = ctx.zero()
-    for _ in range(count):
-        # Rank test on the k x k submatrix (columns as rows; rank is symmetric).
-        work = [list(cols[c]) for c in combo]
-        independent = True
-        r = 0
-        for c in range(k):
-            piv = None
-            for i in range(r, k):
-                if work[i][c] != zero:
-                    piv = i
-                    break
-            if piv is None:
-                independent = False
-                break
-            work[r], work[piv] = work[piv], work[r]
-            inv = ctx.inv(work[r][c])
-            prow = [ctx.mul(inv, x) for x in work[r]]
-            work[r] = prow
-            for i in range(r + 1, k):
-                f = work[i][c]
+    mul, sub = ctx.mul, ctx.sub
+    bases: list = [[]] + [None] * (k - 1)
+    level = 0
+    remaining = count
+    while True:
+        for i in range(level, k - 1):
+            bases[i + 1] = _extend_basis(ctx, bases[i], cols[combo[i]])
+            if bases[i + 1] is None:
+                return tuple(combo)
+        basis = bases[k - 1]
+        pivots = {p for p, _ in basis}
+        free = next(i for i in range(k) if i not in pivots)
+        tail = [(p, b[free]) for p, b in basis if b[free] != zero]
+        for c in range(combo[k - 1], n):
+            v = cols[c]
+            acc = v[free]
+            for p, coef in tail:
+                f = v[p]
                 if f != zero:
-                    work[i] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(work[i], prow)]
-            r += 1
-        if not independent:
-            return tuple(combo)
-        if not _next_combination(combo, n):
-            break
-    return None
+                    acc = sub(acc, mul(f, coef))
+            if acc == zero:
+                combo[k - 1] = c
+                return tuple(combo)
+            remaining -= 1
+            if remaining == 0:
+                return None
+        i = k - 2
+        while i >= 0 and combo[i] == n - k + i:
+            i -= 1
+        if i < 0:
+            return None
+        combo[i] += 1
+        for j in range(i + 1, k):
+            combo[j] = combo[j - 1] + 1
+        level = i
 
 
 def _combination_at_rank(n: int, k: int, rank_: int) -> tuple[int, ...]:
@@ -117,22 +168,20 @@ def _combination_at_rank(n: int, k: int, rank_: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _next_combination(combo: list[int], n: int) -> bool:
-    k = len(combo)
-    for i in range(k - 1, -1, -1):
-        if combo[i] < n - k + i:
-            combo[i] += 1
-            for j in range(i + 1, k):
-                combo[j] = combo[j - 1] + 1
-            return True
-    return False
-
-
 def _scan_chunk(args) -> Optional[tuple[int, ...]]:
     p, m, modulus, col_digits, k, start_rank, count = args
     ctx = FieldContext(p, m, modulus)
     cols = [tuple(tuple(d) for d in col) for col in col_digits]
     return _first_dependent_subset(ctx, cols, k, start_rank, count)
+
+
+def _check_subset_guard(n: int, k: int, guard: int) -> int:
+    if k > n:
+        raise InvalidParamsError(f"k={k} exceeds n={n}")
+    total = comb(n, k)
+    if total > guard:
+        raise InfeasibleError(f"C({n},{k}) = {total} exceeds subset guard {guard}")
+    return total
 
 
 def mds_exhaustive(
@@ -144,15 +193,12 @@ def mds_exhaustive(
 
     Returns (True, None) when the code generated by `mat` is MDS, otherwise
     (False, w) with w the lexicographically first dependent column subset.
-    `jobs` > 1 splits the scan by contiguous rank ranges; the reported
-    witness is independent of the split.
+    Works for any matrix; it is the elimination route of the certificate and
+    the cross-check of its e_r route.  `jobs` > 1 splits the scan by
+    contiguous rank ranges; the reported witness is independent of the split.
     """
     k, n = mat.rows, mat.cols
-    if k > n:
-        raise InvalidParamsError(f"k={k} exceeds n={n}")
-    total = comb(n, k)
-    if total > guard:
-        raise InfeasibleError(f"C({n},{k}) = {total} exceeds subset guard {guard}")
+    total = _check_subset_guard(n, k, guard)
     cols = [mat.column(j) for j in range(n)]
     if jobs <= 1 or total < 4 * jobs:
         witness = _first_dependent_subset(mat.ctx, cols, k, 0, total)
@@ -244,12 +290,53 @@ def min_distance_bruteforce(
 # Certificate assembly
 
 
+def _mds_by_minors(mat: MatrixFq, guard: int) -> tuple[bool, Optional[tuple[int, ...]]]:
+    """The slow second derivation: rank every k-subset's columns from scratch."""
+    k, n = mat.rows, mat.cols
+    _check_subset_guard(n, k, guard)
+    cols = [mat.column(j) for j in range(n)]
+    for combo in combinations(range(n), k):
+        if rank(matrix_from_rows(mat.ctx, [cols[j] for j in combo])) < k:
+            return (False, combo)
+    return (True, None)
+
+
+def _mds_decision(
+    code: EvalCode, gen: MatrixFq, guard: int, jobs: int, cross_check: bool
+) -> tuple[bool, Optional[tuple[int, ...]]]:
+    """(is_mds, lex-first dependent subset) by the route the exponents allow."""
+    r = gap_order(code.exponents)
+    if r is not None:
+        spec = ConditionSpec(code.k, r)
+        answer = conditions.check_esym(code.ctx, code.points.points, spec, guard=guard)
+    else:
+        answer = mds_exhaustive(gen, guard=guard, jobs=jobs)
+    witness = answer[1]
+    if witness is not None:
+        sub = matrix_from_rows(code.ctx, [gen.column(j) for j in witness])
+        if rank(sub) == code.k:
+            raise AssertionError(
+                f"internal disagreement: witness {list(witness)} has independent columns"
+            )
+    if cross_check:
+        if r is not None:
+            oracle = mds_exhaustive(gen, guard=guard, jobs=jobs)
+        else:
+            oracle = _mds_by_minors(gen, guard)
+        if oracle != answer:
+            raise AssertionError(
+                f"internal disagreement: MDS scan {answer} != cross-check {oracle}"
+            )
+    return answer
+
+
 def non_rs_certificate(
     code: EvalCode,
     guard: int = SUBSET_GUARD,
     jobs: int = 1,
     with_min_distance: bool = False,
     codeword_guard: int = CODEWORD_GUARD,
+    cross_check: bool = False,
 ) -> Certificate:
     """Run the full certification pipeline on one evaluation code.
 
@@ -257,13 +344,15 @@ def non_rs_certificate(
     MDS codes with k <= n/2: `non_rs` when the Schur square is provably too
     big for a generalized Reed-Solomon code, `rs_consistent` when its
     dimension equals 2k - 1 (what an RS code would show), `indeterminate`
-    otherwise (k > n/2, or the code failed the MDS scan).
+    otherwise (k > n/2, or the code failed the MDS scan).  `jobs` only
+    affects the elimination route; `cross_check` derives the MDS answer a
+    second time and raises AssertionError if the two differ.
     """
     k, n = code.k, code.n
     if k > n:
         raise InvalidParamsError(f"k={k} exceeds n={n}")
     gen = generator_matrix(code)
-    is_mds, witness = mds_exhaustive(gen, guard=guard, jobs=jobs)
+    is_mds, witness = _mds_decision(code, gen, guard, jobs, cross_check)
     schur = schur_square_dim(gen)
     schur_alt = schur_square_dim_from_exponents(code)
     if schur != schur_alt:

@@ -9,7 +9,10 @@ word), 2 for usage or input-format errors.
 The environment variable MDSFORGE_GUARD (an integer) raises or lowers every
 enumeration guard at once; explicit guards protect each exhaustive scan and
 exceeding one is always a loud error.  ``--jobs N`` spreads the MDS column
-scan over N worker processes without changing any result.
+scan over N worker processes without changing any result; codes whose
+exponents are {0..k} minus one value take the e_r route, which runs serially.
+``verify --cross-check`` derives the MDS answer a second time by another
+algorithm and fails loudly if the two differ.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .conditions import (
     search_eval_set,
 )
 from .errors import FormatError, MdsforgeError
-from .evalcode import EvalCode, EvalSet, ExponentSet, encode as encode_word
+from .evalcode import EvalCode, EvalSet, ExponentSet, encode as encode_word, gap_order
 from .field import FieldContext, make_field
 from .jsonio import canonical_dumps, write_atomic
 
@@ -62,6 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("code")
     p_verify.add_argument("--min-distance", action="store_true")
     p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--cross-check", action="store_true", dest="cross_check")
 
     p_check = sub.add_parser("check", help="test the k-subset e_r condition on a point set")
     p_check.add_argument("code", nargs="?")
@@ -190,7 +194,11 @@ def _cmd_verify(args) -> int:
         embedded is not None and embedded.get("min_distance") is not None
     )
     cert = non_rs_certificate(
-        code, jobs=max(1, args.jobs), with_min_distance=want_dist, **kwargs
+        code,
+        jobs=max(1, args.jobs),
+        with_min_distance=want_dist,
+        cross_check=args.cross_check,
+        **kwargs,
     )
     obj = jsonio.certificate_to_obj(cert)
     _emit(obj)
@@ -207,7 +215,11 @@ def _cmd_check(args) -> int:
         ctx = code.ctx
         points = list(code.points.points)
         k = args.k if args.k is not None else code.k
-        r = args.r if args.r is not None else _infer_gap(code.exponents)
+        r = args.r if args.r is not None else gap_order(code.exponents)
+        if r is None:
+            raise FormatError(
+                "the code's exponents are not {0..k} minus one value; pass --r"
+            )
     else:
         if args.field is None or not args.points:
             raise FormatError("check needs a code file, or --field with --points")
@@ -238,18 +250,6 @@ def _cmd_check(args) -> int:
         }
     )
     return 0 if holds else NEGATIVE
-
-
-def _infer_gap(exponents: ExponentSet) -> int:
-    """r such that the exponents are {0..k} minus {k-r}, else 1."""
-    k = exponents.k
-    expected = set(range(k + 1))
-    actual = set(exponents.exps)
-    if actual < expected and len(expected - actual) == 1:
-        missing = (expected - actual).pop()
-        if 1 <= k - missing <= k:
-            return k - missing
-    return 1
 
 
 def _cmd_search(args) -> int:

@@ -11,7 +11,7 @@ the all-ones row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import DimensionMismatchError, InvalidParamsError, ZeroMultiplierError
 from .field import FieldContext, FieldElement, fe_pow
@@ -122,6 +122,19 @@ def sumset(exponents: ExponentSet) -> ExponentSet:
     """The set {a + b : a, b in E} (a = b allowed), sorted increasing."""
     e = exponents.exps
     return ExponentSet(tuple(sorted({a + b for a in e for b in e})))
+
+
+def gap_order(exponents: ExponentSet) -> Optional[int]:
+    """r when the exponents are {0..k} minus {k - r} (so 1 <= r <= k), else None.
+
+    For these sets the k x k minor on points S factors as the Vandermonde
+    determinant of S times e_r(S), so MDS-ness is the e_r subset condition.
+    """
+    e = exponents.exps
+    k = len(e)
+    if e[-1] != k:
+        return None
+    return k - next(i for i, x in enumerate(e) if x != i)
 
 
 def is_arithmetic_progression(exponents: ExponentSet) -> bool:

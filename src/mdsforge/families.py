@@ -68,14 +68,14 @@ def int_root(x: int, r: int) -> int:
         raise InvalidParamsError("need x >= 0 and r >= 1")
     if r == 1 or x < 2:
         return x
-    if r == 2:
-        return isqrt(x)
-    guess = int(round(x ** (1.0 / r)))
-    while guess > 0 and guess**r > x:
-        guess -= 1
-    while (guess + 1) ** r <= x:
-        guess += 1
-    return guess
+    # Integer Newton iteration from 2^ceil(bits / r), which is above the
+    # root; the iterates fall strictly until they reach the floor.
+    guess = 1 << -(-x.bit_length() // r)
+    while True:
+        nxt = ((r - 1) * guess + x // guess ** (r - 1)) // r
+        if nxt >= guess:
+            return guess
+        guess = nxt
 
 
 def _require_prime(p: int) -> None:

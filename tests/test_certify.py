@@ -1,9 +1,16 @@
 """MDS scanning, Schur squares, verdicts, duals."""
 
+import contextlib
+import io
+import itertools
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+from mdsforge import certify, conditions
 from mdsforge.certify import (
     VERDICT_INDETERMINATE,
     VERDICT_NON_RS,
@@ -15,19 +22,22 @@ from mdsforge.certify import (
     schur_square_dim,
     schur_square_dim_from_exponents,
 )
+from mdsforge.cli import main
 from mdsforge.errors import InfeasibleError, InvalidParamsError, RankDeficientError
 from mdsforge.evalcode import (
     EvalCode,
     EvalSet,
     ExponentSet,
     GrsSpec,
+    gap_order,
     generator_matrix,
     grs_generator,
 )
 from mdsforge.field import make_field
+from mdsforge.jsonio import canonical_dumps, code_to_obj
 from mdsforge.matrix import matrix_from_rows, mat_vec, rank
 
-from oracles import brute_min_distance
+from oracles import brute_min_distance, ext_rank
 
 
 def scalars(ctx, values):
@@ -226,3 +236,141 @@ def test_extension_field_certification():
     cert = non_rs_certificate(code)
     assert cert.is_mds
     assert cert.verdict == VERDICT_NON_RS
+
+
+# ---------------------------------------------------------------------------
+# The two MDS routes against their oracles
+
+FIELDS = [(7, 1), (13, 1), (2, 3), (3, 2), (2, 4)]
+
+
+@st.composite
+def point_sets(draw, min_size=1, max_size=8):
+    """A field and an ordered tuple of distinct points in it."""
+    p, m = draw(st.sampled_from(FIELDS))
+    ctx = make_field(p, m)
+    values = draw(
+        st.lists(
+            st.integers(0, ctx.q - 1),
+            min_size=min_size,
+            max_size=min(max_size, ctx.q),
+            unique=True,
+        )
+    )
+    return ctx, tuple(ctx.from_int(v) for v in values)
+
+
+def gap_code(ctx, pts, k, r):
+    exps = tuple(e for e in range(k + 1) if e != k - r)
+    return EvalCode(ctx, EvalSet(pts), ExponentSet(exps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_sets(min_size=1), st.integers(1, 5))
+@example((make_field(13), scalars(make_field(13), range(6))), 3)  # MDS at r = 1
+@example((make_field(13), scalars(make_field(13), [2, 1, 3, 5, 6, 7])), 3)  # fails at r = 1
+def test_gap_route_agrees_with_elimination(drawn, k):
+    ctx, pts = drawn
+    assume(k <= len(pts))
+    for r in range(1, k + 1):
+        code = gap_code(ctx, pts, k, r)
+        assert gap_order(code.exponents) == r
+        cert = non_rs_certificate(code)
+        oracle = mds_exhaustive(generator_matrix(code))
+        assert (cert.is_mds, cert.failing_columns) == oracle
+
+
+def first_dependent_by_sympy(gen):
+    k, n = gen.rows, gen.cols
+    for combo in itertools.combinations(range(n), k):
+        sub = matrix_from_rows(gen.ctx, [[row[j] for j in combo] for row in gen.entries])
+        if ext_rank(sub) < k:
+            return combo
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    point_sets(min_size=2, max_size=6),
+    st.lists(st.integers(0, 14), min_size=1, max_size=4, unique=True),
+)
+@example((make_field(7), scalars(make_field(7), [1, 2, 0, 3])), [0, 6, 12])  # dependent prefix
+def test_elimination_route_matches_sympy(drawn, exps):
+    ctx, pts = drawn
+    exps = ExponentSet(tuple(sorted(exps)))
+    assume(exps.k <= len(pts) and gap_order(exps) is None)
+    gen = generator_matrix(EvalCode(ctx, EvalSet(pts), exps))
+    witness = first_dependent_by_sympy(gen)
+    assert mds_exhaustive(gen) == (witness is None, witness)
+
+
+def boundary_matrix(witness_rank):
+    """[8,3] code over GF(10007), MDS except that the subset of the given
+    lex rank has its last column replaced by a sum of its other two."""
+    ctx = make_field(10007)
+    gen = generator_matrix(make_code(ctx, range(1, 9), (0, 1, 2)))
+    target = next(itertools.islice(itertools.combinations(range(8), 3), witness_rank, None))
+    a, b, c = target
+    rows = [list(row) for row in gen.entries]
+    for row in rows:
+        row[c] = ctx.add(ctx.mul(ctx.scalar(3), row[a]), ctx.mul(ctx.scalar(5), row[b]))
+    return matrix_from_rows(ctx, rows), target
+
+
+# C(8,3) = 56 subsets: chunks of 28 for two workers, 19 for three.
+@pytest.mark.parametrize("witness_rank", [18, 19, 20, 27, 28, 29, 37, 38, 39])
+def test_jobs_split_at_chunk_boundaries(witness_rank):
+    mat, target = boundary_matrix(witness_rank)
+    serial = mds_exhaustive(mat, jobs=1)
+    assert serial == (False, target)
+    assert mds_exhaustive(mat, jobs=2) == serial
+    assert mds_exhaustive(mat, jobs=3) == serial
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    point_sets(min_size=2, max_size=7),
+    st.lists(st.integers(0, 8), min_size=1, max_size=4, unique=True),
+)
+def test_cross_check_prints_the_same_bytes(drawn, exps):
+    ctx, pts = drawn
+    exps = tuple(sorted(exps))
+    assume(len(exps) <= len(pts))
+    code = EvalCode(ctx, EvalSet(pts), ExponentSet(exps))
+    outs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "code.json")
+        with open(path, "w") as fh:
+            fh.write(canonical_dumps(code_to_obj(code)))
+        for extra in ([], ["--cross-check"]):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                rc = main(["verify", path, *extra])
+            outs.append((rc, buf.getvalue()))
+    assert outs[0] == outs[1]
+
+
+def test_cross_check_catches_a_wrong_e_r_answer(monkeypatch):
+    ctx = make_field(13)
+    code = make_code(ctx, [1, 5, 7, 2, 3, 4], (0, 1, 3))  # not MDS
+    monkeypatch.setattr(conditions, "check_esym", lambda *a, **kw: (True, None))
+    assert non_rs_certificate(code).is_mds  # the e_r answer alone is trusted
+    with pytest.raises(AssertionError, match="internal disagreement"):
+        non_rs_certificate(code, cross_check=True)
+
+
+def test_cross_check_catches_a_wrong_elimination_answer(monkeypatch):
+    ctx = make_field(13)
+    code = make_code(ctx, [1, 12, 2, 3, 4], (0, 2, 4))  # 1 and -1 share columns
+    assert non_rs_certificate(code, cross_check=True).failing_columns == (0, 1, 2)
+    monkeypatch.setattr(certify, "mds_exhaustive", lambda *a, **kw: (True, None))
+    with pytest.raises(AssertionError, match="internal disagreement"):
+        non_rs_certificate(code, cross_check=True)
+
+
+def test_witness_is_confirmed_by_rank(monkeypatch):
+    ctx = make_field(13)
+    code = make_code(ctx, range(6), (0, 1, 3))  # MDS
+    monkeypatch.setattr(conditions, "check_esym", lambda *a, **kw: (False, (0, 1, 2)))
+    with pytest.raises(AssertionError, match="independent columns"):
+        non_rs_certificate(code)

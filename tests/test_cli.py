@@ -166,6 +166,39 @@ def test_check_code_file_infers_order(capsys, tmp_path):
     assert obj["holds"] is True
 
 
+def write_rs_code(tmp_path):
+    # [7,3] Reed-Solomon code over GF(13): MDS, but 2 + 5 + 6 = 0 mod 13
+    obj = {
+        "field": {"p": 13, "m": 1},
+        "points": [[v] for v in range(7)],
+        "exponents": [0, 1, 2],
+    }
+    path = tmp_path / "rs.json"
+    path.write_text(canonical_dumps(obj))
+    return path
+
+
+def test_check_code_file_without_gap_form_needs_r(capsys, tmp_path):
+    path = write_rs_code(tmp_path)
+    rc, out, err = run(capsys, "check", str(path))
+    assert rc == 2
+    assert out == ""
+    assert "--r" in err
+    rc, out, _ = run(capsys, "verify", str(path))
+    assert rc == 0
+    assert parse(out)["mds"] is True
+
+
+def test_check_code_file_with_explicit_r(capsys, tmp_path):
+    path = write_rs_code(tmp_path)
+    rc, out, _ = run(capsys, "check", str(path), "--r", "1")
+    assert rc == 1
+    assert out == (
+        '{"delta":[0],"holds":false,"k":3,"r":1,'
+        '"witness":{"indices":[2,5,6],"points":[[2],[5],[6]]}}\n'
+    )
+
+
 def test_check_nonzero_delta(capsys):
     rc, out, _ = run(
         capsys, "check", "--field", "7", "--points", "0", "1", "2", "--k", "2",

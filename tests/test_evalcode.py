@@ -14,6 +14,7 @@ from mdsforge.evalcode import (
     ExponentSet,
     GrsSpec,
     encode,
+    gap_order,
     generator_matrix,
     grs_generator,
     is_arithmetic_progression,
@@ -109,6 +110,23 @@ def test_arithmetic_progression_detection():
     assert is_arithmetic_progression(ExponentSet((2,)))
     assert is_arithmetic_progression(ExponentSet((3, 9)))  # two points: always
     assert not is_arithmetic_progression(ExponentSet((0, 1, 3)))
+
+
+def test_gap_order():
+    assert gap_order(ExponentSet((0, 1, 3))) == 1
+    assert gap_order(ExponentSet((0, 2, 3))) == 2
+    assert gap_order(ExponentSet((1, 2, 3))) == 3
+    assert gap_order(ExponentSet((1,))) == 1
+    assert gap_order(ExponentSet((0, 1, 2))) is None  # Reed-Solomon
+    assert gap_order(ExponentSet((0, 2, 4))) is None  # two gaps
+    assert gap_order(ExponentSet((0, 1, 2, 5))) is None
+
+
+def test_gap_order_matches_its_definition():
+    for k in range(1, 6):
+        for exps in itertools.combinations(range(k + 3), k):
+            gaps = [r for r in range(1, k + 1) if set(exps) == set(range(k + 1)) - {k - r}]
+            assert gap_order(ExponentSet(exps)) == (gaps[0] if gaps else None)
 
 
 def test_sumset_size_characterizes_progressions():

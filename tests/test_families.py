@@ -8,6 +8,7 @@ heuristic.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdsforge.certify import VERDICT_NON_RS, mds_exhaustive, non_rs_certificate
 from mdsforge.conditions import ConditionSpec, check_esym
@@ -58,6 +59,20 @@ def test_int_root_exact():
         r = rng.randint(1, 5)
         root = int_root(x, r)
         assert root**r <= x < (root + 1) ** r
+
+
+def test_int_root_beyond_float_range():
+    # a float seed overflows past ~1e308; the integer iteration does not
+    assert int_root(10**399, 3) == 10**133
+    root = int_root(10**400, 3)
+    assert root**3 <= 10**400 < (root + 1) ** 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**500), st.integers(min_value=1, max_value=12))
+def test_int_root_brackets_the_root(x, r):
+    root = int_root(x, r)
+    assert root**r <= x < (root + 1) ** r
 
 
 # --- prime-field families ----------------------------------------------------
