@@ -1,21 +1,24 @@
 """Certification of evaluation codes: MDS checks and Schur-square ranks.
 
 The headline operation is :func:`non_rs_certificate`.  It decides whether
-every k-subset of generator columns is independent by one of two routes.
-Both walk the k-subsets in lexicographic order and report the first
-dependent one, so the witness never depends on the route or on how the
-walk is split across workers:
+every k-subset of generator columns is independent.  Both of its routes are
+the one lexicographic subset walk, :func:`conditions.first_failing_subset`,
+with a different step, and both report the first dependent subset, so the
+witness never depends on the route or on how the walk is split across
+workers:
 
 * exponents {0..k} minus {k - r} (every family and every search result):
   the k x k minor on points S is the Vandermonde determinant of S times
-  e_r(S), so the e_r walk :func:`conditions.check_esym` answers;
-* any other exponent set: :func:`mds_exhaustive`, Gaussian elimination
-  shared along the walk, optionally split over worker processes.
+  e_r(S), so the e_r step of :func:`conditions.check_esym` answers;
+* any other exponent set: :func:`mds_exhaustive`, whose step is the
+  elimination :func:`matrix.extend_basis`, optionally split over worker
+  processes.
 
 A witness is always confirmed by one rank of its k columns.  On request
-(``cross_check``) the answer is derived again -- by :func:`mds_exhaustive`
-on the e_r route, by a from-scratch rank of every k-subset on the other --
-and any disagreement is an error.
+(``cross_check``) the answer is derived again on either route by
+:func:`_mds_by_minors`, which takes every k-subset from
+``itertools.combinations`` and ranks its columns from scratch, and any
+disagreement is an error.
 
 It then sizes the component-wise (Schur) square of the code.  For an MDS
 code of dimension k <= n/2, a Schur-square dimension of at least 2k
@@ -32,14 +35,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import conditions
 from .conditions import SUBSET_GUARD, ConditionSpec
 from .errors import InfeasibleError, InvalidParamsError, RankDeficientError, TooLargeError
 from .evalcode import EvalCode, gap_order, generator_matrix, sumset
-from .field import FieldContext, FieldElement, fe_pow
-from .matrix import MatrixFq, matrix_from_rows, null_space, rank
+from .field import FieldContext, FieldElement
+from .matrix import MatrixFq, extend_basis, matrix_from_rows, null_space, null_vectors, rank
 
 #: Default ceiling on q^k for full codebook enumeration.
 CODEWORD_GUARD = 1 << 22
@@ -60,38 +63,10 @@ class Certificate:
     schur_dim: int
     verdict: str
     min_distance: Optional[int] = None
-    weight_distribution: Optional[tuple[int, ...]] = None
 
 
 # ---------------------------------------------------------------------------
 # Exhaustive MDS scan
-
-
-def _extend_basis(ctx: FieldContext, basis: list, v: Sequence[FieldElement]) -> Optional[list]:
-    """Reduced row-echelon basis of span(basis + [v]), or None if v is in the span.
-
-    `basis` is a list of (pivot position, row) pairs in reduced form: each row
-    is 1 at its own pivot and 0 at every other pivot.  It is not modified.
-    """
-    zero = ctx.zero()
-    mul, sub = ctx.mul, ctx.sub
-    for p, b in basis:
-        f = v[p]
-        if f != zero:
-            v = [sub(x, mul(f, y)) for x, y in zip(v, b)]
-    piv = next((i for i, x in enumerate(v) if x != zero), None)
-    if piv is None:
-        return None
-    inv = ctx.inv(v[piv])
-    v = [mul(inv, x) for x in v]
-    out = []
-    for p, b in basis:
-        f = b[piv]
-        if f != zero:
-            b = [sub(x, mul(f, y)) for x, y in zip(b, v)]
-        out.append((p, b))
-    out.append((piv, v))
-    return out
 
 
 def _first_dependent_subset(
@@ -103,69 +78,43 @@ def _first_dependent_subset(
 ) -> Optional[tuple[int, ...]]:
     """Scan `count` k-subsets in lex order starting at `start_rank`.
 
-    Returns the first whose columns are dependent, else None.  Elimination
-    is shared along the walk: ``bases[i]`` is the reduced basis of the
-    prefix ``combo[:i]``, and advancing position i rebuilds only the levels
-    above it.  A leaf then costs one dot product: with k - 1 pivots there is
-    one free coordinate, and the last column is dependent exactly when its
-    reduction vanishes there.  A dependent prefix makes its whole subtree
-    dependent, and the current combination is the first subset in it.
-    Needs nothing but plain data, so worker processes can run it.
+    Returns the first whose columns are dependent, else None.  This is the
+    subset walk :func:`conditions.first_failing_subset` with an elimination
+    step: the state of a prefix of fewer than k - 1 columns is its
+    :func:`matrix.extend_basis` basis, and a dependent prefix is rejected.
+    The state of a (k-1)-column prefix is the normal vector of its span
+    from :func:`matrix.null_vectors`, 1 at the one free coordinate, so a
+    leaf costs k - 1 multiply-adds: the last column is dependent exactly
+    when its dot product with the normal vanishes.  Needs nothing but plain
+    data, so worker processes can run it.
     """
-    n = len(cols)
-    combo = list(_combination_at_rank(n, k, start_rank))
     zero = ctx.zero()
-    mul, sub = ctx.mul, ctx.sub
-    bases: list = [[]] + [None] * (k - 1)
-    level = 0
-    remaining = count
-    while True:
-        for i in range(level, k - 1):
-            bases[i + 1] = _extend_basis(ctx, bases[i], cols[combo[i]])
-            if bases[i + 1] is None:
-                return tuple(combo)
-        basis = bases[k - 1]
+    mul, add = ctx.mul, ctx.add
+    last = k - 1
+
+    def normal(basis: list) -> tuple[int, list]:
         pivots = {p for p, _ in basis}
+        (w,) = null_vectors(ctx, basis, k)
         free = next(i for i in range(k) if i not in pivots)
-        tail = [(p, b[free]) for p, b in basis if b[free] != zero]
-        for c in range(combo[k - 1], n):
-            v = cols[c]
+        return free, [(p, w[p]) for p, _ in basis if w[p] != zero]
+
+    def extend(state, depth: int, j: int):
+        v = cols[j]
+        if depth == last:
+            free, tail = state
             acc = v[free]
-            for p, coef in tail:
+            for p, w in tail:
                 f = v[p]
                 if f != zero:
-                    acc = sub(acc, mul(f, coef))
-            if acc == zero:
-                combo[k - 1] = c
-                return tuple(combo)
-            remaining -= 1
-            if remaining == 0:
-                return None
-        i = k - 2
-        while i >= 0 and combo[i] == n - k + i:
-            i -= 1
-        if i < 0:
-            return None
-        combo[i] += 1
-        for j in range(i + 1, k):
-            combo[j] = combo[j - 1] + 1
-        level = i
+                    acc = add(acc, mul(f, w))
+            return None if acc == zero else state
+        basis = extend_basis(ctx, state, v)
+        if basis is None or depth < last - 1:
+            return basis
+        return normal(basis)
 
-
-def _combination_at_rank(n: int, k: int, rank_: int) -> tuple[int, ...]:
-    """The rank-th k-combination of range(n) in lexicographic order."""
-    out = []
-    c = 0
-    for remaining in range(k, 0, -1):
-        while True:
-            block = comb(n - c - 1, remaining - 1)
-            if rank_ < block:
-                break
-            rank_ -= block
-            c += 1
-        out.append(c)
-        c += 1
-    return tuple(out)
+    root = normal([]) if k == 1 else []
+    return conditions.first_failing_subset(len(cols), k, root, extend, start_rank, count)
 
 
 def _scan_chunk(args) -> Optional[tuple[int, ...]]:
@@ -193,9 +142,9 @@ def mds_exhaustive(
 
     Returns (True, None) when the code generated by `mat` is MDS, otherwise
     (False, w) with w the lexicographically first dependent column subset.
-    Works for any matrix; it is the elimination route of the certificate and
-    the cross-check of its e_r route.  `jobs` > 1 splits the scan by
-    contiguous rank ranges; the reported witness is independent of the split.
+    Works for any matrix; it is the elimination route of the certificate.
+    `jobs` > 1 splits the scan by contiguous rank ranges; the reported
+    witness is independent of the split.
     """
     k, n = mat.rows, mat.cols
     total = _check_subset_guard(n, k, guard)
@@ -241,7 +190,7 @@ def schur_square_dim_from_exponents(code: EvalCode) -> int:
     ctx = code.ctx
     rows = []
     for e in sumset(code.exponents).exps:
-        rows.append(tuple(fe_pow(ctx, t, e) for t in code.points.points))
+        rows.append(tuple(ctx.pow(t, e) for t in code.points.points))
     return rank(matrix_from_rows(ctx, rows))
 
 
@@ -291,7 +240,11 @@ def min_distance_bruteforce(
 
 
 def _mds_by_minors(mat: MatrixFq, guard: int) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """The slow second derivation: rank every k-subset's columns from scratch."""
+    """The slow second derivation: rank every k-subset's columns from scratch.
+
+    It shares no walk and no prefix state with either route; only the
+    elimination step inside :func:`rank` is common to all three.
+    """
     k, n = mat.rows, mat.cols
     _check_subset_guard(n, k, guard)
     cols = [mat.column(j) for j in range(n)]
@@ -319,10 +272,7 @@ def _mds_decision(
                 f"internal disagreement: witness {list(witness)} has independent columns"
             )
     if cross_check:
-        if r is not None:
-            oracle = mds_exhaustive(gen, guard=guard, jobs=jobs)
-        else:
-            oracle = _mds_by_minors(gen, guard)
+        oracle = _mds_by_minors(gen, guard)
         if oracle != answer:
             raise AssertionError(
                 f"internal disagreement: MDS scan {answer} != cross-check {oracle}"
@@ -368,9 +318,8 @@ def non_rs_certificate(
     else:
         verdict = VERDICT_INDETERMINATE
     min_d: Optional[int] = None
-    wd: Optional[tuple[int, ...]] = None
     if with_min_distance:
-        min_d, wd = min_distance_bruteforce(code, guard=codeword_guard)
+        min_d = min_distance_bruteforce(code, guard=codeword_guard)[0]
     return Certificate(
         n=n,
         k=k,
@@ -379,7 +328,6 @@ def non_rs_certificate(
         schur_dim=schur,
         verdict=verdict,
         min_distance=min_d,
-        weight_distribution=wd,
     )
 
 

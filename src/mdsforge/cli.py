@@ -11,8 +11,9 @@ enumeration guard at once; explicit guards protect each exhaustive scan and
 exceeding one is always a loud error.  ``--jobs N`` spreads the MDS column
 scan over N worker processes without changing any result; codes whose
 exponents are {0..k} minus one value take the e_r route, which runs serially.
-``verify --cross-check`` derives the MDS answer a second time by another
-algorithm and fails loudly if the two differ.
+``verify --cross-check`` derives the MDS answer a second time, on either
+route, from a from-scratch rank of every k-subset of columns, and fails
+loudly if the two differ.
 """
 
 from __future__ import annotations

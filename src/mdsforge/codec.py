@@ -11,36 +11,14 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .errors import DimensionMismatchError, InconsistentError, SingularError, TooManyErasuresError
+from .errors import DimensionMismatchError, InconsistentError, TooManyErasuresError
 from .evalcode import EvalCode, encode, generator_matrix
 from .field import FieldElement
-from .matrix import MatrixFq, matrix_from_rows, rank, rref, solve_square
+from .matrix import matrix_from_rows, solve_square
 
 ERASED = None
 
 ReceivedWord = Sequence[Optional[FieldElement]]
-
-
-def systematic_form(mat: MatrixFq) -> MatrixFq:
-    """Row-reduce a generator to [I_k | A]; needs invertible leading columns.
-
-    For an MDS generator every k columns are invertible, so this always
-    succeeds there.
-    """
-    from .errors import RankDeficientError
-
-    k = mat.rows
-    reduced = rref(mat)
-    if rank(mat) < k:
-        raise RankDeficientError("generator matrix has dependent rows")
-    lead_ok = all(
-        reduced.entries[i][j] == (mat.ctx.one() if i == j else mat.ctx.zero())
-        for i in range(k)
-        for j in range(k)
-    )
-    if not lead_ok:
-        raise SingularError("leading k columns are not invertible")
-    return reduced
 
 
 def decode_erasures(code: EvalCode, received: ReceivedWord) -> tuple[FieldElement, ...]:

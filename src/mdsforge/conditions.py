@@ -9,18 +9,22 @@ corresponding evaluation code being MDS: a k-subset with e_r(S) = 0 is the
 root set of a monic polynomial whose x^(k-r) coefficient vanishes, i.e. of
 a codeword supported off S, and conversely.
 
-e_r values are maintained incrementally along the lexicographic subset
-walk via the recurrence e_j <- e_j + alpha * e_{j-1}, so each extension
-costs O(r) field operations.
+Every k-subset scan in the package is :func:`first_failing_subset`: a
+lexicographic walk that keeps one state per prefix and asks a step
+function to extend it or reject it.  Here the step carries the vector
+(e_0, ..., e_r) via the recurrence e_j <- e_j + alpha * e_{j-1}, so each
+extension costs O(r) field operations.  :func:`check_esym` walks the
+k-subsets of the points; greedy search walks the (k-1)-subsets of the
+points it has taken, rooted at the candidate.  The certifier walks
+generator columns with an elimination step instead.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from math import comb
-from typing import Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from .errors import (
     CharacteristicDividesKError,
@@ -68,6 +72,112 @@ def esym_value(ctx: FieldContext, elems: Sequence[FieldElement], r: int) -> Fiel
     return e[r]
 
 
+def combination_at_rank(n: int, k: int, rank: int) -> tuple[int, ...]:
+    """The rank-th k-combination of range(n) in lexicographic order."""
+    out = []
+    c = 0
+    for remaining in range(k, 0, -1):
+        while True:
+            block = comb(n - c - 1, remaining - 1)
+            if rank < block:
+                break
+            rank -= block
+            c += 1
+        out.append(c)
+        c += 1
+    return tuple(out)
+
+
+def first_failing_subset(
+    n: int,
+    k: int,
+    root: Any,
+    extend: Callable[[Any, int, int], Any],
+    start: int = 0,
+    count: Optional[int] = None,
+) -> Optional[tuple[int, ...]]:
+    """First k-subset of range(n) that has a rejected prefix, in lex order.
+
+    The walk visits `count` subsets (default: all) from lex rank `start`
+    and keeps one state per prefix: ``states[0]`` is `root`, and
+    ``states[d + 1] = extend(states[d], d, combo[d])``.  `extend` returns
+    None to reject the prefix ``combo[:d + 1]``; the current combination is
+    then the first subset in the rejected subtree that the walk has not
+    passed, so it is returned.  Advancing position i recomputes only the
+    states above it, and a leaf costs one `extend` call.  Returns None when
+    no visited subset has a rejected prefix.  With k = 0 there is only the
+    empty subset, which has no prefix to reject.
+    """
+    if count is None:
+        count = comb(n, k) - start
+    if k == 0 or count <= 0:
+        return None
+    combo = list(combination_at_rank(n, k, start))
+    states = [root] + [None] * (k - 1)
+    last = k - 1
+    level = 0
+    while True:
+        for d in range(level, last):
+            states[d + 1] = extend(states[d], d, combo[d])
+            if states[d + 1] is None:
+                return tuple(combo)
+        leaf = states[last]
+        for c in range(combo[last], n):
+            if extend(leaf, last, c) is None:
+                combo[last] = c
+                return tuple(combo)
+            count -= 1
+            if count == 0:
+                return None
+        i = last - 1
+        while i >= 0 and combo[i] == n - k + i:
+            i -= 1
+        if i < 0:
+            return None
+        combo[i] += 1
+        for j in range(i + 1, k):
+            combo[j] = combo[j - 1] + 1
+        level = i
+
+
+def _esym_step(
+    ctx: FieldContext,
+    points: Sequence[FieldElement],
+    r: int,
+    delta: FieldElement,
+    base: int,
+    size: int,
+) -> Callable:
+    """The e_r step of :func:`first_failing_subset` over `points`.
+
+    A state is the vector (e_0, ..., e_r) of the points chosen so far,
+    `base` of which are folded into the root.  A step multiplies in one
+    more point, O(r) field operations, and rejects when the subset reaches
+    `size` points with e_r equal to delta; there only e_r is computed.
+    """
+    add, mul = ctx.add, ctx.mul
+    leaf = size - base - 1
+
+    def extend(e: list, depth: int, i: int) -> Optional[list]:
+        a = points[i]
+        if depth == leaf:
+            return None if add(e[r], mul(a, e[r - 1])) == delta else e
+        nxt = list(e)
+        for j in range(min(base + depth + 1, r), 0, -1):
+            nxt[j] = add(nxt[j], mul(a, nxt[j - 1]))
+        return nxt
+
+    return extend
+
+
+def _esym_root(ctx: FieldContext, r: int, first: Optional[FieldElement] = None) -> list:
+    """(e_0, ..., e_r) of the empty set, or of the one point `first`."""
+    e = [ctx.one()] + [ctx.zero()] * r
+    if first is not None:
+        e[1] = first
+    return e
+
+
 def check_esym(
     ctx: FieldContext,
     points: Sequence[FieldElement],
@@ -89,32 +199,9 @@ def check_esym(
     delta = spec.delta if spec.delta is not None else ctx.zero()
     if len(delta) != ctx.m:
         raise InvalidParamsError("delta has the wrong number of digits")
-    pts = list(points)
-    add, mul = ctx.add, ctx.mul
-    witness: Optional[tuple[int, ...]] = None
-    chosen: list[int] = []
-
-    def extend(start: int, evec: list[FieldElement]) -> bool:
-        """DFS in index order; True means a violation was found."""
-        depth = len(chosen)
-        if depth == k:
-            return evec[r] == delta
-        for i in range(start, n - (k - depth) + 1):
-            a = pts[i]
-            nxt = list(evec)
-            for j in range(min(depth + 1, r), 0, -1):
-                nxt[j] = add(nxt[j], mul(a, nxt[j - 1]))
-            chosen.append(i)
-            if extend(i + 1, nxt):
-                return True
-            chosen.pop()
-        return False
-
-    e0 = [ctx.one()] + [ctx.zero()] * r
-    if extend(0, e0):
-        witness = tuple(chosen)
-        return (False, witness)
-    return (True, None)
+    step = _esym_step(ctx, list(points), r, delta, 0, k)
+    witness = first_failing_subset(n, k, _esym_root(ctx, r), step)
+    return (witness is None, witness)
 
 
 def subset_sum_counts(
@@ -307,15 +394,19 @@ def search_eval_set(
         delta = spec.delta if spec.delta is not None else ctx.zero()
         chosen: list[FieldElement] = []
         k, r = spec.k, spec.r
+        step = _esym_step(ctx, chosen, r, delta, 1, k)
         for v in range(q):
             cand = ctx.from_int(v)
-            if len(chosen) + 1 >= k:
-                conflict = any(
-                    esym_value(ctx, [chosen[i] for i in rest] + [cand], r) == delta
-                    for rest in itertools.combinations(range(len(chosen)), k - 1)
-                )
-                if conflict:
-                    continue
+            # A conflict is a k-subset through cand: walk the (k-1)-subsets
+            # of the chosen points from the e-vector of {cand}.  With k = 1
+            # that walk is empty and {cand} itself is the subset.
+            root = _esym_root(ctx, r, cand)
+            if k == 1:
+                conflict = root[r] == delta
+            else:
+                conflict = first_failing_subset(len(chosen), k - 1, root, step) is not None
+            if conflict:
+                continue
             chosen.append(cand)
             if len(chosen) == n:
                 return tuple(chosen)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Optional, Sequence
 
 from .errors import DimensionMismatchError, InvalidParamsError, ZeroMultiplierError
-from .field import FieldContext, FieldElement, fe_pow
+from .field import FieldContext, FieldElement
 from .matrix import MatrixFq, matrix_from_rows
 
 
@@ -100,7 +100,7 @@ def generator_matrix(code: EvalCode) -> MatrixFq:
     ctx = code.ctx
     rows = []
     for e in code.exponents.exps:
-        rows.append(tuple(fe_pow(ctx, t, e) for t in code.points.points))
+        rows.append(tuple(ctx.pow(t, e) for t in code.points.points))
     return matrix_from_rows(ctx, rows)
 
 
@@ -113,7 +113,7 @@ def encode(code: EvalCode, message: Sequence[FieldElement]) -> tuple[FieldElemen
     for t in code.points.points:
         acc = ctx.zero()
         for coeff, e in zip(message, code.exponents.exps):
-            acc = ctx.add(acc, ctx.mul(coeff, fe_pow(ctx, t, e)))
+            acc = ctx.add(acc, ctx.mul(coeff, ctx.pow(t, e)))
         out.append(acc)
     return tuple(out)
 
@@ -157,7 +157,7 @@ def grs_generator(spec: GrsSpec) -> MatrixFq:
     for j in range(spec.k):
         rows.append(
             tuple(
-                ctx.mul(v, fe_pow(ctx, a, j))
+                ctx.mul(v, ctx.pow(a, j))
                 for a, v in zip(spec.points.points, spec.multipliers)
             )
         )

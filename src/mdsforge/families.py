@@ -15,9 +15,8 @@ which is what makes every k-subset condition hold without any search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from math import comb, factorial, isqrt
-from typing import Optional
 
 from .conditions import ConditionSpec, check_esym
 from .errors import (
@@ -35,26 +34,6 @@ from .field import FieldContext, is_prime, make_field
 from .matrix import MatrixFq, matrix_from_rows
 
 HAMMING_COLUMN_GUARD = 1 << 20
-
-
-@dataclass(frozen=True)
-class FamilyParams:
-    """Normalized parameter record attached to constructed codes."""
-
-    family: str
-    p: Optional[int] = None
-    m: Optional[int] = None
-    k: Optional[int] = None
-    n: Optional[int] = None
-    r: Optional[int] = None
-
-    def as_dict(self) -> dict:
-        out = {"family": self.family}
-        for name in ("p", "m", "k", "n", "r"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = v
-        return out
 
 
 def _gap_exponents(k: int, r: int) -> ExponentSet:
@@ -117,7 +96,7 @@ def cor44(p: int, k: int, n: int) -> EvalCode:
     ctx = make_field(p, 1)
     points = EvalSet(tuple((t,) for t in range(n)))
     return EvalCode(
-        ctx, points, _gap_exponents(k, 1), "cor44", FamilyParams("cor44", p=p, k=k, n=n).as_dict()
+        ctx, points, _gap_exponents(k, 1), "cor44", {"family": "cor44", "p": p, "k": k, "n": n}
     )
 
 
@@ -141,7 +120,7 @@ def cor62(p: int, k: int, r: int, n: int) -> EvalCode:
         points,
         _gap_exponents(k, r),
         "cor62",
-        FamilyParams("cor62", p=p, k=k, n=n, r=r).as_dict(),
+        {"family": "cor62", "p": p, "k": k, "n": n, "r": r},
     )
 
 
@@ -172,7 +151,7 @@ def thm412(p: int, m: int, k: int, n: int) -> EvalCode:
         points,
         _gap_exponents(k, 1),
         "thm412",
-        FamilyParams("thm412", p=p, m=m, k=k, n=n).as_dict(),
+        {"family": "thm412", "p": p, "m": m, "k": k, "n": n},
     )
 
 
@@ -211,7 +190,7 @@ def thm415(p: int, m: int, k: int, n: int) -> EvalCode:
         points,
         _gap_exponents(k, 1),
         "thm415",
-        FamilyParams("thm415", p=p, m=m, k=k, n=n).as_dict(),
+        {"family": "thm415", "p": p, "m": m, "k": k, "n": n},
     )
 
 
@@ -244,7 +223,7 @@ def thm63(p: int, m: int, k: int, r: int, n: int) -> EvalCode:
         points,
         _gap_exponents(k, r),
         "thm63",
-        FamilyParams("thm63", p=p, m=m, k=k, n=n, r=r).as_dict(),
+        {"family": "thm63", "p": p, "m": m, "k": k, "n": n, "r": r},
     )
 
 
@@ -278,7 +257,7 @@ def thm64(p: int, m: int, k: int, r: int, n: int) -> EvalCode:
         points,
         _gap_exponents(k, r),
         "thm64",
-        FamilyParams("thm64", p=p, m=m, k=k, n=n, r=r).as_dict(),
+        {"family": "thm64", "p": p, "m": m, "k": k, "n": n, "r": r},
     )
 
 
@@ -367,7 +346,7 @@ def lift_parity_columns(h: MatrixFq, k: int) -> EvalCode:
         points,
         _gap_exponents(k, 1),
         "hamming-lift",
-        FamilyParams("hamming-lift", p=base.p, m=base.m * rho, k=k, n=ncols).as_dict(),
+        {"family": "hamming-lift", "p": base.p, "m": base.m * rho, "k": k, "n": ncols},
     )
 
 
@@ -385,9 +364,8 @@ def cor411(r: int, k: int) -> EvalCode:
     if not 3 <= k <= 2 ** (r - 1):
         raise BoundViolatedError(f"need 3 <= k <= 2^(r-1) = {2 ** (r - 1)}")
     code = lift_parity_columns(extended_hamming_parity(r, 2), k)
-    return replace(
-        code, family="cor411", params=FamilyParams("cor411", p=2, m=r + 1, k=k, n=2**r, r=r).as_dict()
-    )
+    params = {"family": "cor411", "p": 2, "m": r + 1, "k": k, "n": 2**r, "r": r}
+    return replace(code, family="cor411", params=params)
 
 
 FAMILIES = {

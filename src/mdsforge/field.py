@@ -349,12 +349,3 @@ def make_field(p: int, m: int = 1) -> FieldContext:
         raise ValueError("extension degree must be >= 1")
     return FieldContext(p, m, _smallest_irreducible(p, m))
 
-
-def fe_pow(ctx: FieldContext, a: FieldElement, e: int) -> FieldElement:
-    """Literal e-th power of a (no exponent reduction; 0**0 = 1)."""
-    return ctx.pow(a, e)
-
-
-def enumerate_field(ctx: FieldContext, guard: int = ENUMERATION_GUARD) -> list[FieldElement]:
-    """All q elements in base-p counter order (digit 0 least significant)."""
-    return ctx.elements(guard)

@@ -1,22 +1,22 @@
 """Exact dense linear algebra over a FieldContext.
 
-Everything here is plain Gaussian elimination with a deterministic pivot
-rule (leftmost column first, then the first nonzero entry scanning down),
-so rank, reduced row-echelon forms and null-space bases come out identical
-on every run and under any worker partitioning upstream.
+Everything here is built on one elimination step, :func:`extend_basis`,
+which inserts a row into an echelon basis (its pivot is its first nonzero
+entry once reduced), and on :func:`null_vectors`, which back-substitutes
+that basis.  Rank is the length of the basis of all rows, the null space
+its null vectors, and a square solve the null vector of the augmented
+matrix.  The certifier's subset walk uses the same two functions, so
+there is one elimination routine in the package.  Rank and null-space
+bases come out identical on every run and under any worker partitioning
+upstream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .errors import (
-    DimensionMismatchError,
-    IndexOutOfRangeError,
-    RankDeficientError,
-    SingularError,
-)
+from .errors import DimensionMismatchError, IndexOutOfRangeError, SingularError
 from .field import FieldContext, FieldElement
 
 
@@ -61,131 +61,98 @@ def matrix_from_rows(ctx: FieldContext, rows: Sequence[Sequence[FieldElement]]) 
     return MatrixFq(ctx, tuple(tuple(r) for r in rows))
 
 
-def _eliminate(ctx: FieldContext, work: list[list[FieldElement]], reduce_up: bool) -> list[int]:
-    """In-place row reduction; returns the pivot column list."""
-    rows = len(work)
-    cols = len(work[0]) if work else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if not ctx.is_zero(work[i][c]):
-                pivot_row = i
-                break
-        if pivot_row is None:
+def extend_basis(
+    ctx: FieldContext, basis: list, v: Sequence[FieldElement]
+) -> Optional[list]:
+    """Echelon basis of span(basis + [v]), or None if v is in the span.
+
+    `basis` is a list of (pivot, row) pairs in insertion order: each row is
+    1 at its pivot, 0 at the pivots of earlier rows and 0 left of its pivot.
+    Reducing v against the rows in that order therefore clears every pivot,
+    and the first nonzero entry left becomes the new pivot.  Earlier rows are
+    not reduced against the new one.  `basis` is not modified.
+    """
+    zero = ctx.zero()
+    mul, sub = ctx.mul, ctx.sub
+    for p, b in basis:
+        f = v[p]
+        if f != zero:
+            v = [sub(x, mul(f, y)) for x, y in zip(v, b)]
+    piv = next((i for i, x in enumerate(v) if x != zero), None)
+    if piv is None:
+        return None
+    inv = ctx.inv(v[piv])
+    return basis + [(piv, [mul(inv, x) for x in v])]
+
+
+def null_vectors(ctx: FieldContext, basis: list, cols: int) -> list[tuple[FieldElement, ...]]:
+    """Right null space of an :func:`extend_basis` basis of width `cols`.
+
+    One vector per non-pivot column f, in increasing f: 1 at f, 0 at the
+    other non-pivot columns, and the pivot entries found by back-substitution
+    in reverse insertion order.  That vector is unique, so the result depends
+    only on the row space, not on the order the rows were inserted.
+    """
+    zero, one = ctx.zero(), ctx.one()
+    mul, sub = ctx.mul, ctx.sub
+    pivots = {p for p, _ in basis}
+    out = []
+    for f in range(cols):
+        if f in pivots:
             continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = ctx.inv(work[r][c])
-        work[r] = [ctx.mul(inv, x) for x in work[r]]
-        span = range(rows) if reduce_up else range(r + 1, rows)
-        for i in span:
-            if i != r and not ctx.is_zero(work[i][c]):
-                f = work[i][c]
-                work[i] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return pivots
+        x = [zero] * cols
+        x[f] = one
+        solved = []
+        for p, b in reversed(basis):
+            # the row is 0 left of p and at earlier pivots, so only f and
+            # the nonzero pivot entries solved so far contribute
+            acc = sub(zero, b[f])
+            for c, xc in solved:
+                if b[c] != zero:
+                    acc = sub(acc, mul(b[c], xc))
+            if acc != zero:
+                x[p] = acc
+                solved.append((p, acc))
+        out.append(tuple(x))
+    return out
+
+
+def _basis(ctx: FieldContext, rows) -> list:
+    basis: list = []
+    for row in rows:
+        basis = extend_basis(ctx, basis, row) or basis
+    return basis
 
 
 def rank(mat: MatrixFq) -> int:
-    work = [list(r) for r in mat.entries]
-    return len(_eliminate(mat.ctx, work, reduce_up=False))
-
-
-def rref(mat: MatrixFq) -> MatrixFq:
-    """Reduced row-echelon form (unit pivots, zeros above and below)."""
-    work = [list(r) for r in mat.entries]
-    _eliminate(mat.ctx, work, reduce_up=True)
-    return matrix_from_rows(mat.ctx, work)
-
-
-def columns_independent(mat: MatrixFq, cols: Sequence[int]) -> bool:
-    """Whether the selected columns are linearly independent.
-
-    Short-circuits the elimination as soon as a pivot goes missing.
-    """
-    ctx = mat.ctx
-    seen = set()
-    for c in cols:
-        if not 0 <= c < mat.cols:
-            raise IndexOutOfRangeError(f"column {c} out of range")
-        if c in seen:
-            return False
-        seen.add(c)
-    s = len(cols)
-    if s > mat.rows:
-        return False
-    work = [[row[c] for c in cols] for row in mat.entries]
-    return len(_eliminate(ctx, work, reduce_up=False)) == s
+    return len(_basis(mat.ctx, mat.entries))
 
 
 def solve_square(a: MatrixFq, b: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
-    """Unique solution x of A x = b for square A; SingularError otherwise."""
+    """Unique solution x of A x = b for square A; SingularError otherwise.
+
+    x is the negated null vector of [A | b] at its last column: the system
+    is singular when that column is a pivot or A has fewer than n pivots.
+    """
     ctx = a.ctx
     n = a.rows
     if a.cols != n:
         raise DimensionMismatchError("matrix is not square")
     if len(b) != n:
         raise DimensionMismatchError("right-hand side has wrong length")
-    work = [list(row) + [b[i]] for i, row in enumerate(a.entries)]
-    pivots = _eliminate(ctx, work, reduce_up=True)
-    if pivots != list(range(n)):
+    basis = _basis(ctx, [list(row) + [b[i]] for i, row in enumerate(a.entries)])
+    if len(basis) < n or any(p == n for p, _ in basis):
         raise SingularError("coefficient matrix is singular")
-    return tuple(work[i][n] for i in range(n))
+    (x,) = null_vectors(ctx, basis, n + 1)
+    return tuple(ctx.neg(v) for v in x[:n])
 
 
 def null_space(mat: MatrixFq) -> MatrixFq:
     """Basis of the right null space, one vector per row (possibly 0 rows).
 
-    Each basis vector has a 1 in "its" free column, giving a deterministic
-    reduced basis.  A full-rank input yields the empty matrix, whose column
-    count reads back as 0.
+    Each basis vector has a 1 in "its" free column and 0 in the others,
+    giving a deterministic reduced basis.  A full-rank input yields the
+    empty matrix, whose column count reads back as 0.
     """
-    ctx = mat.ctx
-    cols = mat.cols
-    work = [list(r) for r in mat.entries]
-    pivots = _eliminate(ctx, work, reduce_up=True)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [ctx.zero()] * cols
-        vec[f] = ctx.one()
-        for i, pc in enumerate(pivots):
-            vec[pc] = ctx.neg(work[i][f])
-        basis.append(tuple(vec))
-    return MatrixFq(mat.ctx, tuple(basis))
-
-
-def mat_vec(mat: MatrixFq, x: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
-    ctx = mat.ctx
-    if len(x) != mat.cols:
-        raise DimensionMismatchError("vector length does not match column count")
-    out = []
-    for row in mat.entries:
-        acc = ctx.zero()
-        for a, b in zip(row, x):
-            acc = ctx.add(acc, ctx.mul(a, b))
-        out.append(acc)
-    return tuple(out)
-
-
-def vec_mat(x: Sequence[FieldElement], mat: MatrixFq) -> tuple[FieldElement, ...]:
-    ctx = mat.ctx
-    if len(x) != mat.rows:
-        raise DimensionMismatchError("vector length does not match row count")
-    out = []
-    for j in range(mat.cols):
-        acc = ctx.zero()
-        for i in range(mat.rows):
-            acc = ctx.add(acc, ctx.mul(x[i], mat.entries[i][j]))
-        out.append(acc)
-    return tuple(out)
-
-
-def require_full_row_rank(mat: MatrixFq) -> None:
-    if rank(mat) != mat.rows:
-        raise RankDeficientError(f"matrix has rank < {mat.rows}")
+    basis = _basis(mat.ctx, mat.entries)
+    return MatrixFq(mat.ctx, tuple(null_vectors(mat.ctx, basis, mat.cols)))

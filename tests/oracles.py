@@ -55,6 +55,19 @@ def ext_rank(mat: MatrixFq) -> int:
     return r // m
 
 
+def mat_vec(mat: MatrixFq, x: list[FieldElement]) -> tuple[FieldElement, ...]:
+    """A x, one row at a time, with plain field arithmetic."""
+    ctx = mat.ctx
+    assert len(x) == mat.cols
+    out = []
+    for row in mat.entries:
+        acc = ctx.zero()
+        for a, b in zip(row, x):
+            acc = ctx.add(acc, ctx.mul(a, b))
+        out.append(acc)
+    return tuple(out)
+
+
 def brute_min_distance(ctx: FieldContext, gen_rows: list[list[FieldElement]]) -> int:
     """Minimum weight over all nonzero codewords, computed the slow way."""
     k = len(gen_rows)
@@ -91,6 +104,24 @@ def subset_scan(ctx, points, k: int, r: int, delta=None):
     for combo in itertools.combinations(range(len(points)), k):
         if esym_direct(ctx, [points[i] for i in combo], r) == delta:
             return combo
+    return None
+
+
+def greedy_scan(ctx, n: int, k: int, r: int, delta=None):
+    """Greedy set in counter order: take a field element unless some k-subset
+    through it and the elements already taken has e_r == delta."""
+    delta = delta if delta is not None else ctx.zero()
+    chosen = []
+    for v in range(ctx.q):
+        cand = ctx.from_int(v)
+        if any(
+            esym_direct(ctx, list(rest) + [cand], r) == delta
+            for rest in itertools.combinations(chosen, k - 1)
+        ):
+            continue
+        chosen.append(cand)
+        if len(chosen) == n:
+            return tuple(chosen)
     return None
 
 

@@ -35,9 +35,9 @@ from mdsforge.evalcode import (
 )
 from mdsforge.field import make_field
 from mdsforge.jsonio import canonical_dumps, code_to_obj
-from mdsforge.matrix import matrix_from_rows, mat_vec, rank
+from mdsforge.matrix import matrix_from_rows, rank
 
-from oracles import brute_min_distance, ext_rank
+from oracles import brute_min_distance, ext_rank, mat_vec
 
 
 def scalars(ctx, values):

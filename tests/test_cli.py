@@ -259,6 +259,25 @@ def test_search_random_seed_reproducible(capsys):
     assert parse(out1)["params"]["seed"] == 5
 
 
+GREEDY_K1 = (
+    '{"exponents":[1],"family":"search","field":{"m":1,"modulus":[0,1],"p":7},'
+    '"params":{"k":1,"n":3,"r":1,"strategy":"greedy"},"points":[[%s],[%s],[%s]]}\n'
+)
+
+
+# With k = 1 a candidate is its own only k-subset, so the target is skipped.
+@pytest.mark.parametrize(
+    "extra, points", [([], (1, 2, 3)), (["--delta", "2"], (0, 1, 3))]
+)
+def test_search_greedy_k1_skips_the_target(capsys, extra, points):
+    rc, out, _ = run(
+        capsys, "search", "--field", "7", "--n", "3", "--k", "1", "--r", "1",
+        "--strategy", "greedy", *extra,
+    )
+    assert rc == 0
+    assert out == GREEDY_K1 % points
+
+
 def test_bound_true_exits_zero(capsys):
     rc, out, _ = run(capsys, "bound", "--q", "67", "--n", "6", "--k", "3",
                      "--variant", "vieta")

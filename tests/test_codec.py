@@ -3,17 +3,15 @@ import random
 
 import pytest
 
-from mdsforge.codec import ERASED, decode_erasures, systematic_form
+from mdsforge.codec import ERASED, decode_erasures
 from mdsforge.errors import (
     DimensionMismatchError,
     InconsistentError,
-    RankDeficientError,
     TooManyErasuresError,
 )
 from mdsforge.evalcode import EvalCode, EvalSet, ExponentSet, encode
 from mdsforge.families import cor44
 from mdsforge.field import make_field
-from mdsforge.matrix import matrix_from_rows
 
 
 def test_roundtrip_no_erasures():
@@ -74,25 +72,6 @@ def test_decode_uses_any_k_survivors():
     word[2] = ERASED
     word[4] = ERASED
     assert decode_erasures(code, word) == msg
-
-
-def test_systematic_form_identity_prefix():
-    code = cor44(13, 3, 6)
-    ctx = code.ctx
-    from mdsforge.evalcode import generator_matrix
-
-    sys = systematic_form(generator_matrix(code))
-    for i in range(3):
-        for j in range(3):
-            expected = ctx.one() if i == j else ctx.zero()
-            assert sys.entries[i][j] == expected
-
-
-def test_systematic_form_rank_deficient():
-    ctx = make_field(5)
-    g = matrix_from_rows(ctx, [[(1,), (2,)], [(2,), (4,)]])
-    with pytest.raises(RankDeficientError):
-        systematic_form(g)
 
 
 def test_extension_field_roundtrip():

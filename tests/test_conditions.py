@@ -1,10 +1,11 @@
 """Subset conditions, counting oracle, bounds, and the three searches."""
 
 import random
+from itertools import combinations, islice
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mdsforge.conditions import (
     BoundQuery,
@@ -13,8 +14,10 @@ from mdsforge.conditions import (
     GreedySearch,
     RandomSearch,
     check_esym,
+    combination_at_rank,
     esym_value,
     existence_bound,
+    first_failing_subset,
     search_eval_set,
     shift_transform,
     subset_sum_counts,
@@ -27,7 +30,7 @@ from mdsforge.errors import (
 )
 from mdsforge.field import make_field
 
-from oracles import binom_exact, esym_direct, poly_from_roots, subset_scan
+from oracles import binom_exact, esym_direct, greedy_scan, poly_from_roots, subset_scan
 
 
 def scalars(ctx, values):
@@ -127,6 +130,39 @@ def test_check_matches_brute_scan():
         expected = subset_scan(ctx, pts, k, r)
         assert ok == (expected is None)
         assert witness == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_walk_matches_itertools(data):
+    n = data.draw(st.integers(1, 9))
+    k = data.draw(st.integers(1, n))
+    total = comb(n, k)
+    start = data.draw(st.integers(0, total - 1))
+    count = data.draw(st.none() | st.integers(1, total - start))
+    prefixes = sorted({c[:d] for c in combinations(range(n), k) for d in range(1, k + 1)})
+    rejected = set(data.draw(st.lists(st.sampled_from(prefixes), max_size=6)))
+
+    def extend(state, depth, i):
+        assert len(state) == depth
+        nxt = state + (i,)
+        return None if nxt in rejected else nxt
+
+    end = total if count is None else start + count
+    window = islice(combinations(range(n), k), start, end)
+    expected = next(
+        (c for c in window if any(c[:d] in rejected for d in range(1, k + 1))), None
+    )
+    assert combination_at_rank(n, k, start) == next(islice(combinations(range(n), k), start, None))
+    assert first_failing_subset(n, k, (), extend, start, count) == expected
+
+
+def test_walk_over_empty_subsets_never_extends():
+    def extend(state, depth, i):
+        raise AssertionError("extend called")
+
+    assert first_failing_subset(4, 0, (), extend) is None
+    assert first_failing_subset(2, 3, (), extend) is None  # no 3-subsets of 2 points
 
 
 def test_subset_sum_table_small():
@@ -310,6 +346,22 @@ def test_greedy_search_valid_and_prefix_stable():
     assert found6[:4] == found4  # greedy never revises its prefix
     ok, _ = check_esym(ctx, found6, spec)
     assert ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(7, 1), (13, 1), (2, 3), (3, 2)]),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(0, 8),
+    st.integers(1, 9),
+)
+def test_greedy_matches_scan_over_combinations(field, k, r, delta, n):
+    ctx = make_field(*field)
+    assume(r <= k and n <= ctx.q)
+    delta = ctx.from_int(delta % ctx.q)
+    spec = ConditionSpec(k=k, r=r, delta=delta)
+    assert search_eval_set(ctx, n, spec, GreedySearch()) == greedy_scan(ctx, n, k, r, delta)
 
 
 def test_single_point_request_is_vacuous():

@@ -27,7 +27,6 @@ from mdsforge.jsonio import canonical_dumps, code_to_obj
 from mdsforge.matrix import matrix_from_rows, rank
 from mdsforge.families import (
     FAMILIES,
-    FamilyParams,
     cor44,
     cor62,
     cor411,
@@ -323,8 +322,26 @@ def test_cor411_small_is_mds():
     assert ok
 
 
-def test_family_params_as_dict_drops_unused_fields():
-    d = FamilyParams("cor44", p=13, k=3, n=6).as_dict()
-    assert d == {"family": "cor44", "p": 13, "k": 3, "n": 6}
-    d = FamilyParams("thm63", p=7, m=3, k=3, n=6, r=2).as_dict()
-    assert d == {"family": "thm63", "p": 7, "m": 3, "k": 3, "n": 6, "r": 2}
+def test_family_params_are_pinned():
+    # one instance per builder; unused fields (m, r) are absent, not None
+    cases = [
+        (cor44(13, 3, 6), {"family": "cor44", "p": 13, "k": 3, "n": 6}),
+        (cor62(163, 3, 2, 6), {"family": "cor62", "p": 163, "k": 3, "n": 6, "r": 2}),
+        (thm412(3, 3, 4, 9), {"family": "thm412", "p": 3, "m": 3, "k": 4, "n": 9}),
+        (thm415(7, 2, 3, 14), {"family": "thm415", "p": 7, "m": 2, "k": 3, "n": 14}),
+        (thm63(7, 3, 3, 2, 6), {"family": "thm63", "p": 7, "m": 3, "k": 3, "n": 6, "r": 2}),
+        (
+            thm64(73, 3, 3, 2, 10),
+            {"family": "thm64", "p": 73, "m": 3, "k": 3, "n": 10, "r": 2},
+        ),
+        (cor411(4, 5), {"family": "cor411", "p": 2, "m": 5, "k": 5, "n": 16, "r": 4}),
+        (
+            lift_parity_columns(extended_hamming_parity(3, 2), 3),
+            {"family": "hamming-lift", "p": 2, "m": 4, "k": 3, "n": 8},
+        ),
+    ]
+    assert {code.family for code, _ in cases} == set(FAMILIES) | {"hamming-lift"}
+    for code, params in cases:
+        assert code.params == params
+        assert code.family == params["family"]
+

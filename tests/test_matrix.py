@@ -9,27 +9,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdsforge.errors import (
-    DimensionMismatchError,
-    IndexOutOfRangeError,
-    RankDeficientError,
-    SingularError,
-)
+from mdsforge.errors import DimensionMismatchError, IndexOutOfRangeError, SingularError
 from mdsforge.field import make_field
-from mdsforge.matrix import (
-    MatrixFq,
-    columns_independent,
-    mat_vec,
-    matrix_from_rows,
-    null_space,
-    rank,
-    require_full_row_rank,
-    rref,
-    solve_square,
-    vec_mat,
-)
+from mdsforge.matrix import MatrixFq, matrix_from_rows, null_space, rank, solve_square
 
-from oracles import ext_rank, prime_rank
+from oracles import ext_rank, mat_vec, prime_rank
 
 
 def ints(ctx, rows):
@@ -78,32 +62,6 @@ def test_row_column_accessors():
         m.column(-1)
 
 
-def test_rref_shape_and_idempotence():
-    ctx = make_field(13)
-    m = ints(ctx, [[2, 4, 6], [1, 2, 3], [0, 1, 5]])
-    r = rref(m)
-    assert rref(r).entries == r.entries
-    # pivot columns carry a single 1
-    pivots = []
-    for i in range(r.rows):
-        nonzero = [j for j in range(r.cols) if not ctx.is_zero(r.entries[i][j])]
-        if nonzero:
-            j = nonzero[0]
-            pivots.append(j)
-            assert r.entries[i][j] == ctx.one()
-            assert all(ctx.is_zero(r.entries[i2][j]) for i2 in range(r.rows) if i2 != i)
-    assert pivots == sorted(pivots)
-
-
-def test_columns_independent_basic():
-    ctx = make_field(13)
-    m = ints(ctx, [[1, 1, 2], [2, 2, 1]])
-    assert columns_independent(m, [0, 2])
-    assert not columns_independent(m, [0, 1])  # duplicate column
-    with pytest.raises(IndexOutOfRangeError):
-        columns_independent(m, [0, 3])
-
-
 def test_solve_square_roundtrip():
     ctx = make_field(13)
     a = ints(ctx, [[1, 1, 1], [1, 2, 3], [1, 4, 9]])
@@ -135,21 +93,6 @@ def test_null_space_annihilates():
     for i in range(ns.rows):
         assert all(v == ctx.zero() for v in mat_vec(m, ns.row(i)))
     assert rank(ns) == ns.rows
-
-
-def test_require_full_row_rank():
-    ctx = make_field(5)
-    require_full_row_rank(ints(ctx, [[1, 0], [0, 1]]))
-    with pytest.raises(RankDeficientError):
-        require_full_row_rank(ints(ctx, [[1, 2], [2, 4]]))
-
-
-def test_vec_mat_matches_manual():
-    ctx = make_field(13)
-    m = ints(ctx, [[1, 2], [3, 4]])
-    x = [ctx.scalar(2), ctx.scalar(5)]
-    got = vec_mat(x, m)
-    assert [ctx.to_int(v) for v in got] == [(2 * 1 + 5 * 3) % 13, (2 * 2 + 5 * 4) % 13]
 
 
 def test_rank_against_sympy_prime_field():
@@ -184,7 +127,20 @@ def test_rank_plus_nullity(data):
         [ctx.scalar(data.draw(st.integers(0, 4))) for _ in range(c)] for _ in range(r)
     ]
     m = matrix_from_rows(ctx, rows)
-    assert rank(m) + null_space(m).rows == c
+    ns = null_space(m)
+    assert rank(m) + ns.rows == c
+    # column f is free exactly when it lies in the span of the columns left
+    # of it; its vector is 1 there and 0 at every other free column
+    ints_rows = [[v[0] for v in row] for row in rows]
+    free = [
+        f for f in range(c)
+        if prime_rank(5, [row[: f + 1] for row in ints_rows])
+        == prime_rank(5, [row[:f] for row in ints_rows])
+    ]
+    assert ns.rows == len(free)
+    for vec, f in zip(ns.entries, free):
+        assert [vec[g] for g in free] == [ctx.one() if g == f else ctx.zero() for g in free]
+        assert all(v == ctx.zero() for v in mat_vec(m, vec))
 
 
 @settings(max_examples=40, deadline=None)
