@@ -27,10 +27,17 @@ code, because every generalized Reed-Solomon code of those parameters has
 Schur-square dimension exactly 2k - 1.  The square's dimension is computed
 twice, from independent inputs -- once from pairwise products of generator
 rows, once from the evaluated exponent sumset -- and the two must agree.
+
+On request (``with_min_distance``) :func:`min_distance_bruteforce` counts
+the weights of all q^k codewords.  For an MDS code that weight
+distribution is fixed by n, k and q (:func:`mds_weight_distribution`), so
+the count is checked against the closed form, and any disagreement is an
+error.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
@@ -204,35 +211,70 @@ def min_distance_bruteforce(
 ) -> tuple[int, tuple[int, ...]]:
     """Minimum nonzero weight and full weight distribution, by enumeration.
 
-    Walks all q^k messages, accumulating codewords incrementally from
-    precomputed scalar multiples of the generator rows.  The degenerate
-    all-zero code has no nonzero codeword; its distance reads as 0.
+    Exact over all q^k codewords, but it walks only the q^(k-1) partial
+    codewords c of the first k - 1 generator rows, built incrementally from
+    precomputed scalar multiples.  The q codewords c + s*g of the last row
+    g are counted together.  A coordinate with g_j != 0 vanishes for
+    exactly one s, namely -c_j/g_j, which a dict built once per coordinate
+    looks up from c_j; a coordinate with g_j = 0 vanishes for every s when
+    c_j = 0.  A histogram of the lookups gives the weight of all q
+    codewords, so a partial codeword costs O(n) lookups and no field
+    arithmetic.  The degenerate all-zero code has no nonzero codeword; its
+    distance reads as 0.
     """
     ctx = code.ctx
-    k, n = code.k, code.n
-    total = ctx.q**k
+    k, n, q = code.k, code.n, ctx.q
+    total = q**k
     if total > guard:
         raise TooLargeError(f"q^k = {total} exceeds codeword guard {guard}")
     gen = generator_matrix(code)
     elements = ctx.elements()
-    multiples = []
-    for i in range(k):
-        row = gen.entries[i]
-        multiples.append([tuple(ctx.mul(s, x) for x in row) for s in elements])
     zero = ctx.zero()
-    zeros: tuple[FieldElement, ...] = (zero,) * n
+    # Weights do not depend on column order: put the columns where the last
+    # row is nonzero first, so a partial codeword splits by slicing.
+    last = gen.entries[k - 1]
+    order = sorted(range(n), key=lambda j: last[j] == zero)
+    hit = n - last.count(zero)
+    rows = [[row[j] for j in order] for row in gen.entries]
+    multiples = [[tuple(ctx.mul(s, x) for x in row) for s in elements] for row in rows[:-1]]
+    # roots[j][c_j] is the index of the s with c_j = s*g_j, so c - s*g
+    # vanishes at j; s and -s run over the same field, so the histogram of
+    # hits is the same as for c + s*g.
+    roots = [{ctx.mul(s, g): i for i, s in enumerate(elements)} for g in rows[-1][:hit]]
+    add, lookup = ctx.add, dict.__getitem__
     dist = [0] * (n + 1)
 
     def walk(level: int, partial: tuple[FieldElement, ...]) -> None:
-        if level == k:
-            dist[n - partial.count(zero)] += 1
+        if level < k - 1:
+            for mult in multiples[level]:
+                walk(level + 1, tuple(add(a, b) for a, b in zip(partial, mult)))
             return
-        for mult in multiples[level]:
-            walk(level + 1, tuple(ctx.add(a, b) for a, b in zip(partial, mult)))
+        base = n - partial[hit:].count(zero)
+        hits = Counter(map(lookup, roots, partial))
+        dist[base] += q - len(hits)
+        for h in hits.values():
+            dist[base - h] += 1
 
-    walk(0, zeros)
+    walk(0, (zero,) * n)
     min_w = next((w for w in range(1, n + 1) if dist[w]), 0)
     return min_w, tuple(dist)
+
+
+def mds_weight_distribution(n: int, k: int, q: int) -> tuple[int, ...]:
+    """Weight distribution (A_0, ..., A_n) of every [n, k] MDS code over GF(q).
+
+    With d = n - k + 1: A_0 = 1, A_w = 0 for 0 < w < d, and for w >= d
+    A_w = C(n,w) * sum_{j=0}^{w-d} (-1)^j C(w,j) (q^(w-d+1-j) - 1)
+    (MacWilliams & Sloane, The Theory of Error-Correcting Codes, ch. 11,
+    Thm 6).
+    """
+    d = n - k + 1
+    dist = [1] + [0] * n
+    for w in range(d, n + 1):
+        dist[w] = comb(n, w) * sum(
+            (-1) ** j * comb(w, j) * (q ** (w - d + 1 - j) - 1) for j in range(w - d + 1)
+        )
+    return tuple(dist)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +339,8 @@ def non_rs_certificate(
     otherwise (k > n/2, or the code failed the MDS scan).  `jobs` only
     affects the elimination route; `cross_check` derives the MDS answer a
     second time and raises AssertionError if the two differ.
+    `with_min_distance` walks all codewords; for an MDS code their weight
+    distribution must equal the closed form, else AssertionError.
     """
     k, n = code.k, code.n
     if k > n:
@@ -319,7 +363,13 @@ def non_rs_certificate(
         verdict = VERDICT_INDETERMINATE
     min_d: Optional[int] = None
     if with_min_distance:
-        min_d = min_distance_bruteforce(code, guard=codeword_guard)[0]
+        min_d, dist = min_distance_bruteforce(code, guard=codeword_guard)
+        if is_mds:
+            closed = mds_weight_distribution(n, k, code.ctx.q)
+            if dist != closed:
+                raise AssertionError(
+                    f"internal disagreement: codeword walk {dist} != MDS closed form {closed}"
+                )
     return Certificate(
         n=n,
         k=k,

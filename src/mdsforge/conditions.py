@@ -27,7 +27,6 @@ from math import comb
 from typing import Any, Callable, Optional, Sequence, Union
 
 from .errors import (
-    CharacteristicDividesKError,
     InfeasibleError,
     InvalidParamsError,
     TooLargeError,
@@ -246,24 +245,6 @@ def subset_sum_counts(
                 if cnt:
                     cur[add_index(s_idx, t_idx)] += cnt
     return table
-
-
-def shift_transform(
-    ctx: FieldContext,
-    points: Sequence[FieldElement],
-    delta: FieldElement,
-    k: int,
-) -> tuple[FieldElement, ...]:
-    """Translate points so k-subset sums hitting delta become sums hitting 0.
-
-    Subtracts delta / k from every point; requires the characteristic not to
-    divide k.  Sends {S : sum(S) = delta} bijectively onto {S' : sum(S') = 0},
-    so the maximum set sizes for the two problems coincide.
-    """
-    if k % ctx.p == 0:
-        raise CharacteristicDividesKError(f"characteristic {ctx.p} divides k={k}")
-    shift = ctx.mul(delta, ctx.inv(ctx.scalar(k)))
-    return tuple(ctx.sub(t, shift) for t in points)
 
 
 # ---------------------------------------------------------------------------

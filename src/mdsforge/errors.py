@@ -41,10 +41,6 @@ class ZeroMultiplierError(MdsforgeError):
     """A column multiplier that must be nonzero is zero."""
 
 
-class CharacteristicDividesKError(MdsforgeError):
-    """The field characteristic divides k, so k has no inverse."""
-
-
 class InvalidParamsError(MdsforgeError):
     """Parameters are outside the documented domain of the operation."""
 

@@ -137,19 +137,6 @@ def gap_order(exponents: ExponentSet) -> Optional[int]:
     return k - next(i for i, x in enumerate(e) if x != i)
 
 
-def is_arithmetic_progression(exponents: ExponentSet) -> bool:
-    """Whether the exponents form an arithmetic progression.
-
-    Sets of size 1 and 2 count as progressions.  Equivalent to the sumset
-    having the minimum possible size 2k - 1.
-    """
-    e = exponents.exps
-    if len(e) <= 2:
-        return True
-    step = e[1] - e[0]
-    return all(b - a == step for a, b in zip(e, e[1:]))
-
-
 def grs_generator(spec: GrsSpec) -> MatrixFq:
     """Generator matrix with entries v_i * alpha_i^j, j = 0..k-1."""
     ctx = spec.ctx

@@ -30,7 +30,7 @@ from .errors import (
     NotPrimeError,
 )
 from .evalcode import EvalCode, EvalSet, ExponentSet
-from .field import FieldContext, is_prime, make_field
+from .field import is_prime, make_field
 from .matrix import MatrixFq, matrix_from_rows
 
 HAMMING_COLUMN_GUARD = 1 << 20

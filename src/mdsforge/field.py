@@ -15,7 +15,6 @@ the same (p, m) therefore always yields the same labels for every element.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
 from .errors import NotPrimeError, TooLargeError

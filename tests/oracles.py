@@ -68,14 +68,14 @@ def mat_vec(mat: MatrixFq, x: list[FieldElement]) -> tuple[FieldElement, ...]:
     return tuple(out)
 
 
-def brute_min_distance(ctx: FieldContext, gen_rows: list[list[FieldElement]]) -> int:
-    """Minimum weight over all nonzero codewords, computed the slow way."""
+def brute_weight_distribution(
+    ctx: FieldContext, gen_rows: list[list[FieldElement]]
+) -> tuple[int, ...]:
+    """(A_0, ..., A_n): codewords of each weight, one message at a time."""
     k = len(gen_rows)
     n = len(gen_rows[0])
-    best = n
+    dist = [0] * (n + 1)
     for msg_idx in itertools.product(range(ctx.q), repeat=k):
-        if not any(msg_idx):
-            continue
         msg = [ctx.from_int(v) for v in msg_idx]
         weight = 0
         for j in range(n):
@@ -84,8 +84,14 @@ def brute_min_distance(ctx: FieldContext, gen_rows: list[list[FieldElement]]) ->
                 acc = ctx.add(acc, ctx.mul(msg[i], gen_rows[i][j]))
             if not ctx.is_zero(acc):
                 weight += 1
-        best = min(best, weight)
-    return best
+        dist[weight] += 1
+    return tuple(dist)
+
+
+def brute_min_distance(ctx: FieldContext, gen_rows: list[list[FieldElement]]) -> int:
+    """Minimum weight over all nonzero codewords, computed the slow way."""
+    dist = brute_weight_distribution(ctx, gen_rows)
+    return next(w for w in range(1, len(dist)) if dist[w])
 
 
 def esym_direct(ctx: FieldContext, elems: list[FieldElement], r: int) -> FieldElement:
@@ -123,6 +129,36 @@ def greedy_scan(ctx, n: int, k: int, r: int, delta=None):
         if len(chosen) == n:
             return tuple(chosen)
     return None
+
+
+def shift_transform(
+    ctx: FieldContext,
+    points: list[FieldElement],
+    delta: FieldElement,
+    k: int,
+) -> tuple[FieldElement, ...]:
+    """Translate points so k-subset sums hitting delta become sums hitting 0.
+
+    Subtracts delta / k from every point; requires the characteristic not to
+    divide k.  Sends {S : sum(S) = delta} bijectively onto {S' : sum(S') = 0},
+    so the maximum set sizes for the two problems coincide.
+    """
+    if k % ctx.p == 0:
+        raise ValueError(f"characteristic {ctx.p} divides k={k}")
+    shift = ctx.mul(delta, ctx.inv(ctx.scalar(k)))
+    return tuple(ctx.sub(t, shift) for t in points)
+
+
+def is_arithmetic_progression(exps: tuple[int, ...]) -> bool:
+    """Whether the exponents form an arithmetic progression.
+
+    Sets of size 1 and 2 count as progressions.  Equivalent to the sumset
+    having the minimum possible size 2k - 1.
+    """
+    if len(exps) <= 2:
+        return True
+    step = exps[1] - exps[0]
+    return all(b - a == step for a, b in zip(exps, exps[1:]))
 
 
 def binom_exact(n: int, k: int) -> int:

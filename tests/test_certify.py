@@ -17,6 +17,7 @@ from mdsforge.certify import (
     VERDICT_RS_CONSISTENT,
     dual_code,
     mds_exhaustive,
+    mds_weight_distribution,
     min_distance_bruteforce,
     non_rs_certificate,
     schur_square_dim,
@@ -33,11 +34,12 @@ from mdsforge.evalcode import (
     generator_matrix,
     grs_generator,
 )
+from mdsforge.families import cor44, thm412
 from mdsforge.field import make_field
 from mdsforge.jsonio import canonical_dumps, code_to_obj
 from mdsforge.matrix import matrix_from_rows, rank
 
-from oracles import brute_min_distance, ext_rank, mat_vec
+from oracles import brute_min_distance, brute_weight_distribution, ext_rank, mat_vec
 
 
 def scalars(ctx, values):
@@ -166,6 +168,76 @@ def test_min_distance_matches_oracle():
         code = make_code(ctx, pts, exps)
         d, _ = min_distance_bruteforce(code)
         assert d == brute_min_distance(ctx, [list(r) for r in generator_matrix(code).entries])
+
+
+WD_FIELDS = [make_field(5), make_field(7), make_field(2, 2), make_field(2, 3), make_field(3, 2)]
+
+
+@st.composite
+def small_codes(draw):
+    ctx = draw(st.sampled_from(WD_FIELDS))
+    vals = draw(st.lists(st.integers(0, ctx.q - 1), min_size=1, max_size=ctx.q, unique=True))
+    exps = draw(st.lists(st.integers(0, ctx.q + 1), min_size=1, max_size=3, unique=True))
+    pts = tuple(ctx.from_int(v) for v in vals)
+    return EvalCode(ctx, EvalSet(pts), ExponentSet(tuple(sorted(exps))))
+
+
+def counter_code(ctx, vals, exps):
+    return EvalCode(ctx, EvalSet(tuple(ctx.from_int(v) for v in vals)), ExponentSet(exps))
+
+
+@settings(max_examples=40, deadline=None)
+@given(code=small_codes())
+# the point 0 under a top exponent > 0: last-row coordinates with g_j = 0
+@example(code=counter_code(WD_FIELDS[1], [0, 1, 2, 3, 4], (0, 1, 3)))
+# x^7 = 1 on GF(8)*: all seven nonzero coordinates vanish for the same s
+@example(code=counter_code(WD_FIELDS[3], range(8), (0, 7)))
+# x^2 takes each nonzero square twice in GF(5): pairs vanish together
+@example(code=counter_code(WD_FIELDS[0], range(5), (1, 2)))
+@example(code=counter_code(WD_FIELDS[4], [0, 4, 8], (2,)))
+@example(code=counter_code(WD_FIELDS[2], range(4), (1, 4)))  # x^4 = x: rank 1
+def test_weight_distribution_matches_oracle(code):
+    rows = [list(r) for r in generator_matrix(code).entries]
+    assert min_distance_bruteforce(code)[1] == brute_weight_distribution(code.ctx, rows)
+
+
+def test_weight_distribution_of_the_benchmark_families():
+    assert min_distance_bruteforce(thm412(3, 3, 4, 9)) == (
+        6, (1, 0, 0, 0, 0, 0, 2184, 19656, 131274, 378326)
+    )
+    assert min_distance_bruteforce(cor44(53, 3, 8)) == (6, (1, 0, 0, 0, 0, 0, 1456, 19552, 127868))
+
+
+def test_mds_weight_distribution_closed_form():
+    assert mds_weight_distribution(6, 3, 13) == (1, 0, 0, 0, 180, 648, 1368)
+    assert mds_weight_distribution(4, 1, 5) == (1, 0, 0, 0, 4)
+    for q in (2, 3, 4, 7, 9):
+        for n in range(1, 8):
+            for k in range(1, n + 1):
+                assert sum(mds_weight_distribution(n, k, q)) == q**k
+
+
+def test_weight_distribution_check_catches_a_moved_codeword(monkeypatch):
+    code = make_code(make_field(13), range(6), (0, 1, 3))
+    walk = certify.min_distance_bruteforce
+
+    def moved(code, guard=certify.CODEWORD_GUARD):
+        d, dist = walk(code, guard)
+        return d, dist[:5] + (dist[5] - 1, dist[6] + 1)
+
+    monkeypatch.setattr(certify, "min_distance_bruteforce", moved)
+    assert non_rs_certificate(code).is_mds
+    with pytest.raises(AssertionError, match="internal disagreement"):
+        non_rs_certificate(code, with_min_distance=True)
+
+
+def test_weight_distribution_check_skips_codes_that_are_not_mds():
+    # x^5 = x on GF(5): the two rows coincide, so the [4, 2] generator has
+    # rank 1 and every nonzero codeword has weight 4 > n - k + 1
+    code = make_code(make_field(5), [1, 2, 3, 4], (1, 5))
+    cert = non_rs_certificate(code, with_min_distance=True)
+    assert not cert.is_mds
+    assert cert.min_distance == 4
 
 
 def test_verdict_indeterminate_when_k_large():

