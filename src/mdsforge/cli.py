@@ -36,7 +36,7 @@ from .conditions import (
     existence_bound,
     search_eval_set,
 )
-from .errors import FormatError, MdsforgeError
+from .errors import FormatError, InvalidParamsError, MdsforgeError
 from .evalcode import EvalCode, EvalSet, ExponentSet, encode as encode_word, gap_order
 from .field import FieldContext, make_field
 from .jsonio import canonical_dumps, write_atomic
@@ -257,6 +257,9 @@ def _cmd_search(args) -> int:
     ctx = _parse_field(args.field)
     delta = _parse_point(ctx, args.delta) if args.delta is not None else None
     spec = ConditionSpec(k=args.k, r=args.r, delta=delta)
+    if args.k > args.n:
+        # Every set passes vacuously, but the code file would not verify.
+        raise InvalidParamsError(f"k={args.k} exceeds n={args.n}")
     if args.strategy == "exhaustive":
         guard = _guard_override()
         strategy = ExhaustiveSearch() if guard is None else ExhaustiveSearch(guard=guard)

@@ -14,9 +14,18 @@ lexicographic walk that keeps one state per prefix and asks a step
 function to extend it or reject it.  Here the step carries the vector
 (e_0, ..., e_r) via the recurrence e_j <- e_j + alpha * e_{j-1}, so each
 extension costs O(r) field operations.  :func:`check_esym` walks the
-k-subsets of the points; greedy search walks the (k-1)-subsets of the
-points it has taken, rooted at the candidate.  The certifier walks
-generator columns with an elimination step instead.
+k-subsets of the points.  The exhaustive and greedy searches share one
+conflict test: a candidate point is tested against the points already
+taken by walking their (k-1)-subsets, rooted at the candidate.  The
+certifier walks generator columns with an elimination step instead.
+
+Exhaustive search backtracks through the colex tree of n-subsets of the
+field, largest point first.  Each new point is the lowest so far, so every
+k-subset of a full set is tested exactly once, when its lowest point
+joins.  The condition is hereditary (a set fails whenever a subset of it
+fails), so a branch is cut at its first conflict without losing a passing
+set: the first full set reached is the first passing set in colex order,
+and a search that reaches none proves that no n-subset passes.
 """
 
 from __future__ import annotations
@@ -190,17 +199,25 @@ def check_esym(
     the point sequence.  With fewer than k points there is nothing to test
     and the condition holds vacuously (matching the counting oracle).
     """
-    n = len(points)
-    k, r = spec.k, spec.r
+    n, k, r = len(points), spec.k, spec.r
+    _require_subset_count(n, k, guard)
+    step = _esym_step(ctx, list(points), r, _target(ctx, spec), 0, k)
+    witness = first_failing_subset(n, k, _esym_root(ctx, r), step)
+    return (witness is None, witness)
+
+
+def _require_subset_count(n: int, k: int, guard: int) -> None:
     total = comb(n, k)
     if total > guard:
         raise InfeasibleError(f"C({n},{k}) = {total} exceeds subset guard {guard}")
+
+
+def _target(ctx: FieldContext, spec: ConditionSpec) -> FieldElement:
+    """The forbidden value delta of `spec` in `ctx` (zero by default)."""
     delta = spec.delta if spec.delta is not None else ctx.zero()
     if len(delta) != ctx.m:
         raise InvalidParamsError("delta has the wrong number of digits")
-    step = _esym_step(ctx, list(points), r, delta, 0, k)
-    witness = first_failing_subset(n, k, _esym_root(ctx, r), step)
-    return (witness is None, witness)
+    return delta
 
 
 def subset_sum_counts(
@@ -300,7 +317,11 @@ def existence_bound(query: BoundQuery) -> tuple[bool, int, int]:
 
 @dataclass(frozen=True)
 class ExhaustiveSearch:
-    """Scan all n-subsets of the field in colex order; first hit wins."""
+    """Backtrack through the n-subsets of the field in colex order.
+
+    Returns the first passing set in that order; None is a proof that no
+    n-subset of the field passes.  `guard` caps C(q, n).
+    """
 
     guard: int = SUBSET_GUARD
 
@@ -312,6 +333,10 @@ class RandomSearch:
     seed: int
     max_attempts: int = 1000
 
+    def __post_init__(self):
+        if self.max_attempts < 1:
+            raise InvalidParamsError("max_attempts must be >= 1")
+
 
 @dataclass(frozen=True)
 class GreedySearch:
@@ -321,14 +346,53 @@ class GreedySearch:
 SearchStrategy = Union[ExhaustiveSearch, RandomSearch, GreedySearch]
 
 
-def _colex_combinations(limit: int, size: int):
-    """All size-subsets of range(limit), ordered by largest element first."""
-    if size == 0:
-        yield ()
-        return
-    for top in range(size - 1, limit):
-        for rest in _colex_combinations(top, size - 1):
-            yield rest + (top,)
+def _conflict_test(
+    ctx: FieldContext, chosen: list, spec: ConditionSpec
+) -> Callable[[FieldElement], bool]:
+    """Whether a candidate closes a k-subset with e_r = delta among `chosen`.
+
+    Such a subset is the candidate plus k-1 chosen points, so the test walks
+    the (k-1)-subsets of `chosen` from the e-vector of {candidate}.  With
+    k = 1 that walk is empty and {candidate} itself is the subset.  The
+    caller grows and shrinks `chosen` in place between calls.
+    """
+    k, r, delta = spec.k, spec.r, _target(ctx, spec)
+    step = _esym_step(ctx, chosen, r, delta, 1, k)
+
+    def conflicts(cand: FieldElement) -> bool:
+        root = _esym_root(ctx, r, cand)
+        if k == 1:
+            return root[r] == delta
+        return first_failing_subset(len(chosen), k - 1, root, step) is not None
+
+    return conflicts
+
+
+def _first_colex_set(
+    ctx: FieldContext, n: int, spec: ConditionSpec
+) -> Optional[tuple[FieldElement, ...]]:
+    """First n-subset of the field in colex order that passes the condition,
+    by the backtracking of the module docstring; None if there is none."""
+    chosen: list[FieldElement] = []  # largest counter value first
+    values: list[int] = []
+    conflicts = _conflict_test(ctx, chosen, spec)
+    v = n - 1  # the lowest value that leaves room for the points below it
+    while True:
+        if v < (values[-1] if values else ctx.q):
+            cand = ctx.from_int(v)
+            if conflicts(cand):
+                v += 1
+                continue
+            chosen.append(cand)
+            values.append(v)
+            if len(values) == n:
+                return tuple(reversed(chosen))
+            v = n - 1 - len(values)
+        elif values:
+            chosen.pop()
+            v = values.pop() + 1
+        else:
+            return None
 
 
 def search_eval_set(
@@ -354,12 +418,8 @@ def search_eval_set(
             raise InfeasibleError(
                 f"C({q},{n}) = {comb(q, n)} exceeds search guard {strategy.guard}"
             )
-        for combo in _colex_combinations(q, n):
-            pts = tuple(ctx.from_int(v) for v in combo)
-            ok, _ = check_esym(ctx, pts, spec)
-            if ok:
-                return pts
-        return None
+        _require_subset_count(n, spec.k, SUBSET_GUARD)
+        return _first_colex_set(ctx, n, spec)
 
     if isinstance(strategy, RandomSearch):
         rng = random.Random(strategy.seed)
@@ -372,21 +432,11 @@ def search_eval_set(
         return None
 
     if isinstance(strategy, GreedySearch):
-        delta = spec.delta if spec.delta is not None else ctx.zero()
         chosen: list[FieldElement] = []
-        k, r = spec.k, spec.r
-        step = _esym_step(ctx, chosen, r, delta, 1, k)
+        conflicts = _conflict_test(ctx, chosen, spec)
         for v in range(q):
             cand = ctx.from_int(v)
-            # A conflict is a k-subset through cand: walk the (k-1)-subsets
-            # of the chosen points from the e-vector of {cand}.  With k = 1
-            # that walk is empty and {cand} itself is the subset.
-            root = _esym_root(ctx, r, cand)
-            if k == 1:
-                conflict = root[r] == delta
-            else:
-                conflict = first_failing_subset(len(chosen), k - 1, root, step) is not None
-            if conflict:
+            if conflicts(cand):
                 continue
             chosen.append(cand)
             if len(chosen) == n:

@@ -91,6 +91,30 @@ def _poly_powmod(base: Sequence[int], e: int, mod: Sequence[int], p: int) -> lis
     return result
 
 
+def _poly_inverse(a: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
+    """s with a*s = 1 modulo the irreducible `mod`, by extended Euclid.
+
+    Each step cancels the leading term of the longer remainder, keeping
+    r_i = s_i * a (mod `mod`); the remainders end at a nonzero constant c,
+    because gcd(a, mod) = 1, and s / c is the inverse.
+    """
+    r0, r1 = list(mod), _poly_trim(list(a))
+    s0, s1 = [0], [1]
+    while len(r1) > 1:
+        shift = len(r0) - len(r1)
+        if shift < 0:
+            r0, r1, s0, s1 = r1, r0, s1, s0
+            continue
+        c = (r0[-1] * pow(r1[-1], p - 2, p)) % p
+        s0 += [0] * (shift + len(s1) - len(s0))
+        for src, dst in ((r1, r0), (s1, s0)):
+            for j, y in enumerate(src):
+                dst[shift + j] = (dst[shift + j] - c * y) % p
+            _poly_trim(dst)
+    inv_c = pow(r1[0], p - 2, p)
+    return [(c * inv_c) % p for c in s1]
+
+
 def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     a, b = _poly_trim(list(a)), _poly_trim(list(b))
     while b:
@@ -292,7 +316,8 @@ class FieldContext:
             return cached
         if not any(a):
             raise ZeroDivisionError("inverse of zero")
-        res = self.pow(a, self.q - 2)
+        res = tuple(_poly_inverse(a, self.modulus, self.p))
+        res += (0,) * (self.m - len(res))
         if len(self._inv_cache) < _CACHE_CAP:
             self._inv_cache[a] = res
         return res

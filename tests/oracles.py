@@ -113,6 +113,27 @@ def subset_scan(ctx, points, k: int, r: int, delta=None):
     return None
 
 
+def _colex_combinations(limit: int, size: int):
+    """All size-subsets of range(limit), ordered by largest element first."""
+    if size == 0:
+        yield ()
+        return
+    for top in range(size - 1, limit):
+        for rest in _colex_combinations(top, size - 1):
+            yield rest + (top,)
+
+
+def colex_scan(ctx, n: int, k: int, r: int, delta=None):
+    """First n-subset of the field in colex order (largest element first)
+    with no k-subset of e_r == delta, as points in ascending counter order;
+    None when there is none.  Every candidate set is checked from scratch."""
+    for combo in _colex_combinations(ctx.q, n):
+        pts = tuple(ctx.from_int(v) for v in combo)
+        if subset_scan(ctx, pts, k, r, delta) is None:
+            return pts
+    return None
+
+
 def greedy_scan(ctx, n: int, k: int, r: int, delta=None):
     """Greedy set in counter order: take a field element unless some k-subset
     through it and the elements already taken has e_r == delta."""

@@ -249,6 +249,30 @@ def test_search_not_found(capsys):
     assert parse(out) == {"found": False, "n": 3, "k": 3, "r": 1}
 
 
+@pytest.mark.parametrize("attempts", ["0", "-3"])
+def test_search_random_without_attempts_is_a_usage_error(capsys, attempts):
+    rc, out, err = run(
+        capsys, "search", "--field", "3", "--n", "3", "--k", "3", "--strategy", "random",
+        "--max-attempts", attempts,
+    )
+    assert rc == 2
+    assert out == ""
+    assert "max_attempts" in err
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "random", "greedy"])
+def test_search_k_greater_than_n_is_a_usage_error(capsys, tmp_path, strategy):
+    path = tmp_path / "found.json"
+    rc, out, err = run(
+        capsys, "search", "--field", "7", "--n", "6", "--k", "9", "--strategy", strategy,
+        "-o", str(path),
+    )
+    assert rc == 2
+    assert out == ""
+    assert "k=9 exceeds n=6" in err
+    assert not path.exists()
+
+
 def test_search_random_seed_reproducible(capsys):
     argv = ["search", "--field", "13", "--n", "6", "--k", "3", "--strategy", "random",
             "--seed", "5"]

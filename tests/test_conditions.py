@@ -5,7 +5,7 @@ from itertools import combinations, islice
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mdsforge.conditions import (
     BoundQuery,
@@ -30,6 +30,7 @@ from mdsforge.field import make_field
 
 from oracles import (
     binom_exact,
+    colex_scan,
     esym_direct,
     greedy_scan,
     poly_from_roots,
@@ -323,6 +324,43 @@ def test_exhaustive_guard():
     ctx = make_field(163)
     with pytest.raises(InfeasibleError):
         search_eval_set(ctx, 20, ConditionSpec(k=3), ExhaustiveSearch(guard=100))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([(5, 1), (7, 1), (11, 1), (2, 2), (2, 3), (3, 2)]),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(0, 10),
+    st.integers(1, 11),
+)
+@example((5, 1), 3, 1, 0, 5)  # no 5-subset of GF(5): {0, 1, 4} sums to 0
+@example((7, 1), 4, 2, 3, 2)  # k > n: the first colex set passes vacuously
+@example((2, 3), 1, 1, 0, 8)  # k = 1: the whole field contains delta
+def test_exhaustive_matches_colex_scan(field, k, r, delta, n):
+    ctx = make_field(*field)
+    assume(r <= k and n <= ctx.q)
+    delta = ctx.from_int(delta % ctx.q)
+    spec = ConditionSpec(k=k, r=r, delta=delta)
+    assert search_eval_set(ctx, n, spec, ExhaustiveSearch()) == colex_scan(ctx, n, k, r, delta)
+
+
+def test_exhaustive_search_proves_gf16_length_10_impossible():
+    # the benchmark's second proof: no 10 points of GF(16) avoid a zero 3-sum
+    ctx = make_field(2, 4)
+    assert search_eval_set(ctx, 10, ConditionSpec(k=3), ExhaustiveSearch()) is None
+
+
+def test_exhaustive_subset_guard_comes_before_the_search():
+    ctx = make_field(41)
+    with pytest.raises(InfeasibleError, match=r"C\(40,20\) = 137846528820 exceeds subset guard"):
+        search_eval_set(ctx, 40, ConditionSpec(k=20), ExhaustiveSearch())
+
+
+def test_exhaustive_rejects_delta_of_the_wrong_length():
+    ctx = make_field(7)
+    with pytest.raises(InvalidParamsError, match="delta has the wrong number of digits"):
+        search_eval_set(ctx, 4, ConditionSpec(k=2, delta=(1, 0)), ExhaustiveSearch())
 
 
 def test_random_search_deterministic_and_valid():

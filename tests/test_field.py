@@ -1,5 +1,7 @@
 """Field construction and arithmetic."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -140,6 +142,21 @@ def test_frobenius_is_additive(data):
     lhs = ctx.pow(ctx.add(a, b), 3)
     rhs = ctx.add(ctx.pow(a, 3), ctx.pow(b, 3))
     assert lhs == rhs
+
+
+def test_inverse_matches_power():
+    for p, m in [(2, 5), (3, 3), (7, 2), (13, 1)]:
+        ctx = make_field(p, m)
+        for v in range(1, ctx.q):
+            a = ctx.from_int(v)
+            assert ctx.inv(a) == ctx.pow(a, ctx.q - 2)
+    ctx = make_field(73, 3)
+    rng = random.Random(7)
+    for _ in range(200):
+        a = ctx.from_int(rng.randrange(1, ctx.q))
+        assert ctx.inv(a) == ctx.pow(a, ctx.q - 2)
+    with pytest.raises(ZeroDivisionError):
+        ctx.inv(ctx.zero())
 
 
 def test_inverse_of_zero_fails():
