@@ -3,7 +3,6 @@ subset-condition search, existence bounds and erasure decoding."""
 
 from .certify import (
     Certificate,
-    dual_code,
     mds_exhaustive,
     min_distance_bruteforce,
     non_rs_certificate,
@@ -18,19 +17,15 @@ from .conditions import (
     GreedySearch,
     RandomSearch,
     check_esym,
-    esym_value,
     existence_bound,
     search_eval_set,
-    subset_sum_counts,
 )
 from .evalcode import (
     EvalCode,
     EvalSet,
     ExponentSet,
-    GrsSpec,
     encode,
     generator_matrix,
-    grs_generator,
     sumset,
 )
 from .families import (
@@ -46,7 +41,7 @@ from .families import (
     thm415,
 )
 from .field import FieldContext, FieldElement, make_field
-from .matrix import MatrixFq, matrix_from_rows, null_space, rank, solve_square
+from .matrix import MatrixFq, matrix_from_rows, rank, solve_square
 
 __version__ = "0.1.0"
 
@@ -63,7 +58,6 @@ __all__ = [
     "FieldContext",
     "FieldElement",
     "GreedySearch",
-    "GrsSpec",
     "MatrixFq",
     "RandomSearch",
     "check_esym",
@@ -71,26 +65,21 @@ __all__ = [
     "cor44",
     "cor62",
     "decode_erasures",
-    "dual_code",
     "encode",
-    "esym_value",
     "existence_bound",
     "extended_hamming_parity",
     "generator_matrix",
-    "grs_generator",
     "lift_parity_columns",
     "make_field",
     "matrix_from_rows",
     "mds_exhaustive",
     "min_distance_bruteforce",
     "non_rs_certificate",
-    "null_space",
     "rank",
     "schur_square_dim",
     "schur_square_dim_from_exponents",
     "search_eval_set",
     "solve_square",
-    "subset_sum_counts",
     "sumset",
     "thm412",
     "thm415",

@@ -1,22 +1,29 @@
 """Certification of evaluation codes: MDS checks and Schur-square ranks.
 
 The headline operation is :func:`non_rs_certificate`.  It decides whether
-every k-subset of generator columns is independent.  Both of its routes are
-the one lexicographic subset walk, :func:`conditions.first_failing_subset`,
-with a different step, and both report the first dependent subset, so the
-witness never depends on the route or on how the walk is split across
-workers:
+every k-subset of generator columns is independent.  On distinct points S
+the k x k minor of the exponent set E = {E_1 < ... < E_k} is the
+Vandermonde determinant of S times the Schur polynomial s_lambda(S), with
+lambda_1 = E_k - (k - 1) the number of exponents skipped below the largest
+(Macdonald, Symmetric Functions, ch. I sec. 3).  The route follows
+lambda_1, and every route reports the first dependent subset in lex order,
+so the witness never depends on the route or on how a walk is split
+across workers:
 
-* exponents {0..k} minus {k - r} (every family and every search result):
-  the k x k minor on points S is the Vandermonde determinant of S times
-  e_r(S), so the e_r step of :func:`conditions.check_esym` answers;
-* any other exponent set: :func:`mds_exhaustive`, whose step is the
-  elimination :func:`matrix.extend_basis`, optionally split over worker
-  processes.
+* lambda_1 = 0, E = {0..k-1} (Reed-Solomon): s_lambda = 1, every minor is
+  a Vandermonde determinant, and the code is MDS with no scan at all;
+* lambda_1 = 1, E = {0..k} minus {k - r} (every family and every search
+  result): s_lambda = e_r, so the e_r step of :func:`conditions.check_esym`
+  answers, serially;
+* lambda_1 >= 2: :func:`mds_exhaustive`, the subset walk
+  :func:`conditions.first_failing_subset` with the elimination step
+  :func:`matrix.extend_basis`, optionally split over worker processes.
+  It is the only route that ``jobs`` affects.
 
-A witness is always confirmed by one rank of its k columns.  On request
-(``cross_check``) the answer is derived again on either route by
-:func:`_mds_by_minors`, which takes every k-subset from
+Every route keeps the subset guard, so a code too long to scan is refused
+on all of them.  A witness is always confirmed by one rank of its k
+columns.  On request (``cross_check``) the answer is derived again on any
+route by :func:`_mds_by_minors`, which takes every k-subset from
 ``itertools.combinations`` and ranks its columns from scratch, and any
 disagreement is an error.
 
@@ -37,6 +44,7 @@ error.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -46,10 +54,10 @@ from typing import Optional
 
 from . import conditions
 from .conditions import SUBSET_GUARD, ConditionSpec
-from .errors import InfeasibleError, InvalidParamsError, RankDeficientError, TooLargeError
+from .errors import InfeasibleError, InvalidParamsError, TooLargeError
 from .evalcode import EvalCode, gap_order, generator_matrix, sumset
 from .field import FieldContext, FieldElement
-from .matrix import MatrixFq, extend_basis, matrix_from_rows, null_space, null_vectors, rank
+from .matrix import MatrixFq, extend_basis, matrix_from_rows, null_vectors, rank
 
 #: Default ceiling on q^k for full codebook enumeration.
 CODEWORD_GUARD = 1 << 22
@@ -150,8 +158,9 @@ def mds_exhaustive(
     Returns (True, None) when the code generated by `mat` is MDS, otherwise
     (False, w) with w the lexicographically first dependent column subset.
     Works for any matrix; it is the elimination route of the certificate.
-    `jobs` > 1 splits the scan by contiguous rank ranges; the reported
-    witness is independent of the split.
+    `jobs` > 1 splits the scan into `jobs` contiguous rank ranges, run on
+    at most one worker process per CPU; the reported witness is
+    independent of the split.
     """
     k, n = mat.rows, mat.cols
     total = _check_subset_guard(n, k, guard)
@@ -170,7 +179,7 @@ def mds_exhaustive(
         tasks.append((ctx.p, ctx.m, ctx.modulus, col_digits, k, start, cnt))
         start += cnt
     first: Optional[tuple[int, ...]] = None
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
         for witness in pool.map(_scan_chunk, tasks):
             if witness is not None and (first is None or witness < first):
                 first = witness
@@ -299,10 +308,15 @@ def _mds_by_minors(mat: MatrixFq, guard: int) -> tuple[bool, Optional[tuple[int,
 def _mds_decision(
     code: EvalCode, gen: MatrixFq, guard: int, jobs: int, cross_check: bool
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """(is_mds, lex-first dependent subset) by the route the exponents allow."""
-    r = gap_order(code.exponents)
-    if r is not None:
-        spec = ConditionSpec(code.k, r)
+    """(is_mds, lex-first dependent subset) by the route lambda_1 selects."""
+    lambda_1 = code.exponents.max_exp - (code.k - 1)
+    if lambda_1 == 0:
+        # every minor is a Vandermonde determinant, and EvalSet keeps the
+        # points distinct
+        _check_subset_guard(code.n, code.k, guard)
+        answer = (True, None)
+    elif lambda_1 == 1:
+        spec = ConditionSpec(code.k, gap_order(code.exponents))
         answer = conditions.check_esym(code.ctx, code.points.points, spec, guard=guard)
     else:
         answer = mds_exhaustive(gen, guard=guard, jobs=jobs)
@@ -337,8 +351,9 @@ def non_rs_certificate(
     big for a generalized Reed-Solomon code, `rs_consistent` when its
     dimension equals 2k - 1 (what an RS code would show), `indeterminate`
     otherwise (k > n/2, or the code failed the MDS scan).  `jobs` only
-    affects the elimination route; `cross_check` derives the MDS answer a
-    second time and raises AssertionError if the two differ.
+    affects the elimination route (lambda_1 >= 2); `cross_check` derives
+    the MDS answer a second time and raises AssertionError if the two
+    differ.
     `with_min_distance` walks all codewords; for an MDS code their weight
     distribution must equal the closed form, else AssertionError.
     """
@@ -379,13 +394,3 @@ def non_rs_certificate(
         verdict=verdict,
         min_distance=min_d,
     )
-
-
-def dual_code(mat: MatrixFq) -> MatrixFq:
-    """Generator of the dual code: a basis of the right null space.
-
-    Requires full row rank; the dual of an MDS code is again MDS.
-    """
-    if rank(mat) != mat.rows:
-        raise RankDeficientError("generator matrix must have full row rank")
-    return null_space(mat)

@@ -8,10 +8,13 @@ word), 2 for usage or input-format errors.
 
 The environment variable MDSFORGE_GUARD (an integer) raises or lowers every
 enumeration guard at once; explicit guards protect each exhaustive scan and
-exceeding one is always a loud error.  ``--jobs N`` spreads the MDS column
-scan over N worker processes without changing any result; codes whose
-exponents are {0..k} minus one value take the e_r route, which runs serially.
-``verify --cross-check`` derives the MDS answer a second time, on either
+exceeding one is always a loud error.  ``verify`` decides MDS by one of
+three routes: none for Reed-Solomon exponents {0..k-1} (every minor is a
+Vandermonde determinant), the serial e_r walk for {0..k} minus one value,
+and the elimination scan for every other exponent set.  ``--jobs N``
+affects only the elimination route: it splits the scan into N parts, run
+on at most one worker process per CPU, without changing any result.
+``verify --cross-check`` derives the MDS answer a second time, on every
 route, from a from-scratch rank of every k-subset of columns, and fails
 loudly if the two differ.
 """

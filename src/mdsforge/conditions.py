@@ -1,4 +1,4 @@
-"""Subset conditions on evaluation sets, counting oracles, bounds, search.
+"""Subset conditions on evaluation sets, existence bounds, search.
 
 The central predicate: a point set T satisfies the order-r condition for
 dimension k when every k-subset S of T has elementary symmetric value
@@ -44,9 +44,6 @@ from .field import ENUMERATION_GUARD, FieldContext, FieldElement
 
 SUBSET_GUARD = 10**7
 
-#: subset_sum_counts builds a (k+1) x q table, so refuse huge fields.
-DP_FIELD_GUARD = 1 << 16
-
 
 @dataclass(frozen=True)
 class ConditionSpec:
@@ -65,19 +62,6 @@ class ConditionSpec:
             raise InvalidParamsError("k must be >= 1")
         if not 1 <= self.r <= self.k:
             raise InvalidParamsError("r must satisfy 1 <= r <= k")
-
-
-def esym_value(ctx: FieldContext, elems: Sequence[FieldElement], r: int) -> FieldElement:
-    """e_r of a sequence of field elements (direct product expansion)."""
-    if not 0 <= r <= len(elems):
-        raise InvalidParamsError("need 0 <= r <= number of elements")
-    e = [ctx.one()] + [ctx.zero()] * r
-    top = 0
-    for a in elems:
-        top = min(top + 1, r)
-        for j in range(top, 0, -1):
-            e[j] = ctx.add(e[j], ctx.mul(a, e[j - 1]))
-    return e[r]
 
 
 def combination_at_rank(n: int, k: int, rank: int) -> tuple[int, ...]:
@@ -197,7 +181,7 @@ def check_esym(
     Returns (True, None) when the condition holds, else (False, w) where w
     is the lexicographically first violating subset, given as indices into
     the point sequence.  With fewer than k points there is nothing to test
-    and the condition holds vacuously (matching the counting oracle).
+    and the condition holds vacuously.
     """
     n, k, r = len(points), spec.k, spec.r
     _require_subset_count(n, k, guard)
@@ -218,50 +202,6 @@ def _target(ctx: FieldContext, spec: ConditionSpec) -> FieldElement:
     if len(delta) != ctx.m:
         raise InvalidParamsError("delta has the wrong number of digits")
     return delta
-
-
-def subset_sum_counts(
-    ctx: FieldContext,
-    points: Sequence[FieldElement],
-    k: int,
-    guard: int = DP_FIELD_GUARD,
-) -> list[list[int]]:
-    """Table N with N[j][v] = number of j-subsets of the points summing to
-    the field element with counter index v.
-
-    Polynomial-size dynamic program; the independent oracle for the r = 1
-    condition (the condition holds for target s iff N[k][index(s)] == 0).
-    """
-    if k < 0:
-        raise InvalidParamsError("k must be >= 0")
-    q, p, m = ctx.q, ctx.p, ctx.m
-    if q > guard:
-        raise TooLargeError(f"field of size {q} exceeds DP guard {guard}")
-    table = [[0] * q for _ in range(k + 1)]
-    table[0][0] = 1
-    if m == 1:
-        def add_index(x: int, y: int) -> int:
-            return (x + y) % p
-    else:
-        def add_index(x: int, y: int) -> int:
-            out, mult = 0, 1
-            for _ in range(m):
-                out += ((x + y) % p) * mult
-                x //= p
-                y //= p
-                mult *= p
-            return out
-
-    processed = 0
-    for t in points:
-        t_idx = ctx.to_int(t)
-        processed += 1
-        for j in range(min(k, processed), 0, -1):
-            prev, cur = table[j - 1], table[j]
-            for s_idx, cnt in enumerate(prev):
-                if cnt:
-                    cur[add_index(s_idx, t_idx)] += cnt
-    return table
 
 
 # ---------------------------------------------------------------------------

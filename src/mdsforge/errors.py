@@ -33,14 +33,6 @@ class SingularError(MdsforgeError):
     """A square system has no unique solution."""
 
 
-class RankDeficientError(MdsforgeError):
-    """A full-rank matrix was required but not supplied."""
-
-
-class ZeroMultiplierError(MdsforgeError):
-    """A column multiplier that must be nonzero is zero."""
-
-
 class InvalidParamsError(MdsforgeError):
     """Parameters are outside the documented domain of the operation."""
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Optional, Sequence
 
-from .errors import DimensionMismatchError, InvalidParamsError, ZeroMultiplierError
+from .errors import DimensionMismatchError, InvalidParamsError
 from .field import FieldContext, FieldElement
 from .matrix import MatrixFq, matrix_from_rows
 
@@ -76,25 +76,6 @@ class EvalCode:
         return self.exponents.k
 
 
-@dataclass(frozen=True)
-class GrsSpec:
-    """Data of a generalized Reed-Solomon code: points, multipliers, dimension."""
-
-    ctx: FieldContext
-    points: EvalSet
-    multipliers: tuple[FieldElement, ...]
-    k: int
-
-    def __post_init__(self):
-        if len(self.multipliers) != self.points.n:
-            raise DimensionMismatchError("need one multiplier per point")
-        if not 1 <= self.k <= self.points.n:
-            raise InvalidParamsError("dimension must satisfy 1 <= k <= n")
-        for v in self.multipliers:
-            if self.ctx.is_zero(v):
-                raise ZeroMultiplierError("column multipliers must be nonzero")
-
-
 def generator_matrix(code: EvalCode) -> MatrixFq:
     """k x n matrix whose row j evaluates the monomial x^{E[j]}."""
     ctx = code.ctx
@@ -135,17 +116,3 @@ def gap_order(exponents: ExponentSet) -> Optional[int]:
     if e[-1] != k:
         return None
     return k - next(i for i, x in enumerate(e) if x != i)
-
-
-def grs_generator(spec: GrsSpec) -> MatrixFq:
-    """Generator matrix with entries v_i * alpha_i^j, j = 0..k-1."""
-    ctx = spec.ctx
-    rows = []
-    for j in range(spec.k):
-        rows.append(
-            tuple(
-                ctx.mul(v, ctx.pow(a, j))
-                for a, v in zip(spec.points.points, spec.multipliers)
-            )
-        )
-    return matrix_from_rows(ctx, rows)

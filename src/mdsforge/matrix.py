@@ -3,12 +3,11 @@
 Everything here is built on one elimination step, :func:`extend_basis`,
 which inserts a row into an echelon basis (its pivot is its first nonzero
 entry once reduced), and on :func:`null_vectors`, which back-substitutes
-that basis.  Rank is the length of the basis of all rows, the null space
-its null vectors, and a square solve the null vector of the augmented
-matrix.  The certifier's subset walk uses the same two functions, so
-there is one elimination routine in the package.  Rank and null-space
-bases come out identical on every run and under any worker partitioning
-upstream.
+that basis.  Rank is the length of the basis of all rows, and a square
+solve the null vector of the augmented matrix.  The certifier's subset
+walk uses the same two functions, so there is one elimination routine in
+the package.  Ranks and null vectors come out identical on every run and
+under any worker partitioning upstream.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ class MatrixFq:
     """Immutable row-major matrix over one field.
 
     ``entries[i][j]`` is the element in row i, column j.  Zero-row matrices
-    are allowed (they show up as empty null-space bases and duals of full
-    codes); zero-column ones are not.
+    are allowed (an empty null-space basis is one); zero-column ones are
+    not.
     """
 
     ctx: FieldContext
@@ -145,14 +144,3 @@ def solve_square(a: MatrixFq, b: Sequence[FieldElement]) -> tuple[FieldElement, 
         raise SingularError("coefficient matrix is singular")
     (x,) = null_vectors(ctx, basis, n + 1)
     return tuple(ctx.neg(v) for v in x[:n])
-
-
-def null_space(mat: MatrixFq) -> MatrixFq:
-    """Basis of the right null space, one vector per row (possibly 0 rows).
-
-    Each basis vector has a 1 in "its" free column and 0 in the others,
-    giving a deterministic reduced basis.  A full-rank input yields the
-    empty matrix, whose column count reads back as 0.
-    """
-    basis = _basis(mat.ctx, mat.entries)
-    return MatrixFq(mat.ctx, tuple(null_vectors(mat.ctx, basis, mat.cols)))

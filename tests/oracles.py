@@ -5,19 +5,34 @@ through sympy's DomainMatrix, minimum distances through full codeword
 enumeration with naive arithmetic, symmetric functions through direct
 subset expansion, binomials through factorial ratios.  When a production
 routine and its oracle disagree, the oracle wins the argument.
+
+The section "Test fixtures" at the end is the exception: generalized
+Reed-Solomon generators, duals, null spaces, e_r by recurrence and
+subset-sum counts.  Only tests need them, and they are built on the
+package's own arithmetic and elimination, so they are fixtures, not
+independent oracles.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from functools import reduce
 from math import factorial
+from typing import Sequence
 
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
+from mdsforge.errors import (
+    DimensionMismatchError,
+    InvalidParamsError,
+    MdsforgeError,
+    TooLargeError,
+)
+from mdsforge.evalcode import EvalSet
 from mdsforge.field import FieldContext, FieldElement
-from mdsforge.matrix import MatrixFq
+from mdsforge.matrix import MatrixFq, extend_basis, matrix_from_rows, null_vectors, rank
 
 
 def prime_rank(p: int, rows: list[list[int]]) -> int:
@@ -198,3 +213,132 @@ def poly_from_roots(ctx: FieldContext, roots: list[FieldElement]) -> list[FieldE
             nxt[i] = ctx.sub(nxt[i], ctx.mul(root, c))
         coeffs = nxt
     return coeffs
+
+
+# ---------------------------------------------------------------------------
+# Test fixtures: helpers on the package's own arithmetic, not oracles
+
+
+class ZeroMultiplierError(MdsforgeError):
+    """A column multiplier that must be nonzero is zero."""
+
+
+class RankDeficientError(MdsforgeError):
+    """A full-rank matrix was required but not supplied."""
+
+
+@dataclass(frozen=True)
+class GrsSpec:
+    """Data of a generalized Reed-Solomon code: points, multipliers, dimension."""
+
+    ctx: FieldContext
+    points: EvalSet
+    multipliers: tuple[FieldElement, ...]
+    k: int
+
+    def __post_init__(self):
+        if len(self.multipliers) != self.points.n:
+            raise DimensionMismatchError("need one multiplier per point")
+        if not 1 <= self.k <= self.points.n:
+            raise InvalidParamsError("dimension must satisfy 1 <= k <= n")
+        for v in self.multipliers:
+            if self.ctx.is_zero(v):
+                raise ZeroMultiplierError("column multipliers must be nonzero")
+
+
+def grs_generator(spec: GrsSpec) -> MatrixFq:
+    """Generator matrix with entries v_i * alpha_i^j, j = 0..k-1."""
+    ctx = spec.ctx
+    rows = []
+    for j in range(spec.k):
+        rows.append(
+            tuple(
+                ctx.mul(v, ctx.pow(a, j))
+                for a, v in zip(spec.points.points, spec.multipliers)
+            )
+        )
+    return matrix_from_rows(ctx, rows)
+
+
+def null_space(mat: MatrixFq) -> MatrixFq:
+    """Basis of the right null space, one vector per row (possibly 0 rows).
+
+    Each basis vector has a 1 in "its" free column and 0 in the others,
+    giving a deterministic reduced basis.  A full-rank input yields the
+    empty matrix, whose column count reads back as 0.
+    """
+    basis: list = []
+    for row in mat.entries:
+        basis = extend_basis(mat.ctx, basis, row) or basis
+    return MatrixFq(mat.ctx, tuple(null_vectors(mat.ctx, basis, mat.cols)))
+
+
+def dual_code(mat: MatrixFq) -> MatrixFq:
+    """Generator of the dual code: a basis of the right null space.
+
+    Requires full row rank; the dual of an MDS code is again MDS.
+    """
+    if rank(mat) != mat.rows:
+        raise RankDeficientError("generator matrix must have full row rank")
+    return null_space(mat)
+
+
+def esym_value(ctx: FieldContext, elems: Sequence[FieldElement], r: int) -> FieldElement:
+    """e_r of a sequence of field elements (direct product expansion)."""
+    if not 0 <= r <= len(elems):
+        raise InvalidParamsError("need 0 <= r <= number of elements")
+    e = [ctx.one()] + [ctx.zero()] * r
+    top = 0
+    for a in elems:
+        top = min(top + 1, r)
+        for j in range(top, 0, -1):
+            e[j] = ctx.add(e[j], ctx.mul(a, e[j - 1]))
+    return e[r]
+
+
+#: subset_sum_counts builds a (k+1) x q table, so refuse huge fields.
+DP_FIELD_GUARD = 1 << 16
+
+
+def subset_sum_counts(
+    ctx: FieldContext,
+    points: Sequence[FieldElement],
+    k: int,
+    guard: int = DP_FIELD_GUARD,
+) -> list[list[int]]:
+    """Table N with N[j][v] = number of j-subsets of the points summing to
+    the field element with counter index v.
+
+    Polynomial-size dynamic program; the condition for r = 1 holds for
+    target s iff N[k][index(s)] == 0.
+    """
+    if k < 0:
+        raise InvalidParamsError("k must be >= 0")
+    q, p, m = ctx.q, ctx.p, ctx.m
+    if q > guard:
+        raise TooLargeError(f"field of size {q} exceeds DP guard {guard}")
+    table = [[0] * q for _ in range(k + 1)]
+    table[0][0] = 1
+    if m == 1:
+        def add_index(x: int, y: int) -> int:
+            return (x + y) % p
+    else:
+        def add_index(x: int, y: int) -> int:
+            out, mult = 0, 1
+            for _ in range(m):
+                out += ((x + y) % p) * mult
+                x //= p
+                y //= p
+                mult *= p
+            return out
+
+    processed = 0
+    for t in points:
+        t_idx = ctx.to_int(t)
+        processed += 1
+        for j in range(min(k, processed), 0, -1):
+            prev, cur = table[j - 1], table[j]
+            for s_idx, cnt in enumerate(prev):
+                if cnt:
+                    cur[add_index(s_idx, t_idx)] += cnt
+    return table

@@ -17,7 +17,6 @@ import pytest
 from mdsforge.certify import (
     VERDICT_NON_RS,
     VERDICT_RS_CONSISTENT,
-    dual_code,
     mds_exhaustive,
     min_distance_bruteforce,
     non_rs_certificate,
@@ -30,27 +29,31 @@ from mdsforge.conditions import (
     ConditionSpec,
     ExhaustiveSearch,
     check_esym,
-    esym_value,
     existence_bound,
     search_eval_set,
-    subset_sum_counts,
 )
 from mdsforge.errors import TooManyErasuresError
 from mdsforge.evalcode import (
     EvalCode,
     EvalSet,
     ExponentSet,
-    GrsSpec,
     encode,
     generator_matrix,
-    grs_generator,
 )
 from mdsforge.families import cor44, cor62, cor411, lift_parity_columns, thm412, thm415, thm63
 from mdsforge.families import extended_hamming_parity
 from mdsforge.field import make_field
 from mdsforge.matrix import rank
 
-from oracles import binom_exact, poly_from_roots
+from oracles import (
+    GrsSpec,
+    binom_exact,
+    dual_code,
+    esym_value,
+    grs_generator,
+    poly_from_roots,
+    subset_sum_counts,
+)
 
 
 class Budget:

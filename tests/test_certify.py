@@ -15,7 +15,6 @@ from mdsforge.certify import (
     VERDICT_INDETERMINATE,
     VERDICT_NON_RS,
     VERDICT_RS_CONSISTENT,
-    dual_code,
     mds_exhaustive,
     mds_weight_distribution,
     min_distance_bruteforce,
@@ -24,22 +23,29 @@ from mdsforge.certify import (
     schur_square_dim_from_exponents,
 )
 from mdsforge.cli import main
-from mdsforge.errors import InfeasibleError, InvalidParamsError, RankDeficientError
+from mdsforge.errors import InfeasibleError, InvalidParamsError
 from mdsforge.evalcode import (
     EvalCode,
     EvalSet,
     ExponentSet,
-    GrsSpec,
     gap_order,
     generator_matrix,
-    grs_generator,
 )
 from mdsforge.families import cor44, thm412
 from mdsforge.field import make_field
 from mdsforge.jsonio import canonical_dumps, code_to_obj
 from mdsforge.matrix import matrix_from_rows, rank
 
-from oracles import brute_min_distance, brute_weight_distribution, ext_rank, mat_vec
+from oracles import (
+    GrsSpec,
+    RankDeficientError,
+    brute_min_distance,
+    brute_weight_distribution,
+    dual_code,
+    ext_rank,
+    grs_generator,
+    mat_vec,
+)
 
 
 def scalars(ctx, values):
@@ -446,3 +452,114 @@ def test_witness_is_confirmed_by_rank(monkeypatch):
     monkeypatch.setattr(conditions, "check_esym", lambda *a, **kw: (False, (0, 1, 2)))
     with pytest.raises(AssertionError, match="independent columns"):
         non_rs_certificate(code)
+
+
+# ---------------------------------------------------------------------------
+# Routing by lambda_1 = max_exp - (k - 1)
+
+
+@st.composite
+def codes_near_rs(draw):
+    """A code whose exponents lie in 0..k+3, so lambda_1 runs from 0 to 4."""
+    ctx, pts = draw(point_sets(min_size=1, max_size=7))
+    k = draw(st.integers(1, min(4, len(pts))))
+    exps = draw(st.lists(st.integers(0, k + 3), min_size=k, max_size=k, unique=True))
+    return EvalCode(ctx, EvalSet(pts), ExponentSet(tuple(sorted(exps))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(codes_near_rs())
+@example(counter_code(make_field(13), [0, 1, 2, 3, 4], (0, 1, 2)))  # lambda_1 = 0, point 0
+@example(counter_code(make_field(2, 3), range(8), (0, 1, 2, 3)))  # lambda_1 = 0, n = q
+@example(counter_code(make_field(13), [1, 5, 7, 2], (0, 1, 3)))  # lambda_1 = 1, fails
+@example(counter_code(make_field(7), [1, 6, 2, 3], (0, 2, 4)))  # lambda_1 = 2, fails
+@example(counter_code(make_field(7), [0, 1, 2], (1, 2, 3)))  # lambda_1 = 1 with r = k
+def test_every_route_matches_minors(code):
+    gen = generator_matrix(code)
+    guard = conditions.SUBSET_GUARD
+    decision = certify._mds_decision(code, gen, guard, 1, False)
+    assert decision == certify._mds_by_minors(gen, guard)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the Reed-Solomon route must not scan")
+
+
+def test_reed_solomon_route_scans_nothing(monkeypatch):
+    code = make_code(make_field(37), range(22), range(5))
+    for module, name in [
+        (certify, "mds_exhaustive"),
+        (certify, "ProcessPoolExecutor"),
+        (conditions, "check_esym"),
+        (conditions, "first_failing_subset"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    gen = generator_matrix(code)
+    assert certify._mds_decision(code, gen, conditions.SUBSET_GUARD, 2, False) == (True, None)
+    cert = non_rs_certificate(code, jobs=2)
+    assert (cert.is_mds, cert.failing_columns, cert.verdict) == (True, None, VERDICT_RS_CONSISTENT)
+
+
+def test_reed_solomon_route_keeps_the_subset_guard(capsys, tmp_path, monkeypatch):
+    code = make_code(make_field(13), range(12), range(4))  # C(12,4) = 495
+    with pytest.raises(InfeasibleError, match="C\\(12,4\\) = 495"):
+        non_rs_certificate(code, guard=494)
+    assert non_rs_certificate(code, guard=495).is_mds
+    wide = make_code(make_field(13), range(2), range(3))
+    with pytest.raises(InvalidParamsError):
+        certify._mds_decision(wide, generator_matrix(wide), conditions.SUBSET_GUARD, 1, False)
+    path = tmp_path / "rs.json"
+    path.write_text(canonical_dumps(code_to_obj(code)))
+    monkeypatch.setenv("MDSFORGE_GUARD", "494")
+    assert main(["verify", str(path)]) == 2
+    assert "exceeds subset guard 494" in capsys.readouterr().err
+
+
+def test_cross_check_runs_on_the_reed_solomon_route(monkeypatch):
+    code = make_code(make_field(13), range(6), range(3))
+    seen = []
+
+    def minors(mat, guard):
+        seen.append(guard)
+        return (False, (0, 1, 2))
+
+    monkeypatch.setattr(certify, "_mds_by_minors", minors)
+    assert non_rs_certificate(code).is_mds
+    assert seen == []
+    with pytest.raises(AssertionError, match="internal disagreement"):
+        non_rs_certificate(code, cross_check=True)
+    assert seen == [conditions.SUBSET_GUARD]
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+
+    created: list = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        tasks = list(tasks)
+        self.created.append(len(tasks))
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("cpus,workers", [(2, 2), (None, 1), (128, 64)])
+def test_jobs_start_at_most_one_worker_per_cpu(monkeypatch, cpus, workers):
+    ctx = make_field(13)
+    failing = generator_matrix(make_code(ctx, range(12), (0, 1, 2, 4)))
+    passing = generator_matrix(make_code(ctx, range(1, 13), (0, 1, 2, 3)))
+    serial = [mds_exhaustive(failing), mds_exhaustive(passing)]
+    monkeypatch.setattr(RecordingPool, "created", [])
+    monkeypatch.setattr(certify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(certify.os, "cpu_count", lambda: cpus)
+    assert [mds_exhaustive(failing, jobs=64), mds_exhaustive(passing, jobs=64)] == serial
+    # C(12,4) = 495 subsets in ranges of 8 whatever the worker count
+    assert RecordingPool.created == [workers, 62, workers, 62]

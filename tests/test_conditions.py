@@ -15,11 +15,9 @@ from mdsforge.conditions import (
     RandomSearch,
     check_esym,
     combination_at_rank,
-    esym_value,
     existence_bound,
     first_failing_subset,
     search_eval_set,
-    subset_sum_counts,
 )
 from mdsforge.errors import (
     InfeasibleError,
@@ -32,10 +30,12 @@ from oracles import (
     binom_exact,
     colex_scan,
     esym_direct,
+    esym_value,
     greedy_scan,
     poly_from_roots,
     shift_transform,
     subset_scan,
+    subset_sum_counts,
 )
 
 

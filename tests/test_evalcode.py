@@ -6,22 +6,19 @@ from hypothesis import given, settings, strategies as st
 from mdsforge.errors import (
     DimensionMismatchError,
     InvalidParamsError,
-    ZeroMultiplierError,
 )
 from mdsforge.evalcode import (
     EvalCode,
     EvalSet,
     ExponentSet,
-    GrsSpec,
     encode,
     gap_order,
     generator_matrix,
-    grs_generator,
     sumset,
 )
 from mdsforge.field import make_field
 
-from oracles import is_arithmetic_progression
+from oracles import GrsSpec, ZeroMultiplierError, grs_generator, is_arithmetic_progression
 
 
 def scalars(ctx, values):

@@ -1,0 +1,64 @@
+"""Byte stability of `verify`: pinned stdout digests and exit codes.
+
+Each case writes one code file and runs `verify` in-process.  The sha256
+of stdout and the exit code were recorded while every Reed-Solomon code
+still went through the k-subset elimination scan, so a faster route for
+any of these codes must print exactly the same bytes.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from mdsforge.cli import main
+from mdsforge.evalcode import EvalCode, EvalSet, ExponentSet
+from mdsforge.families import cor44
+from mdsforge.field import make_field
+from mdsforge.jsonio import canonical_dumps, code_to_obj
+
+
+def counter_code(p, m, values, exps):
+    ctx = make_field(p, m)
+    points = EvalSet(tuple(ctx.from_int(v) for v in values))
+    return EvalCode(ctx, points, ExponentSet(tuple(exps)))
+
+
+RS_31 = counter_code(31, 1, [(7 * i + 3) % 31 for i in range(20)], range(4))
+RS_32 = counter_code(2, 5, [(11 * i + 5) % 32 for i in range(20)], range(4))
+RS_13 = counter_code(13, 1, [0, 12, 1, 11, 2, 10, 3, 9, 4, 8, 5, 7], range(4))
+# two skipped exponents (lambda_1 = 2); 1 and -1 make the first triple dependent
+FAILING = counter_code(13, 1, [1, 12, 2, 3, 4, 5, 6, 7], (0, 2, 4))
+
+#: (id, code, extra verify arguments, stdout sha256, exit code)
+CASES = [
+    ("rs-20-4-gf31", RS_31, [],
+     "659f2873e2223efbddf08ef96b54eb378accad7bd9e738d863cf00f1de4011ef", 0),
+    ("rs-20-4-gf2^5", RS_32, [],
+     "659f2873e2223efbddf08ef96b54eb378accad7bd9e738d863cf00f1de4011ef", 0),
+    ("rs-12-4-gf13-jobs2", RS_13, ["--jobs", "2"],
+     "8801a98003ac577d3d73f761d64589e9df04c87980047f38e67e2660a41cf3e7", 0),
+    ("rs-12-4-gf13-cross-check", RS_13, ["--cross-check"],
+     "8801a98003ac577d3d73f761d64589e9df04c87980047f38e67e2660a41cf3e7", 0),
+    ("cor44-13-3-6", cor44(13, 3, 6), [],
+     "9e9a663976bb3bfaa5069a445eae3d074c06d5361160e59117a3c2f223577aaf", 0),
+    ("failing-e024-gf13", FAILING, [],
+     "1a61cdac71884d9cd7b11e8191e9beac4c7c0e9a6181fcfc33ea57864f938995", 1),
+]
+
+
+def verify_digest(tmp_path, code, extra):
+    path = tmp_path / "code.json"
+    path.write_text(canonical_dumps(code_to_obj(code)))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(["verify", str(path), *extra])
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest(), rc
+
+
+@pytest.mark.parametrize(
+    "code,extra,digest,rc", [case[1:] for case in CASES], ids=[case[0] for case in CASES]
+)
+def test_verify_stdout_is_pinned(tmp_path, code, extra, digest, rc):
+    assert verify_digest(tmp_path, code, extra) == (digest, rc)
