@@ -2,7 +2,7 @@
 """Certify a standard batch of family instances and print a summary table.
 
 Usage:
-    python scripts/certify_families.py [--min-distance] [--jobs N]
+    python scripts/certify_families.py [--min-distance]
 """
 
 import argparse
@@ -31,7 +31,6 @@ BATCH = [
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--min-distance", action="store_true", help="also brute-force d")
-    ap.add_argument("--jobs", type=int, default=1, help="parallel workers for the column scan")
     args = ap.parse_args()
 
     header = f"{'instance':<22} {'[n,k]_q':<14} {'mds':<5} {'schur':<6} {'verdict':<14}"
@@ -48,9 +47,7 @@ def main() -> int:
         except Exception as exc:
             print(f"{label:<22} construction failed: {type(exc).__name__}: {exc}")
             continue
-        cert = non_rs_certificate(
-            code, jobs=args.jobs, with_min_distance=args.min_distance
-        )
+        cert = non_rs_certificate(code, with_min_distance=args.min_distance)
         elapsed = time.perf_counter() - start
         shape = f"[{cert.n},{cert.k}]_{code.ctx.q}"
         line = f"{label:<22} {shape:<14} {str(cert.is_mds):<5} {cert.schur_dim:<6} {cert.verdict:<14}"

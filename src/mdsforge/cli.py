@@ -12,8 +12,11 @@ exceeding one is always a loud error.  ``verify`` decides MDS by one of
 three routes: none for Reed-Solomon exponents {0..k-1} (every minor is a
 Vandermonde determinant), the serial e_r walk for {0..k} minus one value,
 and the elimination scan for every other exponent set.  ``--jobs N``
-affects only the elimination route: it splits the scan into N parts, run
-on at most one worker process per CPU, without changing any result.
+(N >= 1) affects only the elimination route: it splits the scan by the
+lowest index of a subset over at most min(N, CPUs) worker processes and
+stops at the first witness, without changing any result.  Scans of fewer
+than 20 000 subsets stay serial, since a pool costs more than it saves
+there.
 ``verify --cross-check`` derives the MDS answer a second time, on every
 route, from a from-scratch rank of every k-subset of columns, and fails
 loudly if the two differ.
@@ -188,6 +191,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise InvalidParamsError(f"--jobs must be >= 1, got {args.jobs}")
     code, embedded = jsonio.load_code(args.code)
     guard = _guard_override()
     kwargs = {}
@@ -199,7 +204,7 @@ def _cmd_verify(args) -> int:
     )
     cert = non_rs_certificate(
         code,
-        jobs=max(1, args.jobs),
+        jobs=args.jobs,
         with_min_distance=want_dist,
         cross_check=args.cross_check,
         **kwargs,

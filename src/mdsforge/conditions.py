@@ -64,34 +64,16 @@ class ConditionSpec:
             raise InvalidParamsError("r must satisfy 1 <= r <= k")
 
 
-def combination_at_rank(n: int, k: int, rank: int) -> tuple[int, ...]:
-    """The rank-th k-combination of range(n) in lexicographic order."""
-    out = []
-    c = 0
-    for remaining in range(k, 0, -1):
-        while True:
-            block = comb(n - c - 1, remaining - 1)
-            if rank < block:
-                break
-            rank -= block
-            c += 1
-        out.append(c)
-        c += 1
-    return tuple(out)
-
-
 def first_failing_subset(
     n: int,
     k: int,
     root: Any,
     extend: Callable[[Any, int, int], Any],
-    start: int = 0,
-    count: Optional[int] = None,
+    first: Optional[int] = None,
 ) -> Optional[tuple[int, ...]]:
     """First k-subset of range(n) that has a rejected prefix, in lex order.
 
-    The walk visits `count` subsets (default: all) from lex rank `start`
-    and keeps one state per prefix: ``states[0]`` is `root`, and
+    The walk keeps one state per prefix: ``states[0]`` is `root`, and
     ``states[d + 1] = extend(states[d], d, combo[d])``.  `extend` returns
     None to reject the prefix ``combo[:d + 1]``; the current combination is
     then the first subset in the rejected subtree that the walk has not
@@ -99,12 +81,19 @@ def first_failing_subset(
     states above it, and a leaf costs one `extend` call.  Returns None when
     no visited subset has a rejected prefix.  With k = 0 there is only the
     empty subset, which has no prefix to reject.
+
+    `first` restricts the walk to the subsets whose lowest index is
+    `first`.  These blocks partition the walk in lex order, so walks over
+    first = 0, 1, ..., n - k, read in that order, return what one full walk
+    returns; worker processes can take one block each.
     """
-    if count is None:
-        count = comb(n, k) - start
-    if k == 0 or count <= 0:
+    lowest = 0 if first is None else first
+    if k == 0 or lowest > n - k:
         return None
-    combo = list(combination_at_rank(n, k, start))
+    combo = list(range(lowest, lowest + k))
+    top = [n - k + i for i in range(k)]  # the largest value of each position
+    if first is not None:
+        top[0] = first
     states = [root] + [None] * (k - 1)
     last = k - 1
     level = 0
@@ -114,15 +103,12 @@ def first_failing_subset(
             if states[d + 1] is None:
                 return tuple(combo)
         leaf = states[last]
-        for c in range(combo[last], n):
+        for c in range(combo[last], top[last] + 1):
             if extend(leaf, last, c) is None:
                 combo[last] = c
                 return tuple(combo)
-            count -= 1
-            if count == 0:
-                return None
         i = last - 1
-        while i >= 0 and combo[i] == n - k + i:
+        while i >= 0 and combo[i] == top[i]:
             i -= 1
         if i < 0:
             return None
@@ -190,10 +176,12 @@ def check_esym(
     return (witness is None, witness)
 
 
-def _require_subset_count(n: int, k: int, guard: int) -> None:
+def _require_subset_count(n: int, k: int, guard: int) -> int:
+    """C(n, k), the number of k-subsets a scan visits; refuses past `guard`."""
     total = comb(n, k)
     if total > guard:
         raise InfeasibleError(f"C({n},{k}) = {total} exceeds subset guard {guard}")
+    return total
 
 
 def _target(ctx: FieldContext, spec: ConditionSpec) -> FieldElement:

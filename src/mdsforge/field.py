@@ -322,9 +322,6 @@ class FieldContext:
             self._inv_cache[a] = res
         return res
 
-    def div(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: FieldElement, e: int) -> FieldElement:
         """a**e by literal square-and-multiply; 0**0 is defined as 1."""
         if e < 0:

@@ -1,4 +1,4 @@
-"""Canonical JSON serialization for codes, matrices and certificates.
+"""Canonical JSON serialization for codes and certificates.
 
 All documents are emitted with sorted keys, compact separators and a
 trailing newline, so loading a canonical file and re-serializing it is
@@ -28,7 +28,6 @@ from .certify import Certificate
 from .errors import FormatError, InvalidParamsError, NotPrimeError
 from .evalcode import EvalCode, EvalSet, ExponentSet
 from .field import FieldContext, FieldElement, make_field
-from .matrix import MatrixFq, matrix_from_rows
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -169,30 +168,7 @@ def load_code(path: str) -> tuple[EvalCode, Optional[dict]]:
 
 
 # ---------------------------------------------------------------------------
-# Matrices and certificates
-
-
-def matrix_to_obj(mat: MatrixFq) -> dict:
-    return {
-        "rows": mat.rows,
-        "cols": mat.cols,
-        "entries": [[element_to_obj(x) for x in row] for row in mat.entries],
-    }
-
-
-def matrix_from_obj(ctx: FieldContext, obj: Any) -> MatrixFq:
-    try:
-        rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
-    except (TypeError, KeyError) as exc:
-        raise FormatError(f"matrix block missing key: {exc}") from exc
-    if not isinstance(entries, list) or len(entries) != rows:
-        raise FormatError("matrix entries do not match declared row count")
-    parsed = []
-    for row in entries:
-        if not isinstance(row, list) or len(row) != cols:
-            raise FormatError("matrix entries do not match declared column count")
-        parsed.append(tuple(element_from_obj(ctx, x) for x in row))
-    return matrix_from_rows(ctx, parsed)
+# Certificates
 
 
 def certificate_to_obj(cert: Certificate) -> dict:

@@ -93,7 +93,8 @@ def test_witness_is_lex_first():
     assert witness == (0, 3, 4)
 
 
-def test_parallel_scan_matches_serial():
+def test_parallel_scan_matches_serial(monkeypatch):
+    monkeypatch.setattr(certify, "PARALLEL_MIN_SUBSETS", 0)
     ctx = make_field(13)
     good = generator_matrix(make_code(ctx, range(6), (0, 1, 3)))
     bad = generator_matrix(make_code(ctx, [1, 5, 7, 2, 3, 4], (0, 1, 3)))
@@ -382,27 +383,42 @@ def test_elimination_route_matches_sympy(drawn, exps):
     assert mds_exhaustive(gen) == (witness is None, witness)
 
 
-def boundary_matrix(witness_rank):
-    """[8,3] code over GF(10007), MDS except that the subset of the given
-    lex rank has its last column replaced by a sum of its other two."""
+def boundary_matrix(*witness_ranks):
+    """[8,3] code over GF(10007), MDS except that each subset of the given
+    lex ranks has its last column replaced by a sum of its other two."""
     ctx = make_field(10007)
     gen = generator_matrix(make_code(ctx, range(1, 9), (0, 1, 2)))
-    target = next(itertools.islice(itertools.combinations(range(8), 3), witness_rank, None))
-    a, b, c = target
+    combos = list(itertools.combinations(range(8), 3))
     rows = [list(row) for row in gen.entries]
-    for row in rows:
-        row[c] = ctx.add(ctx.mul(ctx.scalar(3), row[a]), ctx.mul(ctx.scalar(5), row[b]))
-    return matrix_from_rows(ctx, rows), target
+    for witness_rank in witness_ranks:
+        a, b, c = combos[witness_rank]
+        for row in rows:
+            row[c] = ctx.add(ctx.mul(ctx.scalar(3), row[a]), ctx.mul(ctx.scalar(5), row[b]))
+    return matrix_from_rows(ctx, rows), combos[witness_ranks[0]]
 
 
-# C(8,3) = 56 subsets: chunks of 28 for two workers, 19 for three.
-@pytest.mark.parametrize("witness_rank", [18, 19, 20, 27, 28, 29, 37, 38, 39])
-def test_jobs_split_at_chunk_boundaries(witness_rank):
+# C(8,3) = 56 subsets.  The blocks of lowest index 0, 1, 2, 3 hold lex
+# ranks 0-20, 21-35, 36-45 and 46-51.
+@pytest.mark.parametrize(
+    "witness_rank", [18, 19, 20, 21, 27, 28, 29, 35, 36, 37, 38, 39, 45, 46, 55]
+)
+def test_jobs_split_at_chunk_boundaries(monkeypatch, witness_rank):
+    monkeypatch.setattr(certify, "PARALLEL_MIN_SUBSETS", 0)
     mat, target = boundary_matrix(witness_rank)
     serial = mds_exhaustive(mat, jobs=1)
     assert serial == (False, target)
     assert mds_exhaustive(mat, jobs=2) == serial
     assert mds_exhaustive(mat, jobs=3) == serial
+
+
+@pytest.mark.parametrize("last_of_block", [20, 35, 45])
+def test_jobs_report_the_witness_of_the_lowest_block(monkeypatch, last_of_block):
+    # witnesses on the last subset of one block and the first of the next
+    monkeypatch.setattr(certify, "PARALLEL_MIN_SUBSETS", 0)
+    mat, target = boundary_matrix(last_of_block, last_of_block + 1)
+    serial = mds_exhaustive(mat, jobs=1)
+    assert serial == (False, target)
+    assert mds_exhaustive(mat, jobs=2) == serial
 
 
 @settings(max_examples=25, deadline=None)
@@ -532,12 +548,15 @@ def test_cross_check_runs_on_the_reed_solomon_route(monkeypatch):
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+    """Stands in for ProcessPoolExecutor in this process.  It logs
+    max_workers, the first index of every task whose result is read (a task
+    runs only then) and a cancelling shutdown."""
 
-    created: list = []
+    log: list = []
 
-    def __init__(self, max_workers):
-        self.created.append(max_workers)
+    def __init__(self, max_workers, initializer, initargs):
+        self.log.append(max_workers)
+        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -545,21 +564,35 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
-        tasks = list(tasks)
-        self.created.append(len(tasks))
-        return map(fn, tasks)
+    def submit(self, fn, first):
+        log = self.log
+
+        class Task:
+            def result(self):
+                log.append(first)
+                return fn(first)
+
+        return Task()
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        if cancel_futures:
+            self.log.append("cancel")
 
 
 @pytest.mark.parametrize("cpus,workers", [(2, 2), (None, 1), (128, 64)])
 def test_jobs_start_at_most_one_worker_per_cpu(monkeypatch, cpus, workers):
-    ctx = make_field(13)
-    failing = generator_matrix(make_code(ctx, range(12), (0, 1, 2, 4)))
-    passing = generator_matrix(make_code(ctx, range(1, 13), (0, 1, 2, 3)))
+    failing, target = boundary_matrix(36)  # the first subset with lowest index 2
+    passing = generator_matrix(make_code(make_field(10007), range(1, 9), (0, 1, 2)))
     serial = [mds_exhaustive(failing), mds_exhaustive(passing)]
-    monkeypatch.setattr(RecordingPool, "created", [])
+    assert serial[0] == (False, target)
+    monkeypatch.setattr(certify, "PARALLEL_MIN_SUBSETS", 0)
+    monkeypatch.setattr(certify, "_worker_scan", None)
+    monkeypatch.setattr(RecordingPool, "log", [])
     monkeypatch.setattr(certify, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(certify.os, "cpu_count", lambda: cpus)
     assert [mds_exhaustive(failing, jobs=64), mds_exhaustive(passing, jobs=64)] == serial
-    # C(12,4) = 495 subsets in ranges of 8 whatever the worker count
-    assert RecordingPool.created == [workers, 62, workers, 62]
+    if workers == 1:
+        assert RecordingPool.log == []  # a single worker would only add a fork
+    else:
+        # no task past the witness's block is read; first indices run 0..n-k
+        assert RecordingPool.log == [workers, 0, 1, 2, "cancel", workers, 0, 1, 2, 3, 4, 5]

@@ -1,9 +1,12 @@
 """Command-line surface, exercised in-process through main()."""
 
 import json
+import random
+from math import comb
 
 import pytest
 
+from mdsforge import certify
 from mdsforge.cli import main
 from mdsforge.jsonio import canonical_dumps
 
@@ -95,6 +98,44 @@ def test_verify_jobs_flag_stable_output(capsys, tmp_path):
     _, out1, _ = run(capsys, "verify", str(path))
     _, out2, _ = run(capsys, "verify", str(path), "--jobs", "2")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_rejects_jobs_below_one(capsys, tmp_path, jobs):
+    path, _ = construct_cor44(capsys, tmp_path)
+    rc, out, err = run(capsys, "verify", str(path), "--jobs", jobs)
+    assert (rc, out) == (2, "")
+    assert f"--jobs must be >= 1, got {jobs}" in err
+
+
+def test_verify_jobs_through_a_real_pool(capsys, tmp_path, monkeypatch):
+    # E = {0,1,4} has Schur polynomial h_2, which vanishes on {b, bw, bw^2}
+    # for a cube root of unity w.  Planted at indices 1-3, the witness lies
+    # past the block of lowest index 0, in a scan long enough for a pool.
+    p, n = 1000003, 51
+    assert comb(n, 3) >= certify.PARALLEL_MIN_SUBSETS
+    w = next(x for x in (pow(g, (p - 1) // 3, p) for g in range(2, p)) if x != 1)
+    planted = [5, 5 * w % p, 5 * w * w % p]
+    others = [v for v in random.Random(7).sample(range(1, p), n) if v not in planted]
+    values = others[:1] + planted + others[1 : n - 3]
+    obj = {"field": {"p": p, "m": 1}, "points": [[v] for v in values], "exponents": [0, 1, 4]}
+    path = tmp_path / "h2.json"
+    path.write_text(canonical_dumps(obj))
+    pools = []
+
+    class CountingPool(certify.ProcessPoolExecutor):
+        def __init__(self, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(**kwargs)
+
+    monkeypatch.setattr(certify, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(certify.os, "cpu_count", lambda: 2)
+    serial = run(capsys, "verify", str(path), "--jobs", "1")
+    assert pools == []
+    assert run(capsys, "verify", str(path), "--jobs", "2") == serial
+    assert pools == [2]
+    assert serial[0] == 1
+    assert parse(serial[1])["witness"] == [1, 2, 3]
 
 
 def test_verify_non_mds_exits_one(capsys, tmp_path):

@@ -129,7 +129,6 @@ def test_field_axioms(data, which):
     assert ctx.mul(a, ctx.one()) == a
     if not ctx.is_zero(a):
         assert ctx.mul(a, ctx.inv(a)) == ctx.one()
-        assert ctx.div(b, a) == ctx.mul(b, ctx.inv(a))
 
 
 @settings(max_examples=40, deadline=None)

@@ -19,11 +19,8 @@ from mdsforge.jsonio import (
     field_from_obj,
     field_to_obj,
     load_code,
-    matrix_from_obj,
-    matrix_to_obj,
     write_atomic,
 )
-from mdsforge.matrix import matrix_from_rows
 
 
 def test_canonical_dumps_is_stable():
@@ -108,13 +105,6 @@ def test_code_from_obj_validation():
         mutate(obj)
         with pytest.raises(FormatError):
             code_from_obj(obj)
-
-
-def test_matrix_roundtrip():
-    ctx = make_field(5)
-    m = matrix_from_rows(ctx, [[(1,), (2,)], [(0,), (4,)]])
-    back = matrix_from_obj(ctx, matrix_to_obj(m))
-    assert back.entries == m.entries
 
 
 def test_write_atomic_and_load(tmp_path):
