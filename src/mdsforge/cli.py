@@ -6,17 +6,19 @@ status: 0 for success / condition verified, 1 for a mathematically negative
 outcome (not MDS, condition fails, bound false, nothing found, undecodable
 word), 2 for usage or input-format errors.
 
-The environment variable MDSFORGE_GUARD (an integer) raises or lowers every
-enumeration guard at once; explicit guards protect each exhaustive scan and
-exceeding one is always a loud error.  ``verify`` decides MDS by one of
-three routes: none for Reed-Solomon exponents {0..k-1} (every minor is a
-Vandermonde determinant), the serial e_r walk for {0..k} minus one value,
-and the elimination scan for every other exponent set.  ``--jobs N``
-(N >= 1) affects only the elimination route: it splits the scan by the
-lowest index of a subset over at most min(N, CPUs) worker processes and
-stops at the first witness, without changing any result.  Scans of fewer
-than 20 000 subsets stay serial, since a pool costs more than it saves
-there.
+The environment variable MDSFORGE_GUARD (an integer) replaces the subset
+guard of ``verify``, ``check`` and exhaustive ``search`` and the codeword
+guard of ``verify``; random and greedy search stop on their own and have no
+guard.  Exceeding a guard is always a loud error.
+
+``verify`` decides MDS by one of three routes: none for Reed-Solomon
+exponents {0..k-1} (every minor is a Vandermonde determinant), the serial
+e_r walk for {0..k} minus one value, and the elimination scan for every
+other exponent set.  ``--jobs N`` (N >= 1) affects only the elimination
+route: it splits the scan by the lowest index of a subset over at most
+min(N, CPUs) worker processes and stops at the first witness, without
+changing any result.  Scans of fewer than 20 000 subsets stay serial,
+since a pool costs more than it saves there.
 ``verify --cross-check`` derives the MDS answer a second time, on every
 route, from a from-scratch rank of every k-subset of columns, and fails
 loudly if the two differ.
@@ -43,7 +45,7 @@ from .conditions import (
     search_eval_set,
 )
 from .errors import FormatError, InvalidParamsError, MdsforgeError
-from .evalcode import EvalCode, EvalSet, ExponentSet, encode as encode_word, gap_order
+from .evalcode import EvalCode, EvalSet, encode as encode_word, gap_exponents, gap_order
 from .field import FieldContext, make_field
 from .jsonio import canonical_dumps, write_atomic
 
@@ -279,7 +281,7 @@ def _cmd_search(args) -> int:
     if found is None:
         _emit({"found": False, "n": args.n, "k": args.k, "r": args.r})
         return NEGATIVE
-    exponents = ExponentSet(tuple(e for e in range(args.k + 1) if e != args.k - args.r))
+    exponents = gap_exponents(args.k, args.r)
     params = {"n": args.n, "k": args.k, "r": args.r, "strategy": args.strategy}
     if args.strategy == "random":
         params["seed"] = args.seed

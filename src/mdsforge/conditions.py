@@ -248,7 +248,8 @@ class ExhaustiveSearch:
     """Backtrack through the n-subsets of the field in colex order.
 
     Returns the first passing set in that order; None is a proof that no
-    n-subset of the field passes.  `guard` caps C(q, n).
+    n-subset of the field passes.  `guard` caps both C(q, n), the sets
+    searched, and C(n, k), the subsets of one set.
     """
 
     guard: int = SUBSET_GUARD
@@ -346,7 +347,7 @@ def search_eval_set(
             raise InfeasibleError(
                 f"C({q},{n}) = {comb(q, n)} exceeds search guard {strategy.guard}"
             )
-        _require_subset_count(n, spec.k, SUBSET_GUARD)
+        _require_subset_count(n, spec.k, strategy.guard)
         return _first_colex_set(ctx, n, spec)
 
     if isinstance(strategy, RandomSearch):

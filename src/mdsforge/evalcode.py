@@ -105,6 +105,11 @@ def sumset(exponents: ExponentSet) -> ExponentSet:
     return ExponentSet(tuple(sorted({a + b for a in e for b in e})))
 
 
+def gap_exponents(k: int, r: int) -> ExponentSet:
+    """{0, ..., k} with k - r removed: k exponents, max k; inverse of gap_order."""
+    return ExponentSet(tuple(e for e in range(k + 1) if e != k - r))
+
+
 def gap_order(exponents: ExponentSet) -> Optional[int]:
     """r when the exponents are {0..k} minus {k - r} (so 1 <= r <= k), else None.
 

@@ -29,16 +29,11 @@ from .errors import (
     KEvenError,
     NotPrimeError,
 )
-from .evalcode import EvalCode, EvalSet, ExponentSet
+from .evalcode import EvalCode, EvalSet, gap_exponents
 from .field import is_prime, make_field
 from .matrix import MatrixFq, matrix_from_rows
 
 HAMMING_COLUMN_GUARD = 1 << 20
-
-
-def _gap_exponents(k: int, r: int) -> ExponentSet:
-    """{0, ..., k} with k - r removed: k exponents, max k, not a progression."""
-    return ExponentSet(tuple(e for e in range(k + 1) if e != k - r))
 
 
 def int_root(x: int, r: int) -> int:
@@ -96,7 +91,7 @@ def cor44(p: int, k: int, n: int) -> EvalCode:
     ctx = make_field(p, 1)
     points = EvalSet(tuple((t,) for t in range(n)))
     return EvalCode(
-        ctx, points, _gap_exponents(k, 1), "cor44", {"family": "cor44", "p": p, "k": k, "n": n}
+        ctx, points, gap_exponents(k, 1), "cor44", {"family": "cor44", "p": p, "k": k, "n": n}
     )
 
 
@@ -118,7 +113,7 @@ def cor62(p: int, k: int, r: int, n: int) -> EvalCode:
     return EvalCode(
         ctx,
         points,
-        _gap_exponents(k, r),
+        gap_exponents(k, r),
         "cor62",
         {"family": "cor62", "p": p, "k": k, "n": n, "r": r},
     )
@@ -149,7 +144,7 @@ def thm412(p: int, m: int, k: int, n: int) -> EvalCode:
     return EvalCode(
         ctx,
         points,
-        _gap_exponents(k, 1),
+        gap_exponents(k, 1),
         "thm412",
         {"family": "thm412", "p": p, "m": m, "k": k, "n": n},
     )
@@ -188,7 +183,7 @@ def thm415(p: int, m: int, k: int, n: int) -> EvalCode:
     return EvalCode(
         ctx,
         points,
-        _gap_exponents(k, 1),
+        gap_exponents(k, 1),
         "thm415",
         {"family": "thm415", "p": p, "m": m, "k": k, "n": n},
     )
@@ -221,7 +216,7 @@ def thm63(p: int, m: int, k: int, r: int, n: int) -> EvalCode:
     return EvalCode(
         ctx,
         points,
-        _gap_exponents(k, r),
+        gap_exponents(k, r),
         "thm63",
         {"family": "thm63", "p": p, "m": m, "k": k, "n": n, "r": r},
     )
@@ -255,7 +250,7 @@ def thm64(p: int, m: int, k: int, r: int, n: int) -> EvalCode:
     return EvalCode(
         ctx,
         points,
-        _gap_exponents(k, r),
+        gap_exponents(k, r),
         "thm64",
         {"family": "thm64", "p": p, "m": m, "k": k, "n": n, "r": r},
     )
@@ -344,7 +339,7 @@ def lift_parity_columns(h: MatrixFq, k: int) -> EvalCode:
     return EvalCode(
         ctx,
         points,
-        _gap_exponents(k, 1),
+        gap_exponents(k, 1),
         "hamming-lift",
         {"family": "hamming-lift", "p": base.p, "m": base.m * rho, "k": k, "n": ncols},
     )

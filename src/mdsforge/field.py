@@ -9,13 +9,17 @@ behaviour.
 
 ``make_field(p, m)`` picks the modulus deterministically: the candidate
 coefficient vectors are read as base-p counters (constant digit least
-significant) and the first irreducible one wins.  Rebuilding a field with
-the same (p, m) therefore always yields the same labels for every element.
+significant) and the first one that :class:`FieldContext` accepts wins.
+Rebuilding a field with the same (p, m) therefore always yields the same
+labels for every element.  The context decides irreducibility of its own
+modulus f in its own ring Z_p[z]/(f), by Rabin's test (SIAM J. Comput.,
+1980): f is irreducible exactly when z^(p^m) = z and z^(p^(m/d)) - z is a
+unit for every prime d dividing m.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import NotPrimeError, TooLargeError
 
@@ -47,8 +51,7 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomial helpers over Z_p (little-endian coefficient lists).
-# Only used while selecting/validating moduli, so clarity beats speed here.
+# Inversion over Z_p on little-endian coefficient lists.
 
 
 def _poly_trim(a: list[int]) -> list[int]:
@@ -57,46 +60,13 @@ def _poly_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _poly_mulmod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_divmod_rem(out, mod, p)
-
-
-def _poly_divmod_rem(a: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
-    rem = [c % p for c in a]
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], p - 2, p)
-    for i in range(len(rem) - 1, dm - 1, -1):
-        c = rem[i]
-        if c:
-            factor = (c * inv_lead) % p
-            for j, mj in enumerate(mod):
-                rem[i - dm + j] = (rem[i - dm + j] - factor * mj) % p
-    del rem[dm:]
-    return _poly_trim(rem)
-
-
-def _poly_powmod(base: Sequence[int], e: int, mod: Sequence[int], p: int) -> list[int]:
-    result = [1]
-    acc = _poly_divmod_rem(list(base), mod, p)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, acc, mod, p)
-        acc = _poly_mulmod(acc, acc, mod, p)
-        e >>= 1
-    return result
-
-
-def _poly_inverse(a: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
-    """s with a*s = 1 modulo the irreducible `mod`, by extended Euclid.
+def _poly_inverse(a: Sequence[int], mod: Sequence[int], p: int) -> Optional[list[int]]:
+    """s with a*s = 1 modulo `mod`, by extended Euclid; None if a is no unit.
 
     Each step cancels the leading term of the longer remainder, keeping
-    r_i = s_i * a (mod `mod`); the remainders end at a nonzero constant c,
-    because gcd(a, mod) = 1, and s / c is the inverse.
+    r_i = s_i * a (mod `mod`).  The remainders end at a nonzero constant c
+    exactly when gcd(a, mod) = 1, and then s / c is the inverse; otherwise
+    the last nonzero remainder is the gcd and the other one is empty.
     """
     r0, r1 = list(mod), _poly_trim(list(a))
     s0, s1 = [0], [1]
@@ -111,49 +81,10 @@ def _poly_inverse(a: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
             for j, y in enumerate(src):
                 dst[shift + j] = (dst[shift + j] - c * y) % p
             _poly_trim(dst)
+    if not r1:
+        return None
     inv_c = pow(r1[0], p - 2, p)
     return [(c * inv_c) % p for c in s1]
-
-
-def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        a, b = b, _poly_divmod_rem(a, b, p)
-    return a
-
-
-def _minus_x(poly: Sequence[int], p: int) -> list[int]:
-    diff = list(poly)
-    while len(diff) < 2:
-        diff.append(0)
-    diff[1] = (diff[1] - 1) % p
-    return _poly_trim(diff)
-
-
-def poly_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
-    """Whether a monic polynomial over Z_p is irreducible.
-
-    Uses the classic probe: f of degree m is irreducible iff
-    x^(p^m) == x (mod f) and gcd(x^(p^(m/d)) - x, f) = 1 for every prime
-    divisor d of m.
-    """
-    m = len(coeffs) - 1
-    if m < 1 or coeffs[-1] % p != 1:
-        return False
-    if m == 1:
-        return True
-    mod = [c % p for c in coeffs]
-    if mod[0] == 0:  # divisible by x
-        return False
-    x = [0, 1]
-    if _minus_x(_poly_powmod(x, p**m, mod, p), p):
-        return False
-    for d in _prime_divisors(m):
-        diff = _minus_x(_poly_powmod(x, p ** (m // d), mod, p), p)
-        g = _poly_gcd(diff, mod, p)
-        if len(g) > 1:
-            return False
-    return True
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -168,22 +99,6 @@ def _prime_divisors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
-    """First irreducible monic degree-m polynomial in base-p counter order."""
-    if m == 1:
-        return (0, 1)
-    for v in range(p**m):
-        coeffs = []
-        t = v
-        for _ in range(m):
-            coeffs.append(t % p)
-            t //= p
-        coeffs.append(1)
-        if poly_is_irreducible(coeffs, p):
-            return tuple(coeffs)
-    raise AssertionError(f"no irreducible degree-{m} polynomial over Z_{p} found")
 
 
 class FieldContext:
@@ -204,8 +119,6 @@ class FieldContext:
         mod = tuple(int(c) % p for c in modulus[:-1]) + (int(modulus[-1]),)
         if len(mod) != m + 1 or mod[-1] != 1:
             raise ValueError("modulus must be monic of degree m")
-        if m > 1 and not poly_is_irreducible(mod, p):
-            raise ValueError("modulus is reducible")
         self.p = p
         self.m = m
         self.q = p**m
@@ -227,6 +140,25 @@ class FieldContext:
         self._xpow = tuple(xpow)
         self._mul_cache: dict = {}
         self._inv_cache: dict = {}
+        if m > 1 and not self._modulus_is_irreducible():
+            raise ValueError("modulus is reducible")
+
+    def _modulus_is_irreducible(self) -> bool:
+        """Rabin's test of the module docstring, on the Frobenius iterates
+        z^(p^j), j = 0..m, of z in this ring."""
+        p, m, mod = self.p, self.m, self.modulus
+        if mod[0] == 0:  # f(0) = 0: x divides f
+            return False
+        z = (0, 1) + (0,) * (m - 2)
+        frob = [z]
+        for _ in range(m):
+            frob.append(self.pow(frob[-1], p))
+        if frob[m] != z:
+            return False
+        return all(
+            _poly_inverse(self.sub(frob[m // d], z), mod, p) is not None
+            for d in _prime_divisors(m)
+        )
 
     # -- identities and coercions ------------------------------------------
 
@@ -339,9 +271,6 @@ class FieldContext:
             e >>= 1
         return acc
 
-    def is_zero(self, a: FieldElement) -> bool:
-        return not any(a)
-
     # -- misc ----------------------------------------------------------------
 
     def elements(self, guard: int = ENUMERATION_GUARD) -> list[FieldElement]:
@@ -368,5 +297,10 @@ def make_field(p: int, m: int = 1) -> FieldContext:
         raise NotPrimeError(f"{p} is not prime")
     if m < 1:
         raise ValueError("extension degree must be >= 1")
-    return FieldContext(p, m, _smallest_irreducible(p, m))
+    for v in range(p**m):
+        try:
+            return FieldContext(p, m, tuple(v // p**i % p for i in range(m)) + (1,))
+        except ValueError:  # a monic degree-m candidate fails only as reducible
+            pass
+    raise AssertionError(f"no irreducible degree-{m} polynomial over Z_{p} found")
 

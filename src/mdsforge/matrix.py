@@ -45,11 +45,6 @@ class MatrixFq:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def row(self, i: int) -> tuple[FieldElement, ...]:
-        if not 0 <= i < self.rows:
-            raise IndexOutOfRangeError(f"row {i} out of range")
-        return self.entries[i]
-
     def column(self, j: int) -> tuple[FieldElement, ...]:
         if not 0 <= j < self.cols:
             raise IndexOutOfRangeError(f"column {j} out of range")

@@ -97,7 +97,7 @@ def brute_weight_distribution(
             acc = ctx.zero()
             for i in range(k):
                 acc = ctx.add(acc, ctx.mul(msg[i], gen_rows[i][j]))
-            if not ctx.is_zero(acc):
+            if acc != ctx.zero():
                 weight += 1
         dist[weight] += 1
     return tuple(dist)
@@ -242,7 +242,7 @@ class GrsSpec:
         if not 1 <= self.k <= self.points.n:
             raise InvalidParamsError("dimension must satisfy 1 <= k <= n")
         for v in self.multipliers:
-            if self.ctx.is_zero(v):
+            if v == self.ctx.zero():
                 raise ZeroMultiplierError("column multipliers must be nonzero")
 
 

@@ -290,7 +290,7 @@ def test_dual_annihilates_and_is_mds():
     d = dual_code(g)
     assert d.rows == 3
     for i in range(d.rows):
-        assert all(v == ctx.zero() for v in mat_vec(g, d.row(i)))
+        assert all(v == ctx.zero() for v in mat_vec(g, d.entries[i]))
     assert rank(d) == 3
     assert mds_exhaustive(d)[0]
 

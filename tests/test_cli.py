@@ -418,6 +418,14 @@ def test_guard_env_override(capsys, tmp_path, monkeypatch):
     assert rc == 2
 
 
+def test_guard_env_caps_the_subsets_of_an_exhaustive_search(capsys, monkeypatch):
+    # C(13,13) = 1 sets pass the guard, but each has C(13,6) = 1716 subsets
+    monkeypatch.setenv("MDSFORGE_GUARD", "1000")
+    rc, out, err = run(capsys, "search", "--field", "13", "--n", "13", "--k", "6")
+    assert rc == 2 and out == ""
+    assert "C(13,6) = 1716 exceeds subset guard 1000" in err
+
+
 def test_no_command_is_usage_error(capsys):
     rc, _, _ = run(capsys, "")
     assert rc == 2

@@ -12,6 +12,7 @@ from mdsforge.evalcode import (
     EvalSet,
     ExponentSet,
     encode,
+    gap_exponents,
     gap_order,
     generator_matrix,
     sumset,
@@ -127,6 +128,14 @@ def test_gap_order_matches_its_definition():
             assert gap_order(ExponentSet(exps)) == (gaps[0] if gaps else None)
 
 
+def test_gap_exponents_inverts_gap_order():
+    assert gap_exponents(3, 1) == ExponentSet((0, 1, 3))
+    assert gap_exponents(3, 3) == ExponentSet((1, 2, 3))
+    for k in range(1, 9):
+        for r in range(1, k + 1):
+            assert gap_order(gap_exponents(k, r)) == r
+
+
 def test_sumset_size_characterizes_progressions():
     # |I + I| == 2|I| - 1 exactly when I is an arithmetic progression;
     # checked exhaustively for every nonempty subset of {0, ..., 10}.
@@ -155,7 +164,7 @@ def test_nonzero_codeword_weight_lower_bound():
         if not any(msg_idx):
             continue
         word = encode(code, scalars(ctx, msg_idx))
-        weight = sum(1 for v in word if not ctx.is_zero(v))
+        weight = sum(1 for v in word if v != ctx.zero())
         assert weight >= code.n - code.exponents.max_exp
 
 

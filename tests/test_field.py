@@ -1,12 +1,31 @@
-"""Field construction and arithmetic."""
+"""Field construction and arithmetic.
+
+Irreducibility of moduli is checked against sympy's ``Poly.is_irreducible``.
+"""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import Poly, symbols
 
 from mdsforge.errors import NotPrimeError, TooLargeError
-from mdsforge.field import is_prime, make_field, poly_is_irreducible
+from mdsforge.field import FieldContext, is_prime, make_field
+
+X = symbols("x")
+
+
+def sympy_poly(coeffs, p):
+    """The little-endian coefficient vector `coeffs` as a polynomial over Z_p."""
+    return Poly(list(reversed(coeffs)), X, modulus=p)
+
+
+def accepted(p, m, coeffs):
+    try:
+        FieldContext(p, m, coeffs)
+    except ValueError:
+        return False
+    return True
 
 
 def test_prime_field_modulus_is_x():
@@ -15,11 +34,21 @@ def test_prime_field_modulus_is_x():
 
 
 def test_canonical_moduli_small_extensions():
-    # lowest-value irreducible polynomial in base-p counter order
+    # lowest-value irreducible polynomial in base-p counter order; code files
+    # embed these, so every field the families and the benchmark use is here
     assert make_field(2, 2).modulus == (1, 1, 1)        # x^2 + x + 1
     assert make_field(2, 4).modulus == (1, 1, 0, 0, 1)  # x^4 + x + 1
     assert make_field(3, 2).modulus == (1, 0, 1)        # x^2 + 1
     assert make_field(5, 2).modulus == (2, 0, 1)        # x^2 + 2
+    assert make_field(2, 5).modulus == (1, 0, 1, 0, 0, 1)
+    assert make_field(2, 6).modulus == (1, 1, 0, 0, 0, 0, 1)
+    assert make_field(2, 7).modulus == (1, 1, 0, 0, 0, 0, 0, 1)
+    assert make_field(3, 3).modulus == (1, 2, 0, 1)
+    assert make_field(5, 3).modulus == (1, 1, 0, 1)
+    assert make_field(7, 2).modulus == (1, 0, 1)
+    assert make_field(7, 3).modulus == (2, 0, 0, 1)
+    assert make_field(11, 2).modulus == (1, 0, 1)
+    assert make_field(73, 3).modulus == (2, 0, 0, 1)
 
 
 def test_modulus_minimality_against_scan():
@@ -34,8 +63,44 @@ def test_modulus_minimality_against_scan():
                 digits.append(v % p)
                 v //= p
             cand = tuple(digits) + (1,)
-            assert not poly_is_irreducible(cand, p), (p, m, cand)
-        assert poly_is_irreducible(ctx.modulus, p)
+            assert not sympy_poly(cand, p).is_irreducible, (p, m, cand)
+        assert sympy_poly(ctx.modulus, p).is_irreducible
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]), m=st.integers(2, 6))
+def test_context_accepts_exactly_the_irreducible_moduli(data, p, m):
+    coeffs = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m))) + (1,)
+    assert accepted(p, m, coeffs) == sympy_poly(coeffs, p).is_irreducible
+
+
+def frobenius_residue(coeffs, p, e):
+    """x^(p^e) - x modulo the little-endian polynomial `coeffs` over Z_p."""
+    return Poly(X ** (p**e) - X, X, modulus=p).rem(sympy_poly(coeffs, p))
+
+
+def test_unit_check_rejects_what_the_frobenius_check_passes():
+    # x^2 + 2 = (x + 1)(x + 2) over GF(3): z^9 = z, and z^3 - z = 0
+    assert frobenius_residue((2, 0, 1), 3, 2).is_zero
+    assert frobenius_residue((2, 0, 1), 3, 1).is_zero
+    assert not accepted(3, 2, (2, 0, 1))
+    # (x + 1)(x^2 + x + 1)(x^3 + x + 1) over GF(2): z^64 = z, and z^8 - z is
+    # a nonzero multiple of (x + 1)(x^3 + x + 1), so not a unit
+    f = (1, 1, 0, 0, 1, 0, 1)
+    assert frobenius_residue(f, 2, 6).is_zero
+    eighth = frobenius_residue(f, 2, 3)
+    assert not eighth.is_zero and eighth.gcd(sympy_poly(f, 2)).degree() == 4
+    assert not accepted(2, 6, f)
+
+
+def test_malformed_moduli_rejected():
+    with pytest.raises(ValueError, match="monic"):
+        FieldContext(3, 2, (2, 0, 2))  # leading coefficient 2
+    with pytest.raises(ValueError, match="monic"):
+        FieldContext(3, 2, (1, 1, 0, 1))  # degree 3 for m = 2
+    with pytest.raises(ValueError, match="reducible"):
+        FieldContext(2, 3, (0, 1, 0, 1))  # f(0) = 0
+    assert FieldContext(2, 3, (1, 1, 0, 1)) == make_field(2, 3)
 
 
 def test_not_prime_rejected():
@@ -127,7 +192,7 @@ def test_field_axioms(data, which):
     assert ctx.add(a, ctx.neg(a)) == ctx.zero()
     assert ctx.sub(a, b) == ctx.add(a, ctx.neg(b))
     assert ctx.mul(a, ctx.one()) == a
-    if not ctx.is_zero(a):
+    if a != ctx.zero():
         assert ctx.mul(a, ctx.inv(a)) == ctx.one()
 
 
