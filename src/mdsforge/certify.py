@@ -48,11 +48,11 @@ error.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from operator import getitem
 from typing import Optional
 
 from . import conditions
@@ -231,15 +231,26 @@ def min_distance_bruteforce(
     """Minimum nonzero weight and full weight distribution, by enumeration.
 
     Exact over all q^k codewords, but it walks only the q^(k-1) partial
-    codewords c of the first k - 1 generator rows, built incrementally from
-    precomputed scalar multiples.  The q codewords c + s*g of the last row
-    g are counted together.  A coordinate with g_j != 0 vanishes for
-    exactly one s, namely -c_j/g_j, which a dict built once per coordinate
-    looks up from c_j; a coordinate with g_j = 0 vanishes for every s when
-    c_j = 0.  A histogram of the lookups gives the weight of all q
-    codewords, so a partial codeword costs O(n) lookups and no field
-    arithmetic.  The degenerate all-zero code has no nonzero codeword; its
-    distance reads as 0.
+    codewords c of the first k - 1 generator rows; the q codewords c + s*g
+    of the last row g are counted together.  Weights do not change when a
+    column is scaled by a nonzero constant, so every column with g_j != 0
+    is scaled by 1/g_j: the last row becomes 1 on those `hit` coordinates
+    and stays 0 on the rest.  Then c + s*g vanishes at a hit coordinate j
+    for exactly one s, namely -c_j, and at any other coordinate for every s
+    when c_j = 0.  The histogram of the partial's own hit entries therefore
+    gives the weight of all q codewords: a value v that occurs h times
+    makes the codeword with s = -v lighter by h, and the s whose -s occurs
+    nowhere leave the base weight.
+
+    Elements are counter indices (:meth:`FieldContext.to_int`, zero is 0),
+    so the walk does no field arithmetic.  The multiples of the first
+    k - 1 rows are stored as index lists, and two partials are added
+    through one q x q index table built from :meth:`FieldContext.add`.  The
+    level-0 partial is the zero vector, whose children are the multiples
+    themselves, so the table is built only when k >= 3; there q^2 <=
+    q^(k-1), never more than the walk, and under the default guard q <= 161.
+    The degenerate all-zero code has no nonzero codeword; its distance
+    reads as 0.
     """
     ctx = code.ctx
     k, n, q = code.k, code.n, ctx.q
@@ -248,33 +259,44 @@ def min_distance_bruteforce(
         raise TooLargeError(f"q^k = {total} exceeds codeword guard {guard}")
     gen = generator_matrix(code)
     elements = ctx.elements()
-    zero = ctx.zero()
-    # Weights do not depend on column order: put the columns where the last
-    # row is nonzero first, so a partial codeword splits by slicing.
+    zero, mul, to_int = ctx.zero(), ctx.mul, ctx.to_int
+    # Weights do not depend on column order either: the hit columns go
+    # first, so a partial codeword splits by slicing.
     last = gen.entries[k - 1]
     order = sorted(range(n), key=lambda j: last[j] == zero)
     hit = n - last.count(zero)
-    rows = [[row[j] for j in order] for row in gen.entries]
-    multiples = [[tuple(ctx.mul(s, x) for x in row) for s in elements] for row in rows[:-1]]
-    # roots[j][c_j] is the index of the s with c_j = s*g_j, so c - s*g
-    # vanishes at j; s and -s run over the same field, so the histogram of
-    # hits is the same as for c + s*g.
-    roots = [{ctx.mul(s, g): i for i, s in enumerate(elements)} for g in rows[-1][:hit]]
-    add, lookup = ctx.add, dict.__getitem__
+    scale = [ctx.inv(last[j]) for j in order[:hit]] + [ctx.one()] * (n - hit)
+    rows = [[mul(row[j], c) for j, c in zip(order, scale)] for row in gen.entries[:-1]]
+    multiples = [[[to_int(mul(s, x)) for x in row] for s in elements] for row in rows]
+    plus = [[to_int(ctx.add(a, b)) for b in elements] for a in elements] if k >= 3 else None
     dist = [0] * (n + 1)
 
-    def walk(level: int, partial: tuple[FieldElement, ...]) -> None:
-        if level < k - 1:
-            for mult in multiples[level]:
-                walk(level + 1, tuple(add(a, b) for a, b in zip(partial, mult)))
-            return
-        base = n - partial[hit:].count(zero)
-        hits = Counter(map(lookup, roots, partial))
-        dist[base] += q - len(hits)
-        for h in hits.values():
-            dist[base - h] += 1
+    def count(partials: list[list[int]]) -> None:
+        for partial in partials:
+            base = n - partial[hit:].count(0)
+            hits: dict[int, int] = {}
+            for v in partial[:hit]:
+                hits[v] = hits.get(v, 0) + 1
+            dist[base] += q - len(hits)
+            for h in hits.values():
+                dist[base - h] += 1
 
-    walk(0, (zero,) * n)
+    def walk(level: int, partial: list[int]) -> None:
+        if level == 0:
+            children = multiples[0]
+        else:
+            sums = [plus[c] for c in partial]
+            children = [list(map(getitem, sums, mult)) for mult in multiples[level]]
+        if level == k - 2:
+            count(children)
+        else:
+            for child in children:
+                walk(level + 1, child)
+
+    if k == 1:
+        count([[0] * n])
+    else:
+        walk(0, [0] * n)
     min_w = next((w for w in range(1, n + 1) if dist[w]), 0)
     return min_w, tuple(dist)
 

@@ -25,6 +25,12 @@ from .errors import NotPrimeError, TooLargeError
 
 FieldElement = tuple[int, ...]
 
+#: make_field refuses any field with more elements than this.  Beyond it
+#: the canonical modulus search (m > 32) and the trial-division prime test
+#: (p > 2^32) would run for seconds to minutes; the largest field the package
+#: uses elsewhere, GF(1000003), is far below it.
+MAX_FIELD_SIZE = 1 << 32
+
 #: Full-field enumeration refuses to run past this many elements unless the
 #: caller raises the guard explicitly.
 ENUMERATION_GUARD = 1 << 24
@@ -262,13 +268,15 @@ class FieldContext:
             return self.one()
         if not any(a):
             return self.zero()
-        acc = self.one()
-        base = a
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base) if e > 1 else base
+        while not e & 1:  # the accumulator starts at the lowest set bit
+            a = self.mul(a, a)
             e >>= 1
+        acc = a
+        while e > 1:
+            e >>= 1
+            a = self.mul(a, a)
+            if e & 1:
+                acc = self.mul(acc, a)
         return acc
 
     # -- misc ----------------------------------------------------------------
@@ -292,7 +300,14 @@ class FieldContext:
 
 
 def make_field(p: int, m: int = 1) -> FieldContext:
-    """Build GF(p^m) with the canonical (counter-order smallest) modulus."""
+    """Build GF(p^m) with the canonical (counter-order smallest) modulus.
+
+    Raises :class:`TooLargeError` when p^m exceeds :data:`MAX_FIELD_SIZE`;
+    that is decided before p is tested for primality and, for p >= 2,
+    without computing p^m when m alone settles it.
+    """
+    if p >= 2 and m >= 1 and (m >= MAX_FIELD_SIZE.bit_length() or p**m > MAX_FIELD_SIZE):
+        raise TooLargeError(f"field GF({p}^{m}) exceeds the size limit {MAX_FIELD_SIZE}")
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     if m < 1:

@@ -180,11 +180,18 @@ def test_min_distance_matches_oracle():
 WD_FIELDS = [make_field(5), make_field(7), make_field(2, 2), make_field(2, 3), make_field(3, 2)]
 
 
+#: Ceiling on q^k in `small_codes`, so the oracle's q^k * n * k products stay
+#: cheap: k = 3 on every field (the walk's addition table) and k = 4 on
+#: GF(5) and GF(2^2).
+WD_CODEWORDS = 1024
+
+
 @st.composite
 def small_codes(draw):
     ctx = draw(st.sampled_from(WD_FIELDS))
     vals = draw(st.lists(st.integers(0, ctx.q - 1), min_size=1, max_size=ctx.q, unique=True))
-    exps = draw(st.lists(st.integers(0, ctx.q + 1), min_size=1, max_size=3, unique=True))
+    max_k = max(k for k in range(1, 5) if ctx.q**k <= WD_CODEWORDS)
+    exps = draw(st.lists(st.integers(0, ctx.q + 1), min_size=1, max_size=max_k, unique=True))
     pts = tuple(ctx.from_int(v) for v in vals)
     return EvalCode(ctx, EvalSet(pts), ExponentSet(tuple(sorted(exps))))
 
@@ -203,6 +210,13 @@ def counter_code(ctx, vals, exps):
 @example(code=counter_code(WD_FIELDS[0], range(5), (1, 2)))
 @example(code=counter_code(WD_FIELDS[4], [0, 4, 8], (2,)))
 @example(code=counter_code(WD_FIELDS[2], range(4), (1, 4)))  # x^4 = x: rank 1
+# 0^1 = 0: the all-zero code, no hit coordinate at all
+@example(code=counter_code(WD_FIELDS[0], [0], (1,)))
+# k = 2: the children of the zero partial are the multiples, no table
+@example(code=counter_code(WD_FIELDS[1], [1, 2, 4, 6], (0, 2)))
+# k = 4 over GF(2^2) and k = 3 over GF(3^2): two table levels, one table level
+@example(code=counter_code(WD_FIELDS[2], range(4), (0, 1, 2, 5)))
+@example(code=counter_code(WD_FIELDS[4], [0, 1, 3, 5, 7, 8], (0, 2, 3)))
 def test_weight_distribution_matches_oracle(code):
     rows = [list(r) for r in generator_matrix(code).entries]
     assert min_distance_bruteforce(code)[1] == brute_weight_distribution(code.ctx, rows)

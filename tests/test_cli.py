@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from math import comb
 
 import pytest
@@ -424,6 +425,26 @@ def test_guard_env_caps_the_subsets_of_an_exhaustive_search(capsys, monkeypatch)
     rc, out, err = run(capsys, "search", "--field", "13", "--n", "13", "--k", "6")
     assert rc == 2 and out == ""
     assert "C(13,6) = 1716 exceeds subset guard 1000" in err
+
+
+@pytest.mark.parametrize("field", ["2,200", "2,1000000000", "2305843009213693951"])
+def test_huge_field_is_a_usage_error(capsys, field):
+    start = time.monotonic()
+    rc, out, err = run(capsys, "check", "--field", field, "--points", "0", "1", "2", "--k", "2")
+    assert time.monotonic() - start < 5
+    assert rc == 2 and out == ""
+    assert "exceeds the size limit" in err
+
+
+def test_code_file_with_a_huge_field_is_a_usage_error(capsys, tmp_path):
+    path, obj = construct_cor44(capsys, tmp_path)
+    obj["field"] = {"p": 2, "m": 200}
+    path.write_text(canonical_dumps(obj))
+    start = time.monotonic()
+    rc, out, err = run(capsys, "verify", str(path))
+    assert time.monotonic() - start < 5
+    assert rc == 2 and out == ""
+    assert "GF(2^200) exceeds the size limit" in err
 
 
 def test_no_command_is_usage_error(capsys):

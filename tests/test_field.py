@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import Poly, symbols
 
 from mdsforge.errors import NotPrimeError, TooLargeError
-from mdsforge.field import FieldContext, is_prime, make_field
+from mdsforge.field import MAX_FIELD_SIZE, FieldContext, is_prime, make_field
 
 X = symbols("x")
 
@@ -112,6 +112,17 @@ def test_not_prime_rejected():
         make_field(91)  # 7 * 13
 
 
+def test_field_size_limit():
+    assert MAX_FIELD_SIZE == 1 << 32
+    assert make_field(4294967291).q == 4294967291  # the largest prime below 2^32
+    assert make_field(3, 20).q == 3**20
+    # each refusal comes before the prime test and the modulus search, and
+    # m alone settles a huge m without p^m being computed
+    for p, m in [(2, 33), (2, 200), (2, 10**9), (4, 100), (2305843009213693951, 1), (65537, 2)]:
+        with pytest.raises(TooLargeError, match="exceeds the size limit"):
+            make_field(p, m)
+
+
 def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 163}
     for v in range(-2, 170):
@@ -165,6 +176,28 @@ def test_pow_is_literal_not_reduced_mod_order():
         for v in range(ctx.q):
             a = ctx.from_int(v)
             assert ctx.pow(a, ctx.q) == a
+
+
+@pytest.mark.parametrize("p, m", [(13, 1), (2, 6), (7, 3)])
+@pytest.mark.parametrize("e", [1, 2, 3, 6, 7, 8, 13, 64, 255, 1000])
+def test_pow_makes_no_product_by_one(monkeypatch, p, m, e):
+    # floor(log2 e) squarings, and popcount(e) - 1 products into the
+    # accumulator, which starts at the lowest set bit of e
+    ctx = make_field(p, m)
+    a = ctx.from_int(ctx.q - 2)
+    expected = ctx.one()
+    for _ in range(e):
+        expected = ctx.mul(expected, a)
+    calls = []
+    mul = FieldContext.mul
+
+    def counting(self, x, y):
+        calls.append(1)
+        return mul(self, x, y)
+
+    monkeypatch.setattr(FieldContext, "mul", counting)
+    assert ctx.pow(a, e) == expected
+    assert len(calls) == (e.bit_length() - 1) + bin(e).count("1") - 1
 
 
 def test_nonzero_elements_have_order_dividing_q_minus_1():

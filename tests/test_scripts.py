@@ -1,0 +1,41 @@
+"""Smoke runs of the scripts in scripts/, each in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_certify_families_certifies_the_whole_batch():
+    done = run_script("certify_families.py", "--min-distance")
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()[2:]]
+    assert len(rows) == 12
+    walked = 0
+    for _, shape, mds, _, verdict, d, _ in rows:
+        assert (mds, verdict) == ("True", "non_rs"), shape
+        if d != "-":  # the codes under the codeword guard: d = n - k + 1
+            n, k = map(int, shape[1:].split("]")[0].split(","))
+            assert int(d) == n - k + 1, shape
+            walked += 1
+    assert walked == 6
+
+
+def test_length_probe_runs_greedy():
+    done = run_script("length_probe.py", "--field", "7", "--k", "3", "--strategies", "greedy")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "field GF(7^1) = GF(7), k=3, r=1"
+    assert lines[1].split() == ["n", "greedy"]
+    assert lines[-1].startswith("greedy: longest set found n = ")
