@@ -13,6 +13,7 @@ Usage:
 """
 
 import argparse
+import sys
 import time
 
 from mdsforge.conditions import (
@@ -22,13 +23,18 @@ from mdsforge.conditions import (
     RandomSearch,
     search_eval_set,
 )
-from mdsforge.errors import InfeasibleError
+from mdsforge.errors import InfeasibleError, MdsforgeError
 from mdsforge.field import make_field
 
 
 def parse_field(text):
-    parts = [int(t) for t in text.split(",")]
-    return make_field(*parts) if len(parts) == 2 else make_field(parts[0])
+    try:
+        parts = [int(t) for t in text.split(",")]
+    except ValueError:
+        parts = []
+    if not 1 <= len(parts) <= 2:
+        raise ValueError(f"--field wants 'p' or 'p,m', got {text!r}")
+    return make_field(*parts)
 
 
 def main() -> int:
@@ -43,8 +49,12 @@ def main() -> int:
         help="comma-separated subset of greedy,random,exhaustive")
     args = ap.parse_args()
 
-    ctx = parse_field(args.field)
-    spec = ConditionSpec(k=args.k, r=args.r)
+    try:
+        ctx = parse_field(args.field)
+        spec = ConditionSpec(k=args.k, r=args.r)
+    except (MdsforgeError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     wanted = args.strategies.split(",")
     strategies = {}
     if "greedy" in wanted:

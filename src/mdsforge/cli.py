@@ -145,11 +145,10 @@ def _parse_point(ctx: FieldContext, text: str):
         digits = [int(t) for t in text.split(",")]
     except ValueError as exc:
         raise FormatError(f"bad point {text!r}") from exc
-    if len(digits) == 1:
-        return ctx.scalar(digits[0])
-    if len(digits) != ctx.m:
-        raise FormatError(f"point {text!r} needs {ctx.m} digits")
-    return ctx.element(digits)
+    try:
+        return jsonio.element_from_obj(ctx, digits[0] if len(digits) == 1 else digits)
+    except FormatError as exc:
+        raise FormatError(f"bad point {text!r}: {exc}") from exc
 
 
 def _parse_json_arg(text: str):

@@ -19,6 +19,7 @@ unit for every prime d dividing m.
 
 from __future__ import annotations
 
+from functools import lru_cache, partial
 from typing import Iterable, Optional, Sequence
 
 from .errors import NotPrimeError, TooLargeError
@@ -57,7 +58,7 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Inversion over Z_p on little-endian coefficient lists.
+# Products and inverses over Z_p on little-endian coefficient vectors.
 
 
 def _poly_trim(a: list[int]) -> list[int]:
@@ -93,6 +94,33 @@ def _poly_inverse(a: Sequence[int], mod: Sequence[int], p: int) -> Optional[list
     return [(c * inv_c) % p for c in s1]
 
 
+def _poly_mul(p: int, mod: tuple[int, ...], a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """a*b modulo the monic `mod` of degree m = len(a): the schoolbook
+    product, then from the top down, each coefficient c of z^t with t >= m
+    cancelled by subtracting c * z^(t-m) * mod."""
+    m = len(a)
+    conv = [0] * (2 * m - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                conv[j] += ai * bj
+    for top in range(2 * m - 2, m - 1, -1):
+        c = conv[top]
+        if c:
+            for j, f in enumerate(mod, top - m):
+                if f:
+                    conv[j] -= c * f
+    return tuple(c % p for c in conv[:m])
+
+
+def _poly_inv(p: int, mod: tuple[int, ...], a: Sequence[int]) -> tuple[int, ...]:
+    """The inverse of a modulo the irreducible `mod`, as m digits."""
+    res = _poly_inverse(a, mod, p)
+    if res is None:
+        raise ZeroDivisionError("inverse of zero")
+    return tuple(res) + (0,) * (len(mod) - 1 - len(res))
+
+
 def _prime_divisors(n: int) -> list[int]:
     out = []
     f = 2
@@ -110,12 +138,14 @@ def _prime_divisors(n: int) -> list[int]:
 class FieldContext:
     """Immutable handle for one concrete GF(p^m).
 
-    Holds the characteristic, extension degree, modulus and everything
-    precomputed for fast reduction.  Instances may be shared freely across
-    threads; the internal result caches only ever gain entries.
+    Holds the characteristic, extension degree and modulus.  Extension-field
+    products and inverses go through ``functools.lru_cache`` wrappers of the
+    module-level reductions, each capped at ``_CACHE_CAP`` entries; they hold
+    p and the modulus but not the context, so a dropped context leaves no
+    reference cycle.  Instances may be shared freely across threads.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_xpow", "_mul_cache", "_inv_cache")
+    __slots__ = ("p", "m", "q", "modulus", "_mul", "_inv")
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
         if not is_prime(p):
@@ -129,23 +159,8 @@ class FieldContext:
         self.m = m
         self.q = p**m
         self.modulus = mod
-        # Reduction rows: digit vector of z^i for i = m .. 2m-2.
-        xpow: list[tuple[int, ...]] = []
-        if m > 1:
-            cur = tuple((-c) % p for c in mod[:m])  # z^m
-            xpow.append(cur)
-            for _ in range(m - 2):
-                shifted = (0,) + cur[: m - 1]
-                head = cur[m - 1]
-                if head:
-                    red = xpow[0]
-                    cur = tuple((s + head * r) % p for s, r in zip(shifted, red))
-                else:
-                    cur = shifted
-                xpow.append(cur)
-        self._xpow = tuple(xpow)
-        self._mul_cache: dict = {}
-        self._inv_cache: dict = {}
+        self._mul = lru_cache(maxsize=_CACHE_CAP)(partial(_poly_mul, p, mod))
+        self._inv = lru_cache(maxsize=_CACHE_CAP)(partial(_poly_inv, p, mod))
         if m > 1 and not self._modulus_is_irreducible():
             raise ValueError("modulus is reducible")
 
@@ -219,46 +234,16 @@ class FieldContext:
         return tuple((x - y) % p for x, y in zip(a, b))
 
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        p = self.p
-        m = self.m
-        if m == 1:
-            return ((a[0] * b[0]) % p,)
-        key = (a, b) if a <= b else (b, a)
-        cached = self._mul_cache.get(key)
-        if cached is not None:
-            return cached
-        conv = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        out = conv[:m]
-        for i in range(m, 2 * m - 1):
-            c = conv[i]
-            if c:
-                red = self._xpow[i - m]
-                for j in range(m):
-                    out[j] += c * red[j]
-        res = tuple(c % p for c in out)
-        if len(self._mul_cache) < _CACHE_CAP:
-            self._mul_cache[key] = res
-        return res
+        if self.m == 1:
+            return ((a[0] * b[0]) % self.p,)
+        return self._mul(a, b)
 
     def inv(self, a: FieldElement) -> FieldElement:
-        if self.m == 1:
-            if a[0] == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return (pow(a[0], self.p - 2, self.p),)
-        cached = self._inv_cache.get(a)
-        if cached is not None:
-            return cached
-        if not any(a):
+        if self.m > 1:
+            return self._inv(a)
+        if a[0] == 0:
             raise ZeroDivisionError("inverse of zero")
-        res = tuple(_poly_inverse(a, self.modulus, self.p))
-        res += (0,) * (self.m - len(res))
-        if len(self._inv_cache) < _CACHE_CAP:
-            self._inv_cache[a] = res
-        return res
+        return (pow(a[0], self.p - 2, self.p),)
 
     def pow(self, a: FieldElement, e: int) -> FieldElement:
         """a**e by literal square-and-multiply; 0**0 is defined as 1."""

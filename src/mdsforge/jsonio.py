@@ -106,17 +106,14 @@ def element_from_obj(ctx: FieldContext, obj: Any) -> FieldElement:
 # Code files
 
 
-def code_to_obj(code: EvalCode, certificate: Optional[Certificate] = None) -> dict:
-    obj = {
+def code_to_obj(code: EvalCode) -> dict:
+    return {
         "field": field_to_obj(code.ctx),
         "points": [element_to_obj(t) for t in code.points.points],
         "exponents": list(code.exponents.exps),
         "family": code.family,
         "params": dict(code.params),
     }
-    if certificate is not None:
-        obj["certificate"] = certificate_to_obj(certificate)
-    return obj
 
 
 def code_from_obj(obj: Any) -> tuple[EvalCode, Optional[dict]]:

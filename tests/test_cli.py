@@ -259,6 +259,32 @@ def test_check_extension_field_points(capsys):
     assert "holds" in parse(out)
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--points", "0,5,0,0", "1,0,1,0"], "digits must lie in [0, 2)"),
+        (["--points", "0,0,1,0", "1,0,1,0", "--delta", "0,0,7,0"], "digits must lie in [0, 2)"),
+        (["--points", "0,0,1", "1,0,1,0"], "needs 4 digits, got 3"),
+        (["--points", "0,0,1,0", "1,0,1,0", "--delta", "1,1"], "needs 4 digits, got 2"),
+    ],
+)
+def test_check_rejects_bad_point_digits(capsys, extra, message):
+    # the same digits are refused in a code file, so inline points are too
+    rc, out, err = run(capsys, "check", "--field", "2,4", *extra, "--k", "2")
+    assert rc == 2
+    assert out == ""
+    assert message in err
+
+
+def test_check_bare_integer_point_is_taken_mod_p(capsys):
+    rc, out, _ = run(
+        capsys, "check", "--field", "2,4", "--points", "3", "0,0,0,0", "--k", "2",
+        "--delta", "5",
+    )
+    assert rc == 1  # 3 + 0 = 1 = 5 in GF(2)
+    assert parse(out)["witness"]["points"] == [[1, 0, 0, 0], [0, 0, 0, 0]]
+
+
 def test_check_requires_k_with_inline_points(capsys):
     rc, _, err = run(capsys, "check", "--field", "13", "--points", "0", "1")
     assert rc == 2

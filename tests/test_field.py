@@ -3,6 +3,7 @@
 Irreducibility of moduli is checked against sympy's ``Poly.is_irreducible``.
 """
 
+import gc
 import random
 
 import pytest
@@ -254,6 +255,45 @@ def test_inverse_matches_power():
         assert ctx.inv(a) == ctx.pow(a, ctx.q - 2)
     with pytest.raises(ZeroDivisionError):
         ctx.inv(ctx.zero())
+
+
+ORACLE_FIELDS = {pm: make_field(*pm) for pm in [(2, 6), (3, 3), (7, 3), (73, 3)]}
+
+
+def sympy_digits(poly, p, m):
+    """The m little-endian digits in [0, p) of a polynomial over Z_p."""
+    digits = [int(c) % p for c in reversed(poly.all_coeffs())]
+    return tuple(digits + [0] * (m - len(digits)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), pm=st.sampled_from(sorted(ORACLE_FIELDS)))
+def test_mul_and_inv_match_sympy(data, pm):
+    # the product reduced mod f and the inverse, against sympy's Poly over GF(p)
+    ctx = ORACLE_FIELDS[pm]
+    p, m = pm
+    pick = st.integers(0, ctx.q - 1)
+    a, b = ctx.from_int(data.draw(pick)), ctx.from_int(data.draw(pick))
+    f = sympy_poly(ctx.modulus, p)
+    pa, pb = sympy_poly(a, p), sympy_poly(b, p)
+    assert ctx.mul(a, b) == sympy_digits((pa * pb).rem(f), p, m)
+    if any(a):
+        assert ctx.inv(a) == sympy_digits(pa.invert(f), p, m)
+
+
+def test_dropped_context_leaves_no_cycles():
+    # the product and inverse caches must not refer back to the context:
+    # a cycle would keep every dropped field's cache alive until a gc pass
+    gc.collect()
+    gc.disable()
+    try:
+        ctx = FieldContext(73, 3, (2, 0, 0, 1))
+        a = ctx.from_int(12345)
+        assert ctx.mul(a, ctx.inv(a)) == ctx.one()
+        del ctx
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_inverse_of_zero_fails():

@@ -76,7 +76,8 @@ def test_code_roundtrip_extension_field():
 def test_code_with_embedded_certificate():
     code = cor44(13, 3, 6)
     cert = non_rs_certificate(code)
-    obj = code_to_obj(code, cert)
+    obj = code_to_obj(code)
+    obj["certificate"] = certificate_to_obj(cert)
     back, embedded = code_from_obj(obj)
     assert back == code
     assert embedded == certificate_to_obj(cert)

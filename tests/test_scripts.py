@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -39,3 +41,20 @@ def test_length_probe_runs_greedy():
     assert lines[0] == "field GF(7^1) = GF(7), k=3, r=1"
     assert lines[1].split() == ["n", "greedy"]
     assert lines[-1].startswith("greedy: longest set found n = ")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--field", "4", "--k", "3"], "4 is not prime"),
+        (["--field", "2,200", "--k", "3"], "exceeds the size limit"),
+        (["--field", "abc", "--k", "3"], "'p' or 'p,m'"),
+        (["--field", "7", "--k", "0"], "k must be >= 1"),
+    ],
+)
+def test_length_probe_rejects_bad_parameters(args, message):
+    done = run_script("length_probe.py", *args)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and message in done.stderr
+    assert "Traceback" not in done.stderr
