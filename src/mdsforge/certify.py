@@ -13,8 +13,8 @@ across workers:
 * lambda_1 = 0, E = {0..k-1} (Reed-Solomon): s_lambda = 1, every minor is
   a Vandermonde determinant, and the code is MDS with no scan at all;
 * lambda_1 = 1, E = {0..k} minus {k - r} (every family and every search
-  result): s_lambda = e_r, so the e_r step of :func:`conditions.check_esym`
-  answers, serially;
+  result): s_lambda = e_r, so :func:`conditions.check_esym` answers,
+  serially, by its e_r walk or, for r = 1, its subset-sum table;
 * lambda_1 >= 2: :func:`mds_exhaustive`, the subset walk
   :func:`conditions.first_failing_subset` with the elimination step
   :func:`matrix.extend_basis`.  It is the only route that ``jobs``
@@ -36,7 +36,8 @@ certifies that the code is not monomially equivalent to any Reed-Solomon
 code, because every generalized Reed-Solomon code of those parameters has
 Schur-square dimension exactly 2k - 1.  The square's dimension is computed
 twice, from independent inputs -- once from pairwise products of generator
-rows, once from the evaluated exponent sumset -- and the two must agree.
+rows, once from the exponent sumset E+E, whose size it is when
+max(E+E) < n -- and the two must agree.
 
 On request (``with_min_distance``) :func:`min_distance_bruteforce` counts
 the weights of all q^k codewords.  For an MDS code that weight
@@ -212,11 +213,16 @@ def schur_square_dim(mat: MatrixFq) -> int:
 
 
 def schur_square_dim_from_exponents(code: EvalCode) -> int:
-    """Same dimension, from the evaluated exponent sumset instead of products."""
+    """Same dimension, from the evaluated exponent sumset instead of products.
+
+    When max(E+E) < n the evaluated monomials are distinct rows of the
+    invertible Vandermonde matrix of the n points (0^0 = 1): no rank needed.
+    """
     ctx = code.ctx
-    rows = []
-    for e in sumset(code.exponents).exps:
-        rows.append(tuple(ctx.pow(t, e) for t in code.points.points))
+    exps = sumset(code.exponents).exps
+    if exps[-1] < code.n:
+        return len(exps)
+    rows = [tuple(ctx.pow(t, e) for t in code.points.points) for e in exps]
     return rank(matrix_from_rows(ctx, rows))
 
 

@@ -13,8 +13,11 @@ guard.  Exceeding a guard is always a loud error.
 
 ``verify`` decides MDS by one of three routes: none for Reed-Solomon
 exponents {0..k-1} (every minor is a Vandermonde determinant), the serial
-e_r walk for {0..k} minus one value, and the elimination scan for every
-other exponent set.  ``--jobs N`` (N >= 1) affects only the elimination
+e_r test of ``check`` for {0..k} minus one value, and the elimination scan
+for every other exponent set.  ``check`` and that ``verify`` route decide
+r = 1 by a subset-sum table over GF(q) when C(n,k) >= n*k*m*ceil(q/64)/16
+and its n*k*q bits fit in 32 MiB; short point sets in large fields stay on
+the subset walk.  Both give the same witness.  ``--jobs N`` (N >= 1) affects only the elimination
 route: it splits the scan by the lowest index of a subset over at most
 min(N, CPUs) worker processes and stops at the first witness, without
 changing any result.  Scans of fewer than 20 000 subsets stay serial,

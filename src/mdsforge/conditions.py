@@ -14,10 +14,13 @@ lexicographic walk that keeps one state per prefix and asks a step
 function to extend it or reject it.  Here the step carries the vector
 (e_0, ..., e_r) via the recurrence e_j <- e_j + alpha * e_{j-1}, so each
 extension costs O(r) field operations.  :func:`check_esym` walks the
-k-subsets of the points.  The exhaustive and greedy searches share one
-conflict test: a candidate point is tested against the points already
-taken by walking their (k-1)-subsets, rooted at the candidate.  The
-certifier walks generator columns with an elimination step instead.
+k-subsets of the points; for r = 1, where it is cheaper, it reads the
+answer and the same witness from a table of the sums that the subsets of
+each suffix of the points reach (:data:`SUM_TABLE_RATIO`).  The
+exhaustive and greedy searches share one conflict test: a candidate point
+is tested against the points already taken by walking their
+(k-1)-subsets, rooted at the candidate.  The certifier walks generator
+columns with an elimination step instead.
 
 Exhaustive search backtracks through the colex tree of n-subsets of the
 field, largest point first.  Each new point is the lowest so far, so every
@@ -43,6 +46,21 @@ from .errors import (
 from .field import ENUMERATION_GUARD, FieldContext, FieldElement
 
 SUBSET_GUARD = 10**7
+
+#: For r = 1, :func:`check_esym` reads the subset-sum table of
+#: :func:`_first_sum_subset` instead of walking the C(n, k) subsets when
+#: C(n, k) >= SUM_TABLE_RATIO * n*k*m*ceil(q/64), the table's word
+#: operations.  On passing sets (medians of 7, Python 3.11) the table won
+#: or tied all 344 cases with k >= 2 and C(n, k)/cost in [0.05, 4] over 20
+#: fields up to GF(4001) and GF(2^12); the walk won near 0.001 (GF(1000003)
+#: n=10 k=3: 0.22 against 3.3 ms).  The margin is for failing sets, where
+#: the walk stops early.  With k = 1 the walk wins by at most 0.05 ms.
+SUM_TABLE_RATIO = 1 / 16
+
+#: The table holds up to n*k*q bits; past this many (32 MiB) the walk runs
+#: instead.  45 points of GF(1000003) with k = 5, 2.3e8 bits, took 0.04 s
+#: against 1.2 s by the walk and raised the peak RSS by 29 MB.
+SUM_TABLE_MAX_BITS = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -170,10 +188,71 @@ def check_esym(
     and the condition holds vacuously.
     """
     n, k, r = len(points), spec.k, spec.r
-    _require_subset_count(n, k, guard)
-    step = _esym_step(ctx, list(points), r, _target(ctx, spec), 0, k)
-    witness = first_failing_subset(n, k, _esym_root(ctx, r), step)
+    total = _require_subset_count(n, k, guard)
+    delta = _target(ctx, spec)
+    if (
+        r == 1
+        and SUM_TABLE_RATIO * n * k * ctx.m * -(-ctx.q // 64) <= total
+        and n * k * ctx.q <= SUM_TABLE_MAX_BITS
+    ):
+        witness = _first_sum_subset(ctx, list(points), k, delta)
+    else:
+        step = _esym_step(ctx, list(points), r, delta, 0, k)
+        witness = first_failing_subset(n, k, _esym_root(ctx, r), step)
     return (witness is None, witness)
+
+
+def _first_sum_subset(
+    ctx: FieldContext, points: list[FieldElement], k: int, delta: FieldElement
+) -> Optional[tuple[int, ...]]:
+    """Lex-first k-subset of the points that sums to delta, or None.
+
+    ``suf[i][j]`` has bit v set when some j-subset of ``points[i:]`` sums
+    to the element with counter index v.  Only j >= k - i is kept, since
+    a lex walk reaches ``points[i:]`` with at least k - i points still to
+    take.  The witness takes, for j = k..1, the lowest index whose point
+    leaves the rest of the target reachable by j - 1 later points.
+    """
+    n, p, q, to_int = len(points), ctx.p, ctx.q, ctx.to_int
+    masks: dict[tuple[int, int], int] = {}
+
+    def rotations(a: FieldElement) -> list[tuple[int, int, int]]:
+        # Adding a moves digit i of every sum by a_i mod p: each block of
+        # p^(i+1) bits rotates up by c = a_i * p^i bits.  The mask holds
+        # the low block - c bits of every block, built by doubling.
+        out, block = [], 1
+        for d in a:
+            size, block = block, block * p
+            if d:
+                c = d * size
+                if (block, c) not in masks:
+                    low, width = (1 << (block - c)) - 1, block
+                    while width < q:
+                        low |= low << width
+                        width *= 2
+                    masks[block, c] = low
+                out.append((block, c, masks[block, c]))
+        return out
+
+    suf = [[1] + [0] * k for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        row, nxt, rots = suf[i], suf[i + 1], rotations(points[i])
+        for j in range(max(1, k - i), min(k, n - i) + 1):
+            bits = nxt[j - 1]
+            for block, c, low in rots:
+                lo = bits & low
+                bits = (lo << c) | ((bits ^ lo) >> (block - c))
+            row[j] = nxt[j] | bits
+    if not suf[0][k] >> to_int(delta) & 1:
+        return None
+    witness, i = [], 0
+    for j in range(k, 0, -1):
+        while not suf[i + 1][j - 1] >> to_int(ctx.sub(delta, points[i])) & 1:
+            i += 1
+        witness.append(i)
+        delta = ctx.sub(delta, points[i])
+        i += 1
+    return tuple(witness)
 
 
 def _require_subset_count(n: int, k: int, guard: int) -> int:

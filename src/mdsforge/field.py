@@ -140,9 +140,11 @@ class FieldContext:
 
     Holds the characteristic, extension degree and modulus.  Extension-field
     products and inverses go through ``functools.lru_cache`` wrappers of the
-    module-level reductions, each capped at ``_CACHE_CAP`` entries; they hold
-    p and the modulus but not the context, so a dropped context leaves no
-    reference cycle.  Instances may be shared freely across threads.
+    module-level reductions, each capped at ``_CACHE_CAP`` entries; a product
+    is keyed smaller factor first, so a*b and b*a share one entry.  The
+    wrappers hold p and the modulus but not the context, so a dropped
+    context leaves no reference cycle.  Instances may be shared freely
+    across threads.
     """
 
     __slots__ = ("p", "m", "q", "modulus", "_mul", "_inv")
@@ -236,7 +238,7 @@ class FieldContext:
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
         if self.m == 1:
             return ((a[0] * b[0]) % self.p,)
-        return self._mul(a, b)
+        return self._mul(a, b) if a <= b else self._mul(b, a)
 
     def inv(self, a: FieldElement) -> FieldElement:
         if self.m > 1:

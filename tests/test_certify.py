@@ -3,6 +3,7 @@
 import contextlib
 import io
 import itertools
+import json
 import os
 import random
 import tempfile
@@ -30,8 +31,9 @@ from mdsforge.evalcode import (
     ExponentSet,
     gap_order,
     generator_matrix,
+    sumset,
 )
-from mdsforge.families import cor44, thm412
+from mdsforge.families import cor44, cor62, cor411, thm412, thm415
 from mdsforge.field import make_field
 from mdsforge.jsonio import canonical_dumps, code_to_obj
 from mdsforge.matrix import matrix_from_rows, rank
@@ -123,6 +125,19 @@ def test_schur_dim_two_paths_agree():
     for exps in [(0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 1, 2, 4)]:
         code = make_code(ctx, range(8), exps)
         assert schur_square_dim(generator_matrix(code)) == schur_square_dim_from_exponents(code)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_schur_closed_form_matches_oracle_rank(data):
+    # with max(E+E) < n the sumset dimension is |E+E|, read without a rank
+    ctx = make_field(*data.draw(st.sampled_from([(13, 1), (2, 3), (3, 2), (2, 4)])))
+    n = data.draw(st.integers(1, min(ctx.q, 12)))
+    values = data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=n, max_size=n, unique=True))
+    exps = data.draw(st.lists(st.integers(0, (n - 1) // 2), min_size=1, unique=True))
+    code = counter_code(ctx, values, sorted(exps))
+    rows = [[ctx.pow(t, e) for t in code.points.points] for e in sumset(code.exponents).exps]
+    assert schur_square_dim_from_exponents(code) == ext_rank(matrix_from_rows(ctx, rows))
 
 
 def test_schur_dim_bounds():
@@ -559,6 +574,35 @@ def test_cross_check_runs_on_the_reed_solomon_route(monkeypatch):
     with pytest.raises(AssertionError, match="internal disagreement"):
         non_rs_certificate(code, cross_check=True)
     assert seen == [conditions.SUBSET_GUARD]
+
+
+def switched_off(*args, **kwargs):
+    raise AssertionError("this route is switched off")
+
+
+@pytest.mark.parametrize("code", [thm415(11, 2, 3, 34), cor411(5, 5)], ids=["thm415", "cor411"])
+def test_r1_codes_are_decided_by_the_sum_table(capsys, tmp_path, monkeypatch, code):
+    # cor411(5,5) is [32,5] over GF(64): C(32,5) = 201 376 subsets by the walk
+    monkeypatch.setattr(conditions, "first_failing_subset", switched_off)
+    path = tmp_path / "code.json"
+    path.write_text(canonical_dumps(code_to_obj(code)))
+    assert main(["verify", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["mds"], out["witness"], out["verdict"]) == (True, None, VERDICT_NON_RS)
+
+
+def test_r2_codes_keep_the_walk(monkeypatch):
+    walked = []
+    walk = conditions.first_failing_subset
+
+    def recording(n, k, *args):
+        walked.append((n, k))
+        return walk(n, k, *args)
+
+    monkeypatch.setattr(conditions, "first_failing_subset", recording)
+    monkeypatch.setattr(conditions, "_first_sum_subset", switched_off)
+    cert = non_rs_certificate(cor62(163, 3, 2, 6))
+    assert (cert.is_mds, cert.verdict, walked) == (True, VERDICT_NON_RS, [(6, 3)])
 
 
 class RecordingPool:

@@ -1,5 +1,6 @@
 """Subset conditions, counting oracle, bounds, and the three searches."""
 
+import math
 import random
 from itertools import combinations
 from math import comb
@@ -7,6 +8,7 @@ from math import comb
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from mdsforge import conditions
 from mdsforge.conditions import (
     BoundQuery,
     ConditionSpec,
@@ -202,6 +204,83 @@ def test_table_agrees_with_sum_condition():
                 spec = ConditionSpec(k=k, delta=ctx.from_int(d_idx))
                 ok, _ = check_esym(ctx, pts, spec)
                 assert ok == (table[k][d_idx] == 0)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("this route is switched off")
+
+
+def on_route(route, ctx, points, spec):
+    """check_esym with the sum-table ratio forcing `route`; the other
+    route's scan refuses to run."""
+    with pytest.MonkeyPatch.context() as mp:
+        if route == "table":
+            mp.setattr(conditions, "SUM_TABLE_RATIO", 0)
+            mp.setattr(conditions, "first_failing_subset", refuse)
+        else:
+            mp.setattr(conditions, "SUM_TABLE_RATIO", math.inf)
+            mp.setattr(conditions, "_first_sum_subset", refuse)
+        return check_esym(ctx, points, spec)
+
+
+@st.composite
+def sum_cases(draw):
+    """(field, point counter values, k, delta value or None): n <= 10 points
+    with or without 0, 1 <= k <= n + 1, delta 0 by default or drawn."""
+    field = draw(st.sampled_from([(2, 1), (7, 1), (13, 1), (2, 3), (2, 4), (3, 2)]))
+    q = field[0] ** field[1]
+    n = draw(st.integers(1, min(10, q)))
+    zero = n == q or draw(st.booleans())
+    values = draw(st.lists(st.integers(1, q - 1), min_size=n - zero, max_size=n - zero, unique=True))
+    if zero:
+        values.insert(draw(st.integers(0, len(values))), 0)
+    k = draw(st.integers(1, n + 1))
+    delta = draw(st.none() | st.integers(0, q - 1))
+    return field, tuple(values), k, delta
+
+
+@settings(max_examples=300, deadline=None)
+@given(sum_cases())
+@example(((13, 1), (3, 0, 5, 12), 1, None))  # k = 1: the point 0 is the witness
+@example(((2, 3), (1, 2, 3, 4, 5, 6, 7), 1, 5))  # k = 1 without 0, delta nonzero
+@example(((7, 1), (1, 2), 3, None))  # k > n: vacuous
+@example(((3, 2), tuple(range(9)), 4, 4))  # the whole of GF(9)
+@example(((2, 4), tuple(range(1, 11)), 3, None))  # n = 10 without 0
+def test_sum_table_matches_walk_and_counts(case):
+    (p, m), values, k, delta = case
+    ctx = make_field(p, m)
+    points = tuple(ctx.from_int(v) for v in values)
+    target = ctx.from_int(delta or 0)
+    spec = ConditionSpec(k=k, delta=None if delta is None else target)
+    walk = on_route("walk", ctx, points, spec)
+    assert on_route("table", ctx, points, spec) == walk
+    assert walk[0] == (subset_sum_counts(ctx, points, k)[k][delta or 0] == 0)
+
+
+def test_route_follows_the_cost_ratio(monkeypatch):
+    # r >= 2 and a short set in a large field (C(10,3) = 120 against a
+    # table of 10 * 3 * 15626 words) stay on the walk
+    monkeypatch.setattr(conditions, "_first_sum_subset", refuse)
+    big = make_field(1000003)
+    assert check_esym(big, scalars(big, range(1, 11)), ConditionSpec(k=3)) == (True, None)
+    ctx = make_field(163)
+    assert check_esym(ctx, scalars(ctx, range(6)), ConditionSpec(k=3, r=2)) == (True, None)
+    # a long set in a small field takes the table
+    monkeypatch.undo()
+    monkeypatch.setattr(conditions, "first_failing_subset", refuse)
+    ctx = make_field(2, 6)
+    points = tuple(ctx.from_int(v) for v in range(1, 33))
+    # 1 + 2 + 4 + 8 + 15 = 0 in characteristic 2; every earlier 5-subset
+    # has a nonzero XOR
+    assert check_esym(ctx, points, ConditionSpec(k=5)) == (False, (0, 1, 3, 7, 14))
+    # ... unless the table would outgrow its size cap
+    monkeypatch.setattr(conditions, "SUM_TABLE_MAX_BITS", 32 * 5 * 64 - 1)
+    with pytest.raises(AssertionError, match="switched off"):
+        check_esym(ctx, points, ConditionSpec(k=5))
+    # the subset guard comes first on the table route too
+    monkeypatch.setattr(conditions, "SUM_TABLE_RATIO", 0)
+    with pytest.raises(InfeasibleError, match="exceeds subset guard 10"):
+        check_esym(ctx, points, ConditionSpec(k=5), guard=10)
 
 
 def test_shift_transform_example():

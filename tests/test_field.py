@@ -296,6 +296,14 @@ def test_dropped_context_leaves_no_cycles():
         gc.enable()
 
 
+def test_product_cache_keeps_one_entry_per_unordered_pair():
+    ctx = make_field(2, 4)
+    a, b = ctx.from_int(6), ctx.from_int(11)
+    ctx._mul.cache_clear()
+    assert ctx.mul(a, b) == ctx.mul(b, a)
+    assert ctx._mul.cache_info().currsize == 1
+
+
 def test_inverse_of_zero_fails():
     ctx = make_field(7)
     with pytest.raises(ZeroDivisionError):

@@ -1,9 +1,11 @@
-"""Byte stability of `verify`: pinned stdout digests and exit codes.
+"""Byte stability of `verify` and `check`: pinned stdout digests and exit codes.
 
-Each case writes one code file and runs `verify` in-process.  The sha256
-of stdout and the exit code were recorded while every Reed-Solomon code
-still went through the k-subset elimination scan, so a faster route for
-any of these codes must print exactly the same bytes.
+Each `verify` case writes one code file and runs `verify` in-process.  The
+sha256 of stdout and the exit code were recorded while every Reed-Solomon
+code still went through the k-subset elimination scan, and the cor411 case
+and the `check` case while every r = 1 condition still went through the
+e_r walk, so a faster route for any of these inputs must print exactly the
+same bytes.
 """
 
 import contextlib
@@ -14,7 +16,7 @@ import pytest
 
 from mdsforge.cli import main
 from mdsforge.evalcode import EvalCode, EvalSet, ExponentSet
-from mdsforge.families import cor44
+from mdsforge.families import cor44, cor411
 from mdsforge.field import make_field
 from mdsforge.jsonio import canonical_dumps, code_to_obj
 
@@ -45,16 +47,27 @@ CASES = [
      "9e9a663976bb3bfaa5069a445eae3d074c06d5361160e59117a3c2f223577aaf", 0),
     ("failing-e024-gf13", FAILING, [],
      "1a61cdac71884d9cd7b11e8191e9beac4c7c0e9a6181fcfc33ea57864f938995", 1),
+    ("cor411-4-5", cor411(4, 5), [],
+     "13abdc6c6e9f566f4bb5778a200a96acbae242ba1dd067feb242b53adffa0c80", 0),
 ]
+
+#: a failing r = 1 `check` over GF(3^2) whose witness is not the first subset
+CHECK_ARGV = ["check", "--field", "3,2", "--points", "1,0", "0,1", "2,2", "1,1", "0,2",
+              "2,1", "1,2", "2,0", "--k", "3", "--delta", "2,1"]
+CHECK_DIGEST = "26db6cedc1592a7545c5bd9bc605307837470f7969e3c486637710cef1bbfffb"
+
+
+def stdout_digest(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(argv)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest(), rc
 
 
 def verify_digest(tmp_path, code, extra):
     path = tmp_path / "code.json"
     path.write_text(canonical_dumps(code_to_obj(code)))
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        rc = main(["verify", str(path), *extra])
-    return hashlib.sha256(buf.getvalue().encode()).hexdigest(), rc
+    return stdout_digest(["verify", str(path), *extra])
 
 
 @pytest.mark.parametrize(
@@ -62,3 +75,7 @@ def verify_digest(tmp_path, code, extra):
 )
 def test_verify_stdout_is_pinned(tmp_path, code, extra, digest, rc):
     assert verify_digest(tmp_path, code, extra) == (digest, rc)
+
+
+def test_check_stdout_is_pinned():
+    assert stdout_digest(CHECK_ARGV) == (CHECK_DIGEST, 1)
