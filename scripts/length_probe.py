@@ -4,8 +4,10 @@ condition, comparing search strategies.
 
 For each n from 2k upward, try to find n points whose k-subsets all avoid
 e_r = 0.  Greedy is backtrack-free (cheap, may stall early); random restarts
-are seeded; exhaustive proves nonexistence when it gives up, but only runs
-while C(q, n) stays under its guard.
+are seeded; exhaustive only runs while C(q, n) stays under its guard.  A
+cell reads `none` only when the exhaustive search finds no set, which proves
+that no n points pass; greedy and random print `gave up` when they find
+none, which proves nothing.
 
 Usage:
     python scripts/length_probe.py --field 13 --k 3
@@ -85,7 +87,7 @@ def main() -> int:
                 continue
             elapsed = time.perf_counter() - start
             if found is None:
-                cells.append(f"{'none':>12}")
+                cells.append(f"{'none' if name == 'exhaustive' else 'gave up':>12}")
                 alive.discard(name)
             else:
                 reached[name] = n

@@ -17,7 +17,11 @@ e_r test of ``check`` for {0..k} minus one value, and the elimination scan
 for every other exponent set.  ``check`` and that ``verify`` route decide
 r = 1 by a subset-sum table over GF(q) when C(n,k) >= n*k*m*ceil(q/64)/16
 and its n*k*q bits fit in 32 MiB; short point sets in large fields stay on
-the subset walk.  Both give the same witness.  ``--jobs N`` (N >= 1) affects only the elimination
+the subset walk.  Both give the same witness.  ``search --strategy
+exhaustive`` tests each r = 1 candidate by one bit of a stack of subset-sum
+bitsets when its n*k*q bits fit in the same 32 MiB, and otherwise, like
+greedy, by a walk over the subsets of the points already chosen; both
+print the same set.  ``--jobs N`` (N >= 1) affects only the elimination
 route: it splits the scan by the lowest index of a subset over at most
 min(N, CPUs) worker processes and stops at the first witness, without
 changing any result.  Scans of fewer than 20 000 subsets stay serial,

@@ -16,9 +16,8 @@ function to extend it or reject it.  Here the step carries the vector
 extension costs O(r) field operations.  :func:`check_esym` walks the
 k-subsets of the points; for r = 1, where it is cheaper, it reads the
 answer and the same witness from a table of the sums that the subsets of
-each suffix of the points reach (:data:`SUM_TABLE_RATIO`).  The
-exhaustive and greedy searches share one conflict test: a candidate point
-is tested against the points already taken by walking their
+each suffix of the points reach (:data:`SUM_TABLE_RATIO`).  Greedy search
+tests a candidate point against the points already taken by walking their
 (k-1)-subsets, rooted at the candidate.  The certifier walks generator
 columns with an elimination step instead.
 
@@ -28,7 +27,12 @@ k-subset of a full set is tested exactly once, when its lowest point
 joins.  The condition is hereditary (a set fails whenever a subset of it
 fails), so a branch is cut at its first conflict without losing a passing
 set: the first full set reached is the first passing set in colex order,
-and a search that reaches none proves that no n-subset passes.
+and a search that reaches none proves that no n-subset passes.  For r = 1
+it tests a candidate by one bit of a stack of the sums that the subsets of
+the points taken reach, the prefix counterpart of the suffix table of
+:func:`check_esym`, and moves the sums by the same translation
+(:func:`_sum_translator`); for r >= 2, or past :data:`SUM_TABLE_MAX_BITS`,
+it uses greedy's walk.
 """
 
 from __future__ import annotations
@@ -58,8 +62,9 @@ SUBSET_GUARD = 10**7
 SUM_TABLE_RATIO = 1 / 16
 
 #: The table holds up to n*k*q bits; past this many (32 MiB) the walk runs
-#: instead.  45 points of GF(1000003) with k = 5, 2.3e8 bits, took 0.04 s
-#: against 1.2 s by the walk and raised the peak RSS by 29 MB.
+#: instead, in :func:`check_esym` and in exhaustive search alike.  45 points
+#: of GF(1000003) with k = 5, 2.3e8 bits, took 0.04 s against 1.2 s by the
+#: walk and raised the peak RSS by 29 MB.
 SUM_TABLE_MAX_BITS = 1 << 28
 
 
@@ -202,6 +207,47 @@ def check_esym(
     return (witness is None, witness)
 
 
+def _sum_translator(ctx: FieldContext) -> Callable[[FieldElement], Callable[[list], list]]:
+    """Translation of subset-sum bitsets over GF(q) by a field element.
+
+    A bitset is an int whose bit v stands for the element with counter
+    index v.  ``by(a)`` is the map that moves every bitset of a list by a:
+    bit v goes to the index of v + a.  Adding a moves digit i of every
+    index by a_i mod p, so each block of p^(i+1) bits rotates up by
+    c = a_i * p^i bits.  The mask of a rotation holds the low block - c
+    bits of every block; it is built by doubling, once per (block, c).
+    """
+    p, q = ctx.p, ctx.q
+    masks: dict[tuple[int, int], int] = {}
+
+    def by(a: FieldElement) -> Callable[[list], list]:
+        rots, block = [], 1
+        for d in a:
+            size, block = block, block * p
+            if d:
+                c = d * size
+                if (block, c) not in masks:
+                    low, width = (1 << (block - c)) - 1, block
+                    while width < q:
+                        low |= low << width
+                        width *= 2
+                    masks[block, c] = low
+                rots.append((block, c, masks[block, c]))
+
+        def translate(sets: list) -> list:
+            out = []
+            for bits in sets:
+                for block, c, low in rots:
+                    lo = bits & low
+                    bits = (lo << c) | ((bits ^ lo) >> (block - c))
+                out.append(bits)
+            return out
+
+        return translate
+
+    return by
+
+
 def _first_sum_subset(
     ctx: FieldContext, points: list[FieldElement], k: int, delta: FieldElement
 ) -> Optional[tuple[int, ...]]:
@@ -213,35 +259,13 @@ def _first_sum_subset(
     take.  The witness takes, for j = k..1, the lowest index whose point
     leaves the rest of the target reachable by j - 1 later points.
     """
-    n, p, q, to_int = len(points), ctx.p, ctx.q, ctx.to_int
-    masks: dict[tuple[int, int], int] = {}
-
-    def rotations(a: FieldElement) -> list[tuple[int, int, int]]:
-        # Adding a moves digit i of every sum by a_i mod p: each block of
-        # p^(i+1) bits rotates up by c = a_i * p^i bits.  The mask holds
-        # the low block - c bits of every block, built by doubling.
-        out, block = [], 1
-        for d in a:
-            size, block = block, block * p
-            if d:
-                c = d * size
-                if (block, c) not in masks:
-                    low, width = (1 << (block - c)) - 1, block
-                    while width < q:
-                        low |= low << width
-                        width *= 2
-                    masks[block, c] = low
-                out.append((block, c, masks[block, c]))
-        return out
-
+    n, to_int = len(points), ctx.to_int
+    by = _sum_translator(ctx)
     suf = [[1] + [0] * k for _ in range(n + 1)]
     for i in range(n - 1, -1, -1):
-        row, nxt, rots = suf[i], suf[i + 1], rotations(points[i])
-        for j in range(max(1, k - i), min(k, n - i) + 1):
-            bits = nxt[j - 1]
-            for block, c, low in rots:
-                lo = bits & low
-                bits = (lo << c) | ((bits ^ lo) >> (block - c))
+        row, nxt = suf[i], suf[i + 1]
+        lo, hi = max(1, k - i), min(k, n - i)
+        for j, bits in enumerate(by(points[i])(nxt[lo - 1:hi]), lo):
             row[j] = nxt[j] | bits
     if not suf[0][k] >> to_int(delta) & 1:
         return None
@@ -376,28 +400,79 @@ def _conflict_test(
     return conflicts
 
 
+def _walk_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Callable, ...]:
+    """(next_free, push, pop) of :func:`_first_colex_set` by the conflict
+    test of :func:`_conflict_test`: one subset walk per candidate."""
+    chosen: list[FieldElement] = []
+    conflicts = _conflict_test(ctx, chosen, spec)
+
+    def next_free(v: int, limit: int) -> int:
+        while v < limit and conflicts(ctx.from_int(v)):
+            v += 1
+        return v
+
+    return next_free, lambda v: chosen.append(ctx.from_int(v)), chosen.pop
+
+
+def _sum_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Callable, ...]:
+    """(next_free, push, pop) of :func:`_first_colex_set` for r = 1 by a
+    stack of subset-sum bitsets: one bit test per candidate.
+
+    Row d of the stack holds, for j < k, the bitset of the elements
+    delta - s where s is the sum of some j-subset of the first d points
+    pushed (bit v stands for the element with counter index v).  A
+    candidate closes a k-subset that sums to delta exactly when its own bit
+    is set in entry k - 1 of the top row; with k = 1 that entry is {delta}.
+    Pushing a point a moves entry j - 1 by -a into entry j (the move is
+    kept per point, since the backtrack pushes each point many times), and
+    popping drops the row.  The lowest free candidate from v on is the
+    lowest clear bit of the top entry at or above v.
+    """
+    by, moves = _sum_translator(ctx), {}
+    rows = [[1 << ctx.to_int(_target(ctx, spec))] + [0] * (spec.k - 1)]
+
+    def next_free(v: int, limit: int) -> int:
+        free = ~rows[-1][-1] >> v
+        return v + (free & -free).bit_length() - 1
+
+    def push(v: int) -> None:
+        move = moves.get(v)
+        if move is None:
+            move = moves[v] = by(ctx.neg(ctx.from_int(v)))
+        row = rows[-1]
+        rows.append(row[:1] + [old | new for old, new in zip(row[1:], move(row[:-1]))])
+
+    return next_free, push, rows.pop
+
+
 def _first_colex_set(
     ctx: FieldContext, n: int, spec: ConditionSpec
 ) -> Optional[tuple[FieldElement, ...]]:
     """First n-subset of the field in colex order that passes the condition,
-    by the backtracking of the module docstring; None if there is none."""
-    chosen: list[FieldElement] = []  # largest counter value first
-    values: list[int] = []
-    conflicts = _conflict_test(ctx, chosen, spec)
+    by the backtracking of the module docstring; None if there is none.
+
+    ``next_free(v, limit)`` is the lowest candidate at or above v that
+    closes no failing k-subset with the points pushed so far, or a value
+    of at least limit when there is none below it; ``push`` and ``pop`` add
+    and drop the lowest point.
+    """
+    if spec.r == 1 and n * spec.k * ctx.q <= SUM_TABLE_MAX_BITS:
+        next_free, push, pop = _sum_stack(ctx, spec)
+    else:
+        next_free, push, pop = _walk_stack(ctx, spec)
+    values: list[int] = []  # largest counter value first
     v = n - 1  # the lowest value that leaves room for the points below it
     while True:
-        if v < (values[-1] if values else ctx.q):
-            cand = ctx.from_int(v)
-            if conflicts(cand):
-                v += 1
-                continue
-            chosen.append(cand)
+        limit = values[-1] if values else ctx.q
+        v = next_free(v, limit)
+        if v < limit:
+            push(v)
             values.append(v)
             if len(values) == n:
-                return tuple(reversed(chosen))
+                return tuple(ctx.from_int(u) for u in reversed(values))
             v = n - 1 - len(values)
         elif values:
-            chosen.pop()
+            pop()
             v = values.pop() + 1
         else:
             return None

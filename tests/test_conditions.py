@@ -411,12 +411,51 @@ def test_exhaustive_guard():
 @example((5, 1), 3, 1, 0, 5)  # no 5-subset of GF(5): {0, 1, 4} sums to 0
 @example((7, 1), 4, 2, 3, 2)  # k > n: the first colex set passes vacuously
 @example((2, 3), 1, 1, 0, 8)  # k = 1: the whole field contains delta
+@example((3, 2), 3, 1, 7, 6)  # r = 1 with a nonzero delta in an extension field
+@example((11, 1), 1, 1, 4, 5)  # k = 1 with a nonzero delta below the set
+@example((7, 1), 2, 1, 0, 4)  # k = 2: no point may sit next to its negative
+@example((2, 3), 4, 1, 0, 5)  # k = 4 in characteristic 2
 def test_exhaustive_matches_colex_scan(field, k, r, delta, n):
     ctx = make_field(*field)
     assume(r <= k and n <= ctx.q)
     delta = ctx.from_int(delta % ctx.q)
     spec = ConditionSpec(k=k, r=r, delta=delta)
     assert search_eval_set(ctx, n, spec, ExhaustiveSearch()) == colex_scan(ctx, n, k, r, delta)
+
+
+def test_exhaustive_r1_search_takes_the_sum_stack(monkeypatch):
+    # r = 1 tests each candidate by one bit of the subset-sum stack, never
+    # by a subset walk
+    monkeypatch.setattr(conditions, "first_failing_subset", refuse)
+    ctx = make_field(2, 4)
+    found = search_eval_set(ctx, 9, ConditionSpec(k=3), ExhaustiveSearch())
+    assert [ctx.to_int(t) for t in found] == [0, 4, 5, 6, 7, 8, 9, 10, 11]
+    assert search_eval_set(ctx, 10, ConditionSpec(k=3), ExhaustiveSearch()) is None
+
+
+def test_walk_stays_for_r2_and_greedy(monkeypatch):
+    monkeypatch.setattr(conditions, "first_failing_subset", refuse)
+    ctx = make_field(11)
+    with pytest.raises(AssertionError, match="switched off"):
+        search_eval_set(ctx, 5, ConditionSpec(k=3, r=2), ExhaustiveSearch())
+    with pytest.raises(AssertionError, match="switched off"):
+        search_eval_set(ctx, 5, ConditionSpec(k=3), GreedySearch())
+
+
+def test_exhaustive_r1_search_past_the_bit_cap_walks(monkeypatch):
+    ctx = make_field(13)
+    spec = ConditionSpec(k=3, delta=ctx.scalar(5))
+    stacked = search_eval_set(ctx, 6, spec, ExhaustiveSearch())
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return first_failing_subset(*args, **kwargs)
+
+    monkeypatch.setattr(conditions, "first_failing_subset", counted)
+    monkeypatch.setattr(conditions, "SUM_TABLE_MAX_BITS", 6 * 3 * 13 - 1)
+    assert search_eval_set(ctx, 6, spec, ExhaustiveSearch()) == stacked
+    assert stacked is not None and calls
 
 
 def test_exhaustive_search_proves_gf16_length_10_impossible():

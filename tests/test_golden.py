@@ -1,11 +1,13 @@
-"""Byte stability of `verify` and `check`: pinned stdout digests and exit codes.
+"""Byte stability of `verify`, `check` and `search`: pinned stdout digests
+and exit codes.
 
 Each `verify` case writes one code file and runs `verify` in-process.  The
 sha256 of stdout and the exit code were recorded while every Reed-Solomon
-code still went through the k-subset elimination scan, and the cor411 case
-and the `check` case while every r = 1 condition still went through the
-e_r walk, so a faster route for any of these inputs must print exactly the
-same bytes.
+code still went through the k-subset elimination scan, the cor411 case and
+the `check` case while every r = 1 condition still went through the e_r
+walk, and the `search` cases while the exhaustive search still tested every
+r = 1 candidate by walking the subsets of the points already chosen, so a
+faster route for any of these inputs must print exactly the same bytes.
 """
 
 import contextlib
@@ -56,6 +58,18 @@ CHECK_ARGV = ["check", "--field", "3,2", "--points", "1,0", "0,1", "2,2", "1,1",
               "2,1", "1,2", "2,0", "--k", "3", "--delta", "2,1"]
 CHECK_DIGEST = "26db6cedc1592a7545c5bd9bc605307837470f7969e3c486637710cef1bbfffb"
 
+#: (field, n, extra search arguments, stdout sha256, exit code) of
+#: `search --strategy exhaustive --k 3`: the benchmark's two proofs of
+#: `none`, its two short searches that find a set, and a nonzero delta
+SEARCHES = [
+    ("19", 8, [], "628e3d1a2fb49c08732f47557560e8353bd0dbbd0588b48a99559eac42227b87", 0),
+    ("19", 9, [], "7be3ac796e3edfe5617677992d0a31914d7f76e1f1da55f9b243eb85e4ae3adf", 1),
+    ("2,4", 9, [], "8d4f8cf735939b3ca68f1538291ea25e39469a0515b62eea91a83acac8de8bfe", 0),
+    ("2,4", 10, [], "c8a9366d709be662df4040566a0cfe99d943aba304c0f6785e86146d0991f662", 1),
+    ("3,2", 6, ["--delta", "2,1"],
+     "5f32a6d86d61295823778723a42b157b49ef83f23e8a632336f9756e56a50569", 0),
+]
+
 
 def stdout_digest(argv):
     buf = io.StringIO()
@@ -79,3 +93,11 @@ def test_verify_stdout_is_pinned(tmp_path, code, extra, digest, rc):
 
 def test_check_stdout_is_pinned():
     assert stdout_digest(CHECK_ARGV) == (CHECK_DIGEST, 1)
+
+
+@pytest.mark.parametrize(
+    "field,n,extra,digest,rc", SEARCHES, ids=[f"gf{s[0]}-n{s[1]}" for s in SEARCHES]
+)
+def test_search_stdout_is_pinned(field, n, extra, digest, rc):
+    argv = ["search", "--field", field, "--n", str(n), "--k", "3", "--strategy", "exhaustive"]
+    assert stdout_digest([*argv, *extra]) == (digest, rc)

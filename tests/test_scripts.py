@@ -43,6 +43,19 @@ def test_length_probe_runs_greedy():
     assert lines[-1].startswith("greedy: longest set found n = ")
 
 
+def test_length_probe_keeps_none_for_proofs():
+    # six points of GF(13) are the most with no zero 3-sum: exhaustive
+    # proves n = 7 impossible, greedy only stops there
+    done = run_script("length_probe.py", "--field", "13", "--k", "3",
+                      "--strategies", "greedy,exhaustive")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[1].split() == ["n", "greedy", "exhaustive"]
+    assert lines[3].split() == ["7", "gave", "up", "none"]
+    assert lines[-2:] == ["greedy: longest set found n = 6",
+                          "exhaustive: longest set found n = 6"]
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
