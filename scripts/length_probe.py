@@ -51,20 +51,22 @@ def main() -> int:
         help="comma-separated subset of greedy,random,exhaustive")
     args = ap.parse_args()
 
+    makers = {
+        "greedy": GreedySearch,
+        "random": lambda: RandomSearch(seed=args.seed, max_attempts=args.max_attempts),
+        "exhaustive": ExhaustiveSearch,
+    }
+    wanted = args.strategies.split(",")
     try:
         ctx = parse_field(args.field)
         spec = ConditionSpec(k=args.k, r=args.r)
+        unknown = [name for name in wanted if name not in makers]
+        if unknown:
+            raise ValueError(f"unknown strategy {unknown[0]!r}; choose from {','.join(makers)}")
     except (MdsforgeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    wanted = args.strategies.split(",")
-    strategies = {}
-    if "greedy" in wanted:
-        strategies["greedy"] = lambda: GreedySearch()
-    if "random" in wanted:
-        strategies["random"] = lambda: RandomSearch(seed=args.seed, max_attempts=args.max_attempts)
-    if "exhaustive" in wanted:
-        strategies["exhaustive"] = lambda: ExhaustiveSearch()
+    strategies = {name: make for name, make in makers.items() if name in wanted}
 
     print(f"field GF({ctx.p}^{ctx.m}) = GF({ctx.q}), k={args.k}, r={args.r}")
     print(f"{'n':>4} " + " ".join(f"{name:>12}" for name in strategies))

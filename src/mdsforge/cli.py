@@ -14,18 +14,17 @@ guard.  Exceeding a guard is always a loud error.
 ``verify`` decides MDS by one of three routes: none for Reed-Solomon
 exponents {0..k-1} (every minor is a Vandermonde determinant), the serial
 e_r test of ``check`` for {0..k} minus one value, and the elimination scan
-for every other exponent set.  ``check`` and that ``verify`` route decide
-r = 1 by a subset-sum table over GF(q) when C(n,k) >= n*k*m*ceil(q/64)/16
-and its n*k*q bits fit in 32 MiB; short point sets in large fields stay on
-the subset walk.  Both give the same witness.  ``search --strategy
-exhaustive`` tests each r = 1 candidate by one bit of a stack of subset-sum
-bitsets when its n*k*q bits fit in the same 32 MiB, and otherwise, like
-greedy, by a walk over the subsets of the points already chosen; both
-print the same set.  ``--jobs N`` (N >= 1) affects only the elimination
-route: it splits the scan by the lowest index of a subset over at most
-min(N, CPUs) worker processes and stops at the first witness, without
-changing any result.  Scans of fewer than 20 000 subsets stay serial,
-since a pool costs more than it saves there.
+for every other exponent set.  One rule routes r = 1 in ``check``, that
+``verify`` route and exhaustive and greedy ``search``, for the n points
+checked or sought: subset-sum bitsets over GF(q) when
+C(n,k) >= n*k*m*ceil(q/64)/16 and n*k*q bits fit in 32 MiB, else the
+subset walk.  Both give the same witness and the same set.  ``bound``
+exits 2 when no field has q elements, q > 2^32 or a side is too long to
+print.  ``--jobs N`` (N >= 1) affects only the elimination route: it
+splits the scan by the lowest index of a subset over at most min(N, CPUs)
+worker processes and stops at the first witness, without changing any
+result.  Scans of fewer than 20 000 subsets stay serial, since a pool
+costs more than it saves there.
 ``verify --cross-check`` derives the MDS answer a second time, on every
 route, from a from-scratch rank of every k-subset of columns, and fails
 loudly if the two differ.
@@ -47,13 +46,14 @@ from .conditions import (
     ExhaustiveSearch,
     GreedySearch,
     RandomSearch,
+    bound_log10,
     check_esym,
     existence_bound,
     search_eval_set,
 )
-from .errors import FormatError, InvalidParamsError, MdsforgeError
+from .errors import FormatError, InvalidParamsError, MdsforgeError, TooLargeError
 from .evalcode import EvalCode, EvalSet, encode as encode_word, gap_exponents, gap_order
-from .field import FieldContext, make_field
+from .field import MAX_FIELD_SIZE, FieldContext, _prime_divisors, make_field
 from .jsonio import canonical_dumps, write_atomic
 
 USAGE_ERROR = 2
@@ -289,6 +289,8 @@ def _cmd_search(args) -> int:
         return NEGATIVE
     exponents = gap_exponents(args.k, args.r)
     params = {"n": args.n, "k": args.k, "r": args.r, "strategy": args.strategy}
+    if delta is not None and any(delta):  # the exponents alone do not name it
+        params["delta"] = list(delta)
     if args.strategy == "random":
         params["seed"] = args.seed
     code = EvalCode(ctx, EvalSet(found), exponents, "search", params)
@@ -297,8 +299,19 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    if args.q > MAX_FIELD_SIZE:
+        raise TooLargeError(f"q = {args.q} exceeds the field size limit {MAX_FIELD_SIZE}")
+    if len(_prime_divisors(args.q)) != 1:  # q is no prime power
+        raise InvalidParamsError(f"no field has {args.q} elements")
     query = BoundQuery(q=args.q, n=args.n, k=args.k, max_exp=args.max_exp, variant=args.variant)
+    # a side too long for the interpreter to print: by estimate, then exactly
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    too_long = TooLargeError(f"a side of the bound has more than {digits} decimal digits")
+    if digits and bound_log10(query) > digits + 1:
+        raise too_long
     holds, lhs, rhs = existence_bound(query)
+    if digits and max(lhs, rhs) >= 10**digits:
+        raise too_long
     _emit({"holds": holds, "lhs": lhs, "rhs": rhs, "variant": args.variant})
     return 0 if holds else NEGATIVE
 

@@ -13,58 +13,54 @@ Every k-subset scan in the package is :func:`first_failing_subset`: a
 lexicographic walk that keeps one state per prefix and asks a step
 function to extend it or reject it.  Here the step carries the vector
 (e_0, ..., e_r) via the recurrence e_j <- e_j + alpha * e_{j-1}, so each
-extension costs O(r) field operations.  :func:`check_esym` walks the
-k-subsets of the points; for r = 1, where it is cheaper, it reads the
-answer and the same witness from a table of the sums that the subsets of
-each suffix of the points reach (:data:`SUM_TABLE_RATIO`).  Greedy search
-tests a candidate point against the points already taken by walking their
-(k-1)-subsets, rooted at the candidate.  The certifier walks generator
+extension costs O(r) field operations.  The certifier walks generator
 columns with an elimination step instead.
 
-Exhaustive search backtracks through the colex tree of n-subsets of the
-field, largest point first.  Each new point is the lowest so far, so every
-k-subset of a full set is tested exactly once, when its lowest point
-joins.  The condition is hereditary (a set fails whenever a subset of it
-fails), so a branch is cut at its first conflict without losing a passing
-set: the first full set reached is the first passing set in colex order,
-and a search that reaches none proves that no n-subset passes.  For r = 1
-it tests a candidate by one bit of a stack of the sums that the subsets of
-the points taken reach, the prefix counterpart of the suffix table of
-:func:`check_esym`, and moves the sums by the same translation
-(:func:`_sum_translator`); for r >= 2, or past :data:`SUM_TABLE_MAX_BITS`,
-it uses greedy's walk.
+Both searches grow a set on one candidate stack (``next_free``, ``push``,
+``pop``).  Greedy takes the lowest free candidate in counter order and
+never backtracks.  Exhaustive search backtracks through the colex tree of
+n-subsets of the field, largest point first, so each k-subset of a full
+set is tested once, when its lowest point joins.  The condition is
+hereditary (a set fails whenever a subset of it fails), so cutting a
+branch at its first conflict loses no passing set: the first full set
+reached is the first in colex order, and reaching none proves that no
+n-subset passes.
+
+One rule, :func:`_by_sums`, routes :func:`check_esym` and both searches,
+for the n points checked or sought: r = 1 goes by subset-sum bitsets over
+GF(q), moved by :func:`_sum_translator`, when both
+SUM_TABLE_RATIO * n*k*m*ceil(q/64) <= C(n, k) and
+n*k*q <= SUM_TABLE_MAX_BITS; everything else walks.  :func:`check_esym`
+then reads the answer and the walk's witness from the sums that the
+subsets of each suffix reach; the stack tests a candidate by one bit of
+the sums that the subsets of the points taken reach, or else walks their
+(k-1)-subsets from the candidate.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf, log10
 from typing import Any, Callable, Optional, Sequence, Union
 
-from .errors import (
-    InfeasibleError,
-    InvalidParamsError,
-    TooLargeError,
-)
+from .errors import InfeasibleError, InvalidParamsError, TooLargeError
 from .field import ENUMERATION_GUARD, FieldContext, FieldElement
 
 SUBSET_GUARD = 10**7
 
-#: For r = 1, :func:`check_esym` reads the subset-sum table of
-#: :func:`_first_sum_subset` instead of walking the C(n, k) subsets when
-#: C(n, k) >= SUM_TABLE_RATIO * n*k*m*ceil(q/64), the table's word
-#: operations.  On passing sets (medians of 7, Python 3.11) the table won
-#: or tied all 344 cases with k >= 2 and C(n, k)/cost in [0.05, 4] over 20
-#: fields up to GF(4001) and GF(2^12); the walk won near 0.001 (GF(1000003)
-#: n=10 k=3: 0.22 against 3.3 ms).  The margin is for failing sets, where
-#: the walk stops early.  With k = 1 the walk wins by at most 0.05 ms.
+#: :func:`_by_sums` takes the bitsets only when C(n, k) >= SUM_TABLE_RATIO *
+#: n*k*m*ceil(q/64), their word operations.  On passing sets (medians of 7,
+#: Python 3.11) the table won or tied all 344 cases with k >= 2 and
+#: C(n, k)/cost in [0.05, 4] over 20 fields up to GF(4001) and GF(2^12); the
+#: walk won near 0.001 (GF(1000003) n=10 k=3: 0.22 against 3.3 ms).  The
+#: margin is for failing sets, where the walk stops early.  With k = 1 the
+#: walk wins by at most 0.05 ms.
 SUM_TABLE_RATIO = 1 / 16
 
-#: The table holds up to n*k*q bits; past this many (32 MiB) the walk runs
-#: instead, in :func:`check_esym` and in exhaustive search alike.  45 points
-#: of GF(1000003) with k = 5, 2.3e8 bits, took 0.04 s against 1.2 s by the
-#: walk and raised the peak RSS by 29 MB.
+#: The bitsets hold up to n*k*q bits; past this many (32 MiB) the walk runs.
+#: 45 points of GF(1000003) with k = 5, 2.3e8 bits, took 0.04 s against
+#: 1.2 s by the walk and raised the peak RSS by 29 MB.
 SUM_TABLE_MAX_BITS = 1 << 28
 
 
@@ -193,18 +189,21 @@ def check_esym(
     and the condition holds vacuously.
     """
     n, k, r = len(points), spec.k, spec.r
-    total = _require_subset_count(n, k, guard)
+    _require_subset_count(n, k, guard)
     delta = _target(ctx, spec)
-    if (
-        r == 1
-        and SUM_TABLE_RATIO * n * k * ctx.m * -(-ctx.q // 64) <= total
-        and n * k * ctx.q <= SUM_TABLE_MAX_BITS
-    ):
+    if _by_sums(ctx, n, spec):
         witness = _first_sum_subset(ctx, list(points), k, delta)
     else:
         step = _esym_step(ctx, list(points), r, delta, 0, k)
         witness = first_failing_subset(n, k, _esym_root(ctx, r), step)
     return (witness is None, witness)
+
+
+def _by_sums(ctx: FieldContext, n: int, spec: ConditionSpec) -> bool:
+    """The module docstring's route rule: True sends n points to the bitsets."""
+    k, q = spec.k, ctx.q
+    return (spec.r == 1 and n * k * q <= SUM_TABLE_MAX_BITS
+            and SUM_TABLE_RATIO * n * k * ctx.m * -(-q // 64) <= comb(n, k))
 
 
 def _sum_translator(ctx: FieldContext) -> Callable[[FieldElement], Callable[[list], list]]:
@@ -305,7 +304,7 @@ class BoundQuery:
 
     ``max_exp`` is the largest exponent of the intended exponent set (only
     the general variant uses it).  ``variant`` selects which sufficient
-    condition to evaluate.
+    condition to evaluate.  Whether GF(q) exists is the caller's question.
     """
 
     q: int
@@ -317,6 +316,12 @@ class BoundQuery:
     def __post_init__(self):
         if self.variant not in ("general", "vieta"):
             raise InvalidParamsError(f"unknown bound variant {self.variant!r}")
+        if self.k < 3 or 2 * self.k > self.n:
+            raise InvalidParamsError("bounds require 3 <= k <= n/2")
+        if self.n > self.q:
+            raise InvalidParamsError("need n <= q")
+        if self.variant == "general" and (self.max_exp is None or self.max_exp < self.k - 1):
+            raise InvalidParamsError("general variant needs max_exp >= k - 1")
 
 
 def existence_bound(query: BoundQuery) -> tuple[bool, int, int]:
@@ -328,18 +333,30 @@ def existence_bound(query: BoundQuery) -> tuple[bool, int, int]:
     Returns (holds, lhs, rhs) with exact integer sides.
     """
     q, n, k = query.q, query.n, query.k
-    if k < 3 or 2 * k > n:
-        raise InvalidParamsError("bounds require 3 <= k <= n/2")
-    if n > q:
-        raise InvalidParamsError("need n <= q")
     lhs = comb(q, n)
-    if query.variant == "general":
-        if query.max_exp is None or query.max_exp < k - 1:
-            raise InvalidParamsError("general variant needs max_exp >= k - 1")
-        rhs = ((q**k - 1) // (q - 1)) * comb(query.max_exp, k) * comb(q - k, n - k)
+    if query.variant == "general":  # q^k is not built when C(max_exp, k) = 0
+        c = comb(query.max_exp, k)
+        rhs = c and ((q**k - 1) // (q - 1)) * c * comb(q - k, n - k)
     else:
         rhs = comb(q, k - 1) * comb(q - k, n - k)
     return (lhs > rhs, lhs, rhs)
+
+
+def bound_log10(query: BoundQuery) -> float:
+    """A lower bound on log10 of the larger side of :func:`existence_bound`,
+    from C(a, b) >= (a/c)^c, c = min(b, a - b), and (q^k - 1)/(q - 1) >= q^(k-1).
+    Where it is L, no nonzero factor of a side exceeds 10^(2.5 L + 1)."""
+
+    def lcomb(a: int, b: int) -> float:
+        c = min(b, a - b)  # C(a, b) is 0 for c < 0 and 1 for c = 0
+        return -inf if c < 0 else 0.0 if c == 0 else c * (log10(a) - log10(c))
+
+    q, n, k = query.q, query.n, query.k
+    if query.variant == "general":
+        rhs = (k - 1) * log10(q) + lcomb(query.max_exp, k)
+    else:
+        rhs = lcomb(q, k - 1)
+    return max(lcomb(q, n), rhs + lcomb(q - k, n - k))
 
 
 # ---------------------------------------------------------------------------
@@ -378,17 +395,20 @@ class GreedySearch:
 SearchStrategy = Union[ExhaustiveSearch, RandomSearch, GreedySearch]
 
 
-def _conflict_test(
-    ctx: FieldContext, chosen: list, spec: ConditionSpec
-) -> Callable[[FieldElement], bool]:
-    """Whether a candidate closes a k-subset with e_r = delta among `chosen`.
+def _candidate_stack(ctx: FieldContext, n: int, spec: ConditionSpec) -> tuple[Callable, ...]:
+    """(next_free, push, pop) of a search for n points, by :func:`_by_sums`:
+    ``next_free(v, limit)`` is the lowest candidate from v on that closes no
+    failing k-subset with the points pushed, or at least limit if none is
+    below it; ``push`` and ``pop`` add and drop a point."""
+    return (_sum_stack if _by_sums(ctx, n, spec) else _walk_stack)(ctx, spec)
 
-    Such a subset is the candidate plus k-1 chosen points, so the test walks
-    the (k-1)-subsets of `chosen` from the e-vector of {candidate}.  With
-    k = 1 that walk is empty and {candidate} itself is the subset.  The
-    caller grows and shrinks `chosen` in place between calls.
-    """
+
+def _walk_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Callable, ...]:
+    """(next_free, push, pop) by one walk per candidate over the
+    (k-1)-subsets of the points pushed, from the e-vector of {candidate};
+    with k = 1 that walk is empty and {candidate} is the subset."""
     k, r, delta = spec.k, spec.r, _target(ctx, spec)
+    chosen: list[FieldElement] = []
     step = _esym_step(ctx, chosen, r, delta, 1, k)
 
     def conflicts(cand: FieldElement) -> bool:
@@ -396,15 +416,6 @@ def _conflict_test(
         if k == 1:
             return root[r] == delta
         return first_failing_subset(len(chosen), k - 1, root, step) is not None
-
-    return conflicts
-
-
-def _walk_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Callable, ...]:
-    """(next_free, push, pop) of :func:`_first_colex_set` by the conflict
-    test of :func:`_conflict_test`: one subset walk per candidate."""
-    chosen: list[FieldElement] = []
-    conflicts = _conflict_test(ctx, chosen, spec)
 
     def next_free(v: int, limit: int) -> int:
         while v < limit and conflicts(ctx.from_int(v)):
@@ -415,18 +426,15 @@ def _walk_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Callable, ...]:
 
 
 def _sum_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Callable, ...]:
-    """(next_free, push, pop) of :func:`_first_colex_set` for r = 1 by a
-    stack of subset-sum bitsets: one bit test per candidate.
+    """(next_free, push, pop) for r = 1 by a stack of subset-sum bitsets.
 
-    Row d of the stack holds, for j < k, the bitset of the elements
-    delta - s where s is the sum of some j-subset of the first d points
-    pushed (bit v stands for the element with counter index v).  A
-    candidate closes a k-subset that sums to delta exactly when its own bit
-    is set in entry k - 1 of the top row; with k = 1 that entry is {delta}.
-    Pushing a point a moves entry j - 1 by -a into entry j (the move is
-    kept per point, since the backtrack pushes each point many times), and
-    popping drops the row.  The lowest free candidate from v on is the
-    lowest clear bit of the top entry at or above v.
+    Entry j < k of row d is the bitset of delta - s over the sums s of the
+    j-subsets of the first d points pushed (bit v is the element with
+    counter index v).  A candidate closes a k-subset that sums to delta
+    exactly when its bit is set in entry k - 1 of the top row (with k = 1
+    that entry is {delta}), so next_free is the lowest clear bit from v on.
+    Pushing a moves entry j - 1 by -a into entry j, a move kept per point
+    since the backtrack pushes each point many times; pop drops the row.
     """
     by, moves = _sum_translator(ctx), {}
     rows = [[1 << ctx.to_int(_target(ctx, spec))] + [0] * (spec.k - 1)]
@@ -443,39 +451,6 @@ def _sum_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Callable, ...]:
         rows.append(row[:1] + [old | new for old, new in zip(row[1:], move(row[:-1]))])
 
     return next_free, push, rows.pop
-
-
-def _first_colex_set(
-    ctx: FieldContext, n: int, spec: ConditionSpec
-) -> Optional[tuple[FieldElement, ...]]:
-    """First n-subset of the field in colex order that passes the condition,
-    by the backtracking of the module docstring; None if there is none.
-
-    ``next_free(v, limit)`` is the lowest candidate at or above v that
-    closes no failing k-subset with the points pushed so far, or a value
-    of at least limit when there is none below it; ``push`` and ``pop`` add
-    and drop the lowest point.
-    """
-    if spec.r == 1 and n * spec.k * ctx.q <= SUM_TABLE_MAX_BITS:
-        next_free, push, pop = _sum_stack(ctx, spec)
-    else:
-        next_free, push, pop = _walk_stack(ctx, spec)
-    values: list[int] = []  # largest counter value first
-    v = n - 1  # the lowest value that leaves room for the points below it
-    while True:
-        limit = values[-1] if values else ctx.q
-        v = next_free(v, limit)
-        if v < limit:
-            push(v)
-            values.append(v)
-            if len(values) == n:
-                return tuple(ctx.from_int(u) for u in reversed(values))
-            v = n - 1 - len(values)
-        elif values:
-            pop()
-            v = values.pop() + 1
-        else:
-            return None
 
 
 def search_eval_set(
@@ -497,12 +472,25 @@ def search_eval_set(
         raise TooLargeError(f"field of size {q} exceeds enumeration guard")
 
     if isinstance(strategy, ExhaustiveSearch):
-        if comb(q, n) > strategy.guard:
-            raise InfeasibleError(
-                f"C({q},{n}) = {comb(q, n)} exceeds search guard {strategy.guard}"
-            )
+        _require_subset_count(q, n, strategy.guard)  # the sets searched
         _require_subset_count(n, spec.k, strategy.guard)
-        return _first_colex_set(ctx, n, spec)
+        next_free, push, pop = _candidate_stack(ctx, n, spec)
+        values: list[int] = []  # the colex backtrack of the module docstring
+        v = n - 1  # the lowest value that leaves room for the points below it
+        while True:
+            limit = values[-1] if values else q
+            v = next_free(v, limit)
+            if v < limit:
+                push(v)
+                values.append(v)
+                if len(values) == n:
+                    return tuple(ctx.from_int(u) for u in reversed(values))
+                v = n - 1 - len(values)
+            elif values:
+                pop()
+                v = values.pop() + 1
+            else:
+                return None
 
     if isinstance(strategy, RandomSearch):
         rng = random.Random(strategy.seed)
@@ -515,15 +503,13 @@ def search_eval_set(
         return None
 
     if isinstance(strategy, GreedySearch):
-        chosen: list[FieldElement] = []
-        conflicts = _conflict_test(ctx, chosen, spec)
-        for v in range(q):
-            cand = ctx.from_int(v)
-            if conflicts(cand):
-                continue
-            chosen.append(cand)
-            if len(chosen) == n:
-                return tuple(chosen)
-        return None
+        next_free, push, _ = _candidate_stack(ctx, n, spec)
+        values = []
+        while len(values) < n:
+            values.append(next_free(values[-1] + 1 if values else 0, q))
+            if values[-1] >= q:
+                return None
+            push(values[-1])
+        return tuple(ctx.from_int(u) for u in values)
 
     raise InvalidParamsError(f"unknown search strategy {strategy!r}")

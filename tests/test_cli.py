@@ -353,7 +353,7 @@ def test_search_random_seed_reproducible(capsys):
 
 GREEDY_K1 = (
     '{"exponents":[1],"family":"search","field":{"m":1,"modulus":[0,1],"p":7},'
-    '"params":{"k":1,"n":3,"r":1,"strategy":"greedy"},"points":[[%s],[%s],[%s]]}\n'
+    '"params":{%s"k":1,"n":3,"r":1,"strategy":"greedy"},"points":[[%s],[%s],[%s]]}\n'
 )
 
 
@@ -367,7 +367,21 @@ def test_search_greedy_k1_skips_the_target(capsys, extra, points):
         "--strategy", "greedy", *extra,
     )
     assert rc == 0
-    assert out == GREEDY_K1 % points
+    assert out == GREEDY_K1 % ('"delta":[2],' if extra else "", *points)
+
+
+def test_search_records_a_nonzero_delta_in_the_code_file(capsys, tmp_path):
+    path = tmp_path / "d.json"
+    rc, out, _ = run(capsys, "search", "--field", "3,2", "--n", "6", "--k", "3",
+                     "--delta", "2,1", "-o", str(path))
+    assert rc == 0
+    assert path.read_text() == out
+    assert parse(out)["params"] == {"delta": [2, 1], "k": 3, "n": 6, "r": 1,
+                                    "strategy": "exhaustive"}
+    # a zero delta is the default condition and is not recorded
+    rc, out, _ = run(capsys, "search", "--field", "13", "--n", "6", "--k", "3",
+                     "--delta", "0")
+    assert rc == 0 and "delta" not in parse(out)["params"]
 
 
 def test_bound_true_exits_zero(capsys):
@@ -388,6 +402,46 @@ def test_bound_false_exits_one(capsys):
 def test_bound_bad_params(capsys):
     rc, _, _ = run(capsys, "bound", "--q", "13", "--n", "6", "--k", "2", "--mI", "3")
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "q, n, message",
+    [
+        ("6", "6", "no field has 6 elements"),
+        ("1", "6", "no field has 1 elements"),
+        ("4294967297", "10", "exceeds the field size limit"),
+        # C(q, n) has over 460 000 digits, past the interpreter's int -> str limit
+        ("4294967291", "100000", "more than 4300 decimal digits"),
+        # refused before C(q, n) is built
+        ("4294967291", "10000000", "more than 4300 decimal digits"),
+    ],
+)
+def test_bound_refuses_what_it_cannot_answer(capsys, q, n, message):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "bound", "--q", q, "--n", n, "--k", "3", "--mI", "3")
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+def test_bound_with_a_zero_factor_does_not_build_q_to_the_k(capsys):
+    # C(max_exp, k) = 0 for max_exp = k - 1, so the general rhs is 0
+    start = time.perf_counter()
+    rc, out, _ = run(capsys, "bound", "--q", "4294967291", "--n", "4294967291",
+                     "--k", "1000000", "--mI", "999999")
+    assert time.perf_counter() - start < 1.0
+    assert rc == 0
+    assert parse(out) == {"holds": True, "lhs": 1, "rhs": 0, "variant": "general"}
+
+
+def test_bound_prints_every_side_the_interpreter_can_print(capsys):
+    # C(4294967291, 589) has 4 297 digits and C(4294967291, 590) more than 4 300
+    rc, out, _ = run(capsys, "bound", "--q", "4294967291", "--n", "589", "--k", "3",
+                     "--variant", "vieta")
+    assert rc == 0 and parse(out)["lhs"] == comb(4294967291, 589)
+    rc, out, err = run(capsys, "bound", "--q", "4294967291", "--n", "590", "--k", "3",
+                       "--variant", "vieta")
+    assert (rc, out) == (2, "") and "more than 4300 decimal digits" in err
 
 
 def test_encode_decode_roundtrip(capsys, tmp_path):

@@ -210,9 +210,9 @@ def refuse(*args, **kwargs):
     raise AssertionError("this route is switched off")
 
 
-def on_route(route, ctx, points, spec):
-    """check_esym with the sum-table ratio forcing `route`; the other
-    route's scan refuses to run."""
+def on_route(route, fn, *args):
+    """fn(*args) with the sum-table ratio forcing every r = 1 check and
+    search onto `route`; the other route's code refuses to run."""
     with pytest.MonkeyPatch.context() as mp:
         if route == "table":
             mp.setattr(conditions, "SUM_TABLE_RATIO", 0)
@@ -220,7 +220,8 @@ def on_route(route, ctx, points, spec):
         else:
             mp.setattr(conditions, "SUM_TABLE_RATIO", math.inf)
             mp.setattr(conditions, "_first_sum_subset", refuse)
-        return check_esym(ctx, points, spec)
+            mp.setattr(conditions, "_sum_stack", refuse)
+        return fn(*args)
 
 
 @st.composite
@@ -252,8 +253,8 @@ def test_sum_table_matches_walk_and_counts(case):
     points = tuple(ctx.from_int(v) for v in values)
     target = ctx.from_int(delta or 0)
     spec = ConditionSpec(k=k, delta=None if delta is None else target)
-    walk = on_route("walk", ctx, points, spec)
-    assert on_route("table", ctx, points, spec) == walk
+    walk = on_route("walk", check_esym, ctx, points, spec)
+    assert on_route("table", check_esym, ctx, points, spec) == walk
     assert walk[0] == (subset_sum_counts(ctx, points, k)[k][delta or 0] == 0)
 
 
@@ -365,6 +366,22 @@ def test_bound_validation():
         BoundQuery(q=13, n=6, k=3, variant="nope")
 
 
+def test_bound_log10_bounds_the_larger_side_from_below():
+    rng = random.Random(71)
+    for _ in range(300):
+        k = rng.randint(3, 30)
+        n = rng.randint(2 * k, 2 * k + 400)
+        q = rng.choice([n, n + rng.randint(0, 50), 2 * n, 4294967291, 2**20])
+        variant = rng.choice(["general", "vieta"])
+        max_exp = rng.choice([k - 1, k, 2 * k, 10**rng.randint(2, 400)])
+        query = BoundQuery(q=q, n=n, k=k, max_exp=max_exp, variant=variant)
+        _, lhs, rhs = existence_bound(query)
+        exact = max(math.log10(lhs), math.log10(rhs) if rhs else -math.inf)
+        estimate = conditions.bound_log10(query)
+        assert estimate <= exact + 1e-9
+        assert exact <= 2.5 * estimate + 1  # the docstring's upper bound
+
+
 def test_vieta_variant_needs_no_max_exp():
     holds, lhs, rhs = existence_bound(BoundQuery(q=67, n=6, k=3, variant="vieta"))
     assert isinstance(holds, bool) and lhs > 0 and rhs > 0
@@ -433,13 +450,57 @@ def test_exhaustive_r1_search_takes_the_sum_stack(monkeypatch):
     assert search_eval_set(ctx, 10, ConditionSpec(k=3), ExhaustiveSearch()) is None
 
 
-def test_walk_stays_for_r2_and_greedy(monkeypatch):
+def test_walk_stays_for_r2_searches(monkeypatch):
     monkeypatch.setattr(conditions, "first_failing_subset", refuse)
     ctx = make_field(11)
-    with pytest.raises(AssertionError, match="switched off"):
-        search_eval_set(ctx, 5, ConditionSpec(k=3, r=2), ExhaustiveSearch())
-    with pytest.raises(AssertionError, match="switched off"):
-        search_eval_set(ctx, 5, ConditionSpec(k=3), GreedySearch())
+    for strategy in (ExhaustiveSearch(), GreedySearch()):
+        with pytest.raises(AssertionError, match="switched off"):
+            search_eval_set(ctx, 5, ConditionSpec(k=3, r=2), strategy)
+
+
+def test_greedy_r1_search_follows_the_route_rule(monkeypatch):
+    # ten points of GF(2^6) are under the ratio: one bit test per candidate
+    ctx, spec = make_field(2, 6), ConditionSpec(k=3)
+    assert conditions._by_sums(ctx, 10, spec)
+    monkeypatch.setattr(conditions, "first_failing_subset", refuse)
+    found = search_eval_set(ctx, 10, spec, GreedySearch())
+    monkeypatch.undo()
+    assert found == greedy_scan(ctx, 10, 3, 1)
+    # ten points of GF(1000003) are not (C(10,3) = 120 against 10 * 3 *
+    # 15626 words), so greedy walks there
+    big = make_field(1000003)
+    assert not conditions._by_sums(big, 10, spec)
+    monkeypatch.setattr(conditions, "_sum_stack", refuse)
+    assert search_eval_set(big, 10, spec, GreedySearch()) == greedy_scan(big, 10, 3, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(7, 1), (13, 1), (2, 3), (3, 2), (2, 4)]),
+    st.integers(1, 4),
+    st.integers(0, 15),
+    st.integers(1, 9),
+    st.randoms(use_true_random=False),
+)
+@example((13, 1), 3, 0, 7, random.Random(0))  # greedy and exhaustive find none
+@example((2, 3), 1, 5, 7, random.Random(1))  # k = 1: every point but delta
+@example((7, 1), 4, 2, 2, random.Random(2))  # k > n: vacuous
+def test_routes_agree_on_check_and_both_searches(field, k, delta, n, rng):
+    # the ratio moves check_esym, exhaustive and greedy search together
+    ctx = make_field(*field)
+    assume(n <= ctx.q)
+    spec = ConditionSpec(k=k, delta=ctx.from_int(delta % ctx.q))
+    points = tuple(ctx.from_int(v) for v in rng.sample(range(ctx.q), n))
+    answers = {
+        route: (
+            on_route(route, check_esym, ctx, points, spec),
+            on_route(route, search_eval_set, ctx, n, spec, ExhaustiveSearch()),
+            on_route(route, search_eval_set, ctx, n, spec, GreedySearch()),
+        )
+        for route in ("table", "walk")
+    }
+    assert answers["table"] == answers["walk"]
+    assert answers["table"][2] == greedy_scan(ctx, n, k, 1, spec.delta)
 
 
 def test_exhaustive_r1_search_past_the_bit_cap_walks(monkeypatch):

@@ -5,9 +5,10 @@ Each `verify` case writes one code file and runs `verify` in-process.  The
 sha256 of stdout and the exit code were recorded while every Reed-Solomon
 code still went through the k-subset elimination scan, the cor411 case and
 the `check` case while every r = 1 condition still went through the e_r
-walk, and the `search` cases while the exhaustive search still tested every
-r = 1 candidate by walking the subsets of the points already chosen, so a
-faster route for any of these inputs must print exactly the same bytes.
+walk, and the `search` cases while the exhaustive search (or, for the
+greedy cases, the greedy search) still tested every r = 1 candidate by
+walking the subsets of the points already chosen, so a faster route for
+any of these inputs must print exactly the same bytes.
 """
 
 import contextlib
@@ -61,13 +62,27 @@ CHECK_DIGEST = "26db6cedc1592a7545c5bd9bc605307837470f7969e3c486637710cef1bbfffb
 #: (field, n, extra search arguments, stdout sha256, exit code) of
 #: `search --strategy exhaustive --k 3`: the benchmark's two proofs of
 #: `none`, its two short searches that find a set, and a nonzero delta
+#: (re-pinned once the code file's params began to record delta)
 SEARCHES = [
     ("19", 8, [], "628e3d1a2fb49c08732f47557560e8353bd0dbbd0588b48a99559eac42227b87", 0),
     ("19", 9, [], "7be3ac796e3edfe5617677992d0a31914d7f76e1f1da55f9b243eb85e4ae3adf", 1),
     ("2,4", 9, [], "8d4f8cf735939b3ca68f1538291ea25e39469a0515b62eea91a83acac8de8bfe", 0),
     ("2,4", 10, [], "c8a9366d709be662df4040566a0cfe99d943aba304c0f6785e86146d0991f662", 1),
     ("3,2", 6, ["--delta", "2,1"],
-     "5f32a6d86d61295823778723a42b157b49ef83f23e8a632336f9756e56a50569", 0),
+     "fa07fc0977af4c70af9a1e13905d6955bbf6095c2760b7f6f36e4cc96b64daee", 0),
+]
+
+#: (field, n, k, r, stdout sha256, exit code) of `search --strategy greedy`:
+#: the benchmark's four greedy calls, a set that greedy cannot complete, a
+#: long set in GF(2^12) and a short one in GF(1000003)
+GREEDY = [
+    ("101", 12, 3, 1, "1001874f9698069f36050eb707dedacabf0f32982385ba3d97005631238890f8", 0),
+    ("2,6", 10, 3, 1, "8b8a5c5c8edd6ce6f156c94992ec6879d39ad10644d0256b5d0c110bf4b68fb7", 0),
+    ("31", 10, 4, 2, "53441c1d5617fc1799df6e9205878a4d01f296d9acc82fc5044b4b02b0b93581", 1),
+    ("101", 8, 4, 2, "a58a43ae336c9169e9f891da2588b66d015f20ac8dca777334055109798f0488", 0),
+    ("13", 7, 3, 1, "a7aa26e680457c6b8972fdc9f29a495e47ce57c38a9ac39ddb3811acf8e89d9c", 1),
+    ("2,12", 40, 3, 1, "b9dc273a9fc61db99ff0420de7f72fc99a6df12cec817a54334b932a48440e68", 0),
+    ("1000003", 10, 3, 1, "9e4c0bef0d1ca5bdd7d26737081bef0d6618ccfd48632f4fbbface1d250237fc", 0),
 ]
 
 
@@ -101,3 +116,12 @@ def test_check_stdout_is_pinned():
 def test_search_stdout_is_pinned(field, n, extra, digest, rc):
     argv = ["search", "--field", field, "--n", str(n), "--k", "3", "--strategy", "exhaustive"]
     assert stdout_digest([*argv, *extra]) == (digest, rc)
+
+
+@pytest.mark.parametrize(
+    "field,n,k,r,digest,rc", GREEDY, ids=[f"gf{g[0]}-n{g[1]}-k{g[2]}-r{g[3]}" for g in GREEDY]
+)
+def test_greedy_stdout_is_pinned(field, n, k, r, digest, rc):
+    argv = ["search", "--field", field, "--n", str(n), "--k", str(k), "--r", str(r),
+            "--strategy", "greedy"]
+    assert stdout_digest(argv) == (digest, rc)

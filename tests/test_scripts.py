@@ -63,6 +63,7 @@ def test_length_probe_keeps_none_for_proofs():
         (["--field", "2,200", "--k", "3"], "exceeds the size limit"),
         (["--field", "abc", "--k", "3"], "'p' or 'p,m'"),
         (["--field", "7", "--k", "0"], "k must be >= 1"),
+        (["--field", "7", "--k", "3", "--strategies", "gredy"], "unknown strategy 'gredy'"),
     ],
 )
 def test_length_probe_rejects_bad_parameters(args, message):
