@@ -49,7 +49,6 @@ error.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -182,6 +181,8 @@ def mds_exhaustive(
     if workers <= 1 or total < PARALLEL_MIN_SUBSETS:
         witness = _first_dependent_subset(ctx, cols, k)
         return (witness is None, witness)
+
+    from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
 
     with ProcessPoolExecutor(
         max_workers=workers,

@@ -14,11 +14,12 @@ guard.  Exceeding a guard is always a loud error.
 ``verify`` decides MDS by one of three routes: none for Reed-Solomon
 exponents {0..k-1} (every minor is a Vandermonde determinant), the serial
 e_r test of ``check`` for {0..k} minus one value, and the elimination scan
-for every other exponent set.  One rule routes r = 1 in ``check``, that
-``verify`` route and exhaustive and greedy ``search``, for the n points
-checked or sought: subset-sum bitsets over GF(q) when
-C(n,k) >= n*k*m*ceil(q/64)/16 and n*k*q bits fit in 32 MiB, else the
-subset walk.  Both give the same witness and the same set.  ``bound``
+for every other exponent set.  For r = 1, ``check``, that ``verify``
+route and exhaustive and greedy ``search`` choose between subset-sum
+bitsets and the subset walk by the one rule of :mod:`mdsforge.conditions`;
+both give the same witness and the same set.  ``search -o`` exits 2 on a
+nonzero ``--delta`` before searching: a code file's exponents
+{0..k} minus {k-r} stand for e_r != 0 only.  ``bound``
 exits 2 when no field has q elements, q > 2^32 or a side is too long to
 print.  ``--jobs N`` (N >= 1) affects only the elimination route: it
 splits the scan by the lowest index of a subset over at most min(N, CPUs)
@@ -53,7 +54,7 @@ from .conditions import (
 )
 from .errors import FormatError, InvalidParamsError, MdsforgeError, TooLargeError
 from .evalcode import EvalCode, EvalSet, encode as encode_word, gap_exponents, gap_order
-from .field import MAX_FIELD_SIZE, FieldContext, _prime_divisors, make_field
+from .field import MAX_FIELD_SIZE, FieldContext, make_field, prime_power
 from .jsonio import canonical_dumps, write_atomic
 
 USAGE_ERROR = 2
@@ -276,6 +277,10 @@ def _cmd_search(args) -> int:
     if args.k > args.n:
         # Every set passes vacuously, but the code file would not verify.
         raise InvalidParamsError(f"k={args.k} exceeds n={args.n}")
+    if args.output and delta is not None and any(delta):
+        raise InvalidParamsError(
+            "no monomial code file carries a nonzero delta; search without -o"
+        )
     if args.strategy == "exhaustive":
         guard = _guard_override()
         strategy = ExhaustiveSearch() if guard is None else ExhaustiveSearch(guard=guard)
@@ -301,7 +306,7 @@ def _cmd_search(args) -> int:
 def _cmd_bound(args) -> int:
     if args.q > MAX_FIELD_SIZE:
         raise TooLargeError(f"q = {args.q} exceeds the field size limit {MAX_FIELD_SIZE}")
-    if len(_prime_divisors(args.q)) != 1:  # q is no prime power
+    if prime_power(args.q) is None:
         raise InvalidParamsError(f"no field has {args.q} elements")
     query = BoundQuery(q=args.q, n=args.n, k=args.k, max_exp=args.max_exp, variant=args.variant)
     # a side too long for the interpreter to print: by estimate, then exactly

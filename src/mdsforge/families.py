@@ -2,10 +2,15 @@
 
 Every builder returns an :class:`EvalCode` over a freshly built canonical
 field, with the exponent set {0, ..., k} minus {k - r} (r = 1 unless the
-family says otherwise) and a `family` tag naming the recipe.  The point
-orderings are fixed once and for all -- base-p counter order on the free
-digits, with the lowest free digit cycling fastest -- so identical
-parameters always serialize to identical files.
+family says otherwise), a `family` tag naming the recipe and the builder's
+own arguments as its params.  The prime-field families take the points
+0..n-1.  The extension-field families share one point pattern: point i has
+constant digit first + (i mod w), and on z, ..., z^(m-1) the base-p digits
+of floor(i / w), lowest first.  thm412 and thm63 take w = 1 and constant
+digit 1, thm64 takes w from its r-th root bound, and thm415 takes
+w = floor(p/k) followed by extras at w = 1 with constant digit
+floor(p/k) + 1.  Identical parameters therefore always serialize to
+identical files.
 
 The integer-only feasibility checks mirror how the families work: each one
 confines the relevant elementary symmetric value to an integer interval
@@ -15,8 +20,7 @@ which is what makes every k-subset condition hold without any search.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from math import comb, factorial, isqrt
+from math import comb, factorial
 
 from .conditions import ConditionSpec, check_esym
 from .errors import (
@@ -30,7 +34,7 @@ from .errors import (
     NotPrimeError,
 )
 from .evalcode import EvalCode, EvalSet, gap_exponents
-from .field import is_prime, make_field
+from .field import FieldContext, FieldElement, is_prime, make_field, prime_power
 from .matrix import MatrixFq, matrix_from_rows
 
 HAMMING_COLUMN_GUARD = 1 << 20
@@ -63,12 +67,26 @@ def _require_odd_prime(p: int) -> None:
         raise InvalidParamsError("this family needs an odd characteristic")
 
 
-def _counter_tail(index: int, p: int, width: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(width):
-        out.append(index % p)
-        index //= p
-    return tuple(out)
+def _require_shape(k: int, n: int) -> None:
+    if not 3 <= k or 2 * k > n:
+        raise InvalidParamsError("need 3 <= k <= n/2")
+
+
+def _digit_points(ctx: FieldContext, count: int, w: int, first: int = 1) -> list[FieldElement]:
+    """The module docstring's point pattern for i = 0..count-1."""
+    return [(first + i % w,) + ctx.from_int(i // w)[:-1] for i in range(count)]
+
+
+def _gap_code(family: str, ctx: FieldContext, points, order: int, **params) -> EvalCode:
+    """The code on `points` with exponents {0..k} minus {k - order}, tagged
+    with `family` and the builder's arguments `params` (which hold k)."""
+    return EvalCode(
+        ctx,
+        EvalSet(tuple(points)),
+        gap_exponents(params["k"], order),
+        family,
+        {"family": family, **params},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -82,17 +100,12 @@ def cor44(p: int, k: int, n: int) -> EvalCode:
     lies strictly between 0 and p, so no sum vanishes and the code is MDS.
     """
     _require_odd_prime(p)
-    if not 3 <= k or 2 * k > n:
-        raise InvalidParamsError("need 3 <= k <= n/2")
+    _require_shape(k, n)
     if k * n - k * (k + 1) // 2 > p - 1:
         raise BoundViolatedError(
             f"k*n - k(k+1)/2 = {k * n - k * (k + 1) // 2} exceeds p - 1 = {p - 1}"
         )
-    ctx = make_field(p, 1)
-    points = EvalSet(tuple((t,) for t in range(n)))
-    return EvalCode(
-        ctx, points, gap_exponents(k, 1), "cor44", {"family": "cor44", "p": p, "k": k, "n": n}
-    )
+    return _gap_code("cor44", make_field(p, 1), [(t,) for t in range(n)], 1, p=p, k=k, n=n)
 
 
 def cor62(p: int, k: int, r: int, n: int) -> EvalCode:
@@ -104,19 +117,10 @@ def cor62(p: int, k: int, r: int, n: int) -> EvalCode:
     _require_odd_prime(p)
     if not 2 <= r <= k - 1:
         raise InvalidParamsError("need 2 <= r <= k - 1")
-    if not 3 <= k or 2 * k > n:
-        raise InvalidParamsError("need 3 <= k <= n/2")
+    _require_shape(k, n)
     if (n * k) ** r > factorial(r) * p:
         raise BoundViolatedError(f"(n*k)^r = {(n * k) ** r} exceeds r!*p = {factorial(r) * p}")
-    ctx = make_field(p, 1)
-    points = EvalSet(tuple((t,) for t in range(n)))
-    return EvalCode(
-        ctx,
-        points,
-        gap_exponents(k, r),
-        "cor62",
-        {"family": "cor62", "p": p, "k": k, "n": n, "r": r},
-    )
+    return _gap_code("cor62", make_field(p, 1), [(t,) for t in range(n)], r, p=p, k=k, n=n, r=r)
 
 
 # ---------------------------------------------------------------------------
@@ -134,20 +138,11 @@ def thm412(p: int, m: int, k: int, n: int) -> EvalCode:
         raise InvalidParamsError("need extension degree m >= 2")
     if k % p == 0:
         raise InvalidParamsError(f"characteristic {p} must not divide k={k}")
-    if not 3 <= k or 2 * k > n:
-        raise InvalidParamsError("need 3 <= k <= n/2")
+    _require_shape(k, n)
     if n > p ** (m - 1):
         raise BoundViolatedError(f"n = {n} exceeds p^(m-1) = {p ** (m - 1)}")
     ctx = make_field(p, m)
-    pts = [(1,) + _counter_tail(i, p, m - 1) for i in range(n)]
-    points = EvalSet(tuple(pts))
-    return EvalCode(
-        ctx,
-        points,
-        gap_exponents(k, 1),
-        "thm412",
-        {"family": "thm412", "p": p, "m": m, "k": k, "n": n},
-    )
+    return _gap_code("thm412", ctx, _digit_points(ctx, n, 1), 1, p=p, m=m, k=k, n=n)
 
 
 def thm415(p: int, m: int, k: int, n: int) -> EvalCode:
@@ -174,19 +169,9 @@ def thm415(p: int, m: int, k: int, n: int) -> EvalCode:
             f"n = {n} exceeds u*p^(m-1) + extras = {main_cap} + {extras_cap}"
         )
     ctx = make_field(p, m)
-    pts = []
-    for i in range(min(n, main_cap)):
-        pts.append((i % u + 1,) + _counter_tail(i // u, p, m - 1))
-    for j in range(max(0, n - main_cap)):
-        pts.append((u + 1,) + _counter_tail(j, p, m - 1))
-    points = EvalSet(tuple(pts))
-    return EvalCode(
-        ctx,
-        points,
-        gap_exponents(k, 1),
-        "thm415",
-        {"family": "thm415", "p": p, "m": m, "k": k, "n": n},
-    )
+    extras = _digit_points(ctx, max(0, n - main_cap), 1, first=u + 1)
+    pts = _digit_points(ctx, min(n, main_cap), u) + extras
+    return _gap_code("thm415", ctx, pts, 1, p=p, m=m, k=k, n=n)
 
 
 def thm63(p: int, m: int, k: int, r: int, n: int) -> EvalCode:
@@ -198,8 +183,7 @@ def thm63(p: int, m: int, k: int, r: int, n: int) -> EvalCode:
     _require_prime(p)
     if not 1 <= r <= k - 1:
         raise InvalidParamsError("need 1 <= r <= k - 1")
-    if not 3 <= k or 2 * k > n:
-        raise InvalidParamsError("need 3 <= k <= n/2")
+    _require_shape(k, n)
     if comb(k, r) % p == 0:
         raise BinomialDivisibleError(f"characteristic {p} divides C({k},{r})")
     t = (m - 1) // r
@@ -208,18 +192,7 @@ def thm63(p: int, m: int, k: int, r: int, n: int) -> EvalCode:
     if n > p**t:
         raise BoundViolatedError(f"n = {n} exceeds p^t = {p ** t}")
     ctx = make_field(p, m)
-    pts = []
-    for i in range(n):
-        tail = _counter_tail(i, p, t)
-        pts.append((1,) + tail + (0,) * (m - 1 - t))
-    points = EvalSet(tuple(pts))
-    return EvalCode(
-        ctx,
-        points,
-        gap_exponents(k, r),
-        "thm63",
-        {"family": "thm63", "p": p, "m": m, "k": k, "n": n, "r": r},
-    )
+    return _gap_code("thm63", ctx, _digit_points(ctx, n, 1), r, p=p, m=m, k=k, n=n, r=r)
 
 
 def thm64(p: int, m: int, k: int, r: int, n: int) -> EvalCode:
@@ -233,8 +206,7 @@ def thm64(p: int, m: int, k: int, r: int, n: int) -> EvalCode:
     _require_odd_prime(p)
     if not 1 <= r <= k - 1:
         raise InvalidParamsError("need 1 <= r <= k - 1")
-    if not 3 <= k or 2 * k > n:
-        raise InvalidParamsError("need 3 <= k <= n/2")
+    _require_shape(k, n)
     w = int_root(factorial(r) * p, r) // k
     if w < 1:
         raise BoundViolatedError(f"floor((r!p)^(1/r))/k < 1 for p={p}, k={k}, r={r}")
@@ -242,18 +214,7 @@ def thm64(p: int, m: int, k: int, r: int, n: int) -> EvalCode:
     if n > w * p**t:
         raise BoundViolatedError(f"n = {n} exceeds w*p^t = {w * p ** t}")
     ctx = make_field(p, m)
-    pts = []
-    for i in range(n):
-        tail = _counter_tail(i // w, p, t)
-        pts.append((i % w + 1,) + tail + (0,) * (m - 1 - t))
-    points = EvalSet(tuple(pts))
-    return EvalCode(
-        ctx,
-        points,
-        gap_exponents(k, r),
-        "thm64",
-        {"family": "thm64", "p": p, "m": m, "k": k, "n": n, "r": r},
-    )
+    return _gap_code("thm64", ctx, _digit_points(ctx, n, w), r, p=p, m=m, k=k, n=n, r=r)
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +230,12 @@ def extended_hamming_parity(r: int, base_q: int) -> MatrixFq:
     """
     if r < 2:
         raise InvalidParamsError("need r >= 2")
-    p, mb = _prime_power(base_q)
-    ctx = make_field(p, mb)
+    pm = prime_power(base_q)
+    if pm is None:
+        raise InvalidParamsError(
+            f"{base_q} is not a prime power" if base_q < 2 else "not a prime power"
+        )
+    ctx = make_field(*pm)
     q = ctx.q
     ncols = (q**r - 1) // (q - 1) + 1
     if ncols > HAMMING_COLUMN_GUARD:
@@ -278,32 +243,12 @@ def extended_hamming_parity(r: int, base_q: int) -> MatrixFq:
     one, zero = ctx.one(), ctx.zero()
     columns = []
     for v in range(q**r):
-        vec = []
-        t = v
-        for _ in range(r):
-            vec.append(ctx.from_int(t % q))
-            t //= q
-        first_nonzero = next((x for x in vec if x != zero), None)
-        if first_nonzero == one:
-            columns.append(tuple(vec) + (one,))
+        vec = tuple(ctx.from_int(v // q**i % q) for i in range(r))  # base-q digits of v
+        if next((x for x in vec if x != zero), None) == one:
+            columns.append(vec + (one,))
     columns.append((zero,) * r + (one,))
     rows = [tuple(col[i] for col in columns) for i in range(r + 1)]
     return matrix_from_rows(ctx, rows)
-
-
-def _prime_power(x: int) -> tuple[int, int]:
-    if x < 2:
-        raise InvalidParamsError(f"{x} is not a prime power")
-    for p in range(2, isqrt(x) + 1):
-        if x % p == 0:
-            m = 0
-            while x % p == 0:
-                x //= p
-                m += 1
-            if x != 1:
-                raise InvalidParamsError("not a prime power")
-            return (p, m)
-    return (x, 1)  # x itself prime
 
 
 def lift_parity_columns(h: MatrixFq, k: int) -> EvalCode:
@@ -321,12 +266,7 @@ def lift_parity_columns(h: MatrixFq, k: int) -> EvalCode:
     if k < 1 or k > ncols:
         raise InvalidParamsError(f"need 1 <= k <= {ncols}")
     ctx = make_field(base.p, base.m * rho)
-    pts = []
-    for j in range(ncols):
-        digits: list[int] = []
-        for i in range(rho):
-            digits.extend(h.entries[i][j])
-        pts.append(tuple(digits))
+    pts = [tuple(d for row in h.entries for d in row[j]) for j in range(ncols)]
     if len(set(pts)) != len(pts):
         raise DuplicateColumnsError("two columns lift to the same field element")
     ok, witness = check_esym(ctx, pts, ConditionSpec(k=k, r=1))
@@ -335,14 +275,7 @@ def lift_parity_columns(h: MatrixFq, k: int) -> EvalCode:
             f"columns {witness} sum to zero; the lifted set fails the k-subset condition",
             witness=witness,
         )
-    points = EvalSet(tuple(pts))
-    return EvalCode(
-        ctx,
-        points,
-        gap_exponents(k, 1),
-        "hamming-lift",
-        {"family": "hamming-lift", "p": base.p, "m": base.m * rho, "k": k, "n": ncols},
-    )
+    return _gap_code("hamming-lift", ctx, pts, 1, p=base.p, m=ctx.m, k=k, n=ncols)
 
 
 def cor411(r: int, k: int) -> EvalCode:
@@ -359,8 +292,7 @@ def cor411(r: int, k: int) -> EvalCode:
     if not 3 <= k <= 2 ** (r - 1):
         raise BoundViolatedError(f"need 3 <= k <= 2^(r-1) = {2 ** (r - 1)}")
     code = lift_parity_columns(extended_hamming_parity(r, 2), k)
-    params = {"family": "cor411", "p": 2, "m": r + 1, "k": k, "n": 2**r, "r": r}
-    return replace(code, family="cor411", params=params)
+    return _gap_code("cor411", code.ctx, code.points.points, 1, p=2, m=r + 1, k=k, n=2**r, r=r)
 
 
 FAMILIES = {

@@ -20,7 +20,7 @@ unit for every prime d dividing m.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import NotPrimeError, TooLargeError
 
@@ -121,18 +121,31 @@ def _poly_inv(p: int, mod: tuple[int, ...], a: Sequence[int]) -> tuple[int, ...]
     return tuple(res) + (0,) * (len(mod) - 1 - len(res))
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
+def _prime_divisors(n: int) -> Iterator[int]:
+    """The distinct prime divisors of n in increasing order, found lazily."""
     f = 2
     while f * f <= n:
         if n % f == 0:
-            out.append(f)
+            yield f
             while n % f == 0:
                 n //= f
         f += 1
     if n > 1:
-        out.append(n)
-    return out
+        yield n
+
+
+def prime_power(q: int) -> Optional[tuple[int, int]]:
+    """(p, m) with q = p^m for a prime p and m >= 1, or None when q is no
+    prime power.  Only the smallest prime divisor is searched for, so a q
+    with a small factor is decided at once, whatever its cofactor."""
+    p = next(_prime_divisors(q), None)
+    if p is None:
+        return None
+    m = 0
+    while q % p == 0:
+        q //= p
+        m += 1
+    return (p, m) if q == 1 else None
 
 
 class FieldContext:

@@ -1,5 +1,6 @@
 """MDS scanning, Schur squares, verdicts, duals."""
 
+import concurrent.futures
 import contextlib
 import io
 import itertools
@@ -534,7 +535,7 @@ def test_reed_solomon_route_scans_nothing(monkeypatch):
     code = make_code(make_field(37), range(22), range(5))
     for module, name in [
         (certify, "mds_exhaustive"),
-        (certify, "ProcessPoolExecutor"),
+        (concurrent.futures, "ProcessPoolExecutor"),
         (conditions, "check_esym"),
         (conditions, "first_failing_subset"),
     ]:
@@ -646,7 +647,7 @@ def test_jobs_start_at_most_one_worker_per_cpu(monkeypatch, cpus, workers):
     monkeypatch.setattr(certify, "PARALLEL_MIN_SUBSETS", 0)
     monkeypatch.setattr(certify, "_worker_scan", None)
     monkeypatch.setattr(RecordingPool, "log", [])
-    monkeypatch.setattr(certify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(certify.os, "cpu_count", lambda: cpus)
     assert [mds_exhaustive(failing, jobs=64), mds_exhaustive(passing, jobs=64)] == serial
     if workers == 1:

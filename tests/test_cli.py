@@ -1,5 +1,6 @@
 """Command-line surface, exercised in-process through main()."""
 
+import concurrent.futures
 import json
 import random
 import time
@@ -124,12 +125,12 @@ def test_verify_jobs_through_a_real_pool(capsys, tmp_path, monkeypatch):
     path.write_text(canonical_dumps(obj))
     pools = []
 
-    class CountingPool(certify.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, **kwargs):
             pools.append(kwargs["max_workers"])
             super().__init__(**kwargs)
 
-    monkeypatch.setattr(certify, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(certify.os, "cpu_count", lambda: 2)
     serial = run(capsys, "verify", str(path), "--jobs", "1")
     assert pools == []
@@ -370,18 +371,31 @@ def test_search_greedy_k1_skips_the_target(capsys, extra, points):
     assert out == GREEDY_K1 % ('"delta":[2],' if extra else "", *points)
 
 
-def test_search_records_a_nonzero_delta_in_the_code_file(capsys, tmp_path):
-    path = tmp_path / "d.json"
+def test_search_records_a_nonzero_delta_in_the_code_file(capsys):
     rc, out, _ = run(capsys, "search", "--field", "3,2", "--n", "6", "--k", "3",
-                     "--delta", "2,1", "-o", str(path))
+                     "--delta", "2,1")
     assert rc == 0
-    assert path.read_text() == out
     assert parse(out)["params"] == {"delta": [2, 1], "k": 3, "n": 6, "r": 1,
                                     "strategy": "exhaustive"}
     # a zero delta is the default condition and is not recorded
     rc, out, _ = run(capsys, "search", "--field", "13", "--n", "6", "--k", "3",
                      "--delta", "0")
     assert rc == 0 and "delta" not in parse(out)["params"]
+
+
+def refuse_search(*args):
+    raise AssertionError("search must not start")
+
+
+def test_search_refuses_to_write_a_nonzero_delta(capsys, tmp_path, monkeypatch):
+    # the exponents {0..k} minus {k-r} of a code file stand for e_r != 0, so
+    # a set found for e_r != delta would not verify (GF(3^2): "mds": false)
+    monkeypatch.setattr("mdsforge.cli.search_eval_set", refuse_search)
+    path = tmp_path / "d.json"
+    rc, out, err = run(capsys, "search", "--field", "3,2", "--n", "6", "--k", "3",
+                       "--delta", "2,1", "-o", str(path))
+    assert (rc, out, path.exists()) == (2, "", False)
+    assert err == "error: no monomial code file carries a nonzero delta; search without -o\n"
 
 
 def test_bound_true_exits_zero(capsys):

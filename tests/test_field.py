@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import Poly, symbols
 
 from mdsforge.errors import NotPrimeError, TooLargeError
-from mdsforge.field import MAX_FIELD_SIZE, FieldContext, is_prime, make_field
+from mdsforge.field import MAX_FIELD_SIZE, FieldContext, is_prime, make_field, prime_power
 
 X = symbols("x")
 
@@ -329,3 +329,10 @@ def test_context_equality_and_hash():
     assert make_field(3, 2) == make_field(3, 2)
     assert make_field(3, 2) != make_field(3, 3)
     assert hash(make_field(13)) == hash(make_field(13, 1))
+
+
+def test_prime_power_decomposition():
+    assert [q for q in range(-2, 17) if prime_power(q)] == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
+    assert (prime_power(2**32), prime_power(73**3)) == ((2, 32), (73, 3))
+    # a small factor decides at once, however large its cofactor
+    assert prime_power(2 * (2**61 - 1)) is None

@@ -1,5 +1,5 @@
-"""Byte stability of `verify`, `check` and `search`: pinned stdout digests
-and exit codes.
+"""Byte stability of `construct`, `verify`, `check` and `search`: pinned
+stdout digests and exit codes.
 
 Each `verify` case writes one code file and runs `verify` in-process.  The
 sha256 of stdout and the exit code were recorded while every Reed-Solomon
@@ -8,7 +8,10 @@ the `check` case while every r = 1 condition still went through the e_r
 walk, and the `search` cases while the exhaustive search (or, for the
 greedy cases, the greedy search) still tested every r = 1 candidate by
 walking the subsets of the points already chosen, so a faster route for
-any of these inputs must print exactly the same bytes.
+any of these inputs must print exactly the same bytes.  The `construct`
+cases were recorded while every family builder still wrote out its own
+points and code, so a shared point pattern must print the same files and
+refuse the same parameters with the same messages.
 """
 
 import contextlib
@@ -86,6 +89,61 @@ GREEDY = [
 ]
 
 
+#: (construct arguments, stdout sha256) of `construct`, exit 0: the
+#: benchmark's certify-batch and min-distance instances, thm415 with two
+#: extras and over a prime field, and thm63/thm64 tails shorter than m - 1
+CONSTRUCTS = [
+    ("cor44 --p 13 --k 3 --n 6",
+     "33ae98026604137c382702b403a813aa3c5d19545c8d785fc421be50629fd194"),
+    ("cor44 --p 29 --k 3 --n 11",
+     "f68522c3764ab2d4936b996a7f4cfedbe45df88abaf0b787d6b4dc3456112bfc"),
+    ("cor62 --p 163 --k 3 --r 2 --n 6",
+     "1937cf9e6d38d72d6c0438e47df1200bf1573a93ab9290e7a13e075e18e5e90a"),
+    ("cor62 --p 1009 --k 4 --r 2 --n 11",
+     "95c18faddc5258ae06f5898a42848992a9b713e518b279636bce67446d1d6add"),
+    ("thm412 --p 3 --m 3 --k 4 --n 9",
+     "9a96132fec0e430304a22cf7ca87d497f4a9e51ec2119cb555e142527eda5441"),
+    ("thm412 --p 5 --m 3 --k 4 --n 10",
+     "8a1d478d56d6e99c312b2b715bb915d07c32e0bcbd2d2d2fb5e579ecb605c521"),
+    ("thm415 --p 7 --m 2 --k 3 --n 14",
+     "c8e9beb32ff5a0dec6fecdc212660111eef854d9564f2ddff2665e9f6e4db3c7"),
+    ("thm415 --p 11 --m 2 --k 3 --n 34",
+     "47f91c4e08f65ae7e0f9ea2ea0b88b6e95008b6c408074059750af71ba90f8a4"),
+    ("thm63 --p 7 --m 3 --k 3 --r 2 --n 6",
+     "0f695a5a8fd8d377e8d5247ae8c20697b9acc8b5aff36b9c19b9e4b9fca18e73"),
+    ("thm64 --p 73 --m 3 --k 3 --r 2 --n 10",
+     "2bbd29d5ec08d07ae0b4e825c5eda35c82d852e7e2cdb3e175217728b43b0ee6"),
+    ("hamming-lift --r 3 --base-q 2 --k 3",
+     "2f75bb7868fe39b3039bf870ee01e44af30a3e6a3d3178106af3ddf62746d26a"),
+    ("cor411 --r 4 --k 5",
+     "1518841750d0586aa8acc09ebf95814cc7c35bc9b4137e9edb3fa06d7cfe168f"),
+    ("cor44 --p 53 --k 3 --n 8",
+     "24c80cbca2b12f798d7e6d4d77ec4889789d2ecfd3a40f8ca78c366e465a3939"),
+    ("thm415 --p 11 --m 2 --k 4 --n 24",
+     "8643680293027f14f8dad507bbd78f13ecdc5e5522610476d84ab1a34df21c0f"),
+    ("thm415 --p 17 --m 1 --k 3 --n 6",
+     "714ba498bb5a434cea204d3cf3be2cc1d3f92836790e358f16307f7b905c54b5"),
+    ("thm63 --p 5 --m 5 --k 3 --r 2 --n 7",
+     "1927fe3c479a040dfaf7ccd9cab40c794a3b0715b99a7deda4e7da2075e791f6"),
+    ("thm64 --p 11 --m 4 --k 3 --r 1 --n 20",
+     "5d8336a8a903e66fa56b6b0614e4c1308a561f8911b4a18c1e83d580db761908"),
+]
+
+#: (construct arguments, stderr) of one refused call per builder: exit 2,
+#: nothing on stdout
+REFUSALS = [
+    ("cor44 --p 13 --k 3 --n 20", "error: k*n - k(k+1)/2 = 54 exceeds p - 1 = 12\n"),
+    ("cor62 --p 13 --k 3 --r 3 --n 6", "error: need 2 <= r <= k - 1\n"),
+    ("thm412 --p 3 --m 1 --k 4 --n 9", "error: need extension degree m >= 2\n"),
+    ("thm415 --p 3 --m 2 --k 3 --n 6", "error: need 3 <= k <= p - 1\n"),
+    ("thm63 --p 3 --m 3 --k 3 --r 1 --n 6", "error: characteristic 3 divides C(3,1)\n"),
+    ("thm64 --p 5 --m 3 --k 4 --r 2 --n 8",
+     "error: floor((r!p)^(1/r))/k < 1 for p=5, k=4, r=2\n"),
+    ("cor411 --r 4 --k 4", "error: k = 4 must be odd\n"),
+    ("hamming-lift --r 2 --base-q 6 --k 3", "error: not a prime power\n"),
+]
+
+
 def stdout_digest(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -125,3 +183,14 @@ def test_greedy_stdout_is_pinned(field, n, k, r, digest, rc):
     argv = ["search", "--field", field, "--n", str(n), "--k", str(k), "--r", str(r),
             "--strategy", "greedy"]
     assert stdout_digest(argv) == (digest, rc)
+
+
+@pytest.mark.parametrize("args,digest", CONSTRUCTS, ids=[c[0] for c in CONSTRUCTS])
+def test_construct_stdout_is_pinned(args, digest):
+    assert stdout_digest(["construct", *args.split()]) == (digest, 0)
+
+
+@pytest.mark.parametrize("args,err", REFUSALS, ids=[r[0] for r in REFUSALS])
+def test_construct_refusal_is_pinned(capsys, args, err):
+    assert main(["construct", *args.split()]) == 2
+    assert capsys.readouterr() == ("", err)
