@@ -159,15 +159,6 @@ def _parse_point(ctx: FieldContext, text: str):
         raise FormatError(f"bad point {text!r}: {exc}") from exc
 
 
-def _parse_json_arg(text: str):
-    import json
-
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {text!r}") from exc
-
-
 def _emit(obj, output: Optional[str] = None) -> None:
     text = canonical_dumps(obj)
     if output:
@@ -323,7 +314,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_encode(args) -> int:
     code, _ = jsonio.load_code(args.code)
-    raw = _parse_json_arg(args.message)
+    raw = jsonio.parse_json(args.message, "--message")
     if not isinstance(raw, list):
         raise FormatError("--message must be a JSON array of symbols")
     message = [jsonio.element_from_obj(code.ctx, s) for s in raw]
@@ -334,7 +325,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     code, _ = jsonio.load_code(args.code)
-    raw = _parse_json_arg(args.received)
+    raw = jsonio.parse_json(args.received, "--received")
     if not isinstance(raw, list):
         raise FormatError("--received must be a JSON array of symbols/nulls")
     received = [

@@ -28,13 +28,14 @@ n-subset passes.
 
 One rule, :func:`_by_sums`, routes :func:`check_esym` and both searches,
 for the n points checked or sought: r = 1 goes by subset-sum bitsets over
-GF(q), moved by :func:`_sum_translator`, when both
-SUM_TABLE_RATIO * n*k*m*ceil(q/64) <= C(n, k) and
-n*k*q <= SUM_TABLE_MAX_BITS; everything else walks.  :func:`check_esym`
-then reads the answer and the walk's witness from the sums that the
-subsets of each suffix reach; the stack tests a candidate by one bit of
-the sums that the subsets of the points taken reach, or else walks their
-(k-1)-subsets from the candidate.
+GF(q) when both SUM_TABLE_RATIO * n*k*m*ceil(q/64) <= C(n, k) and
+n*k*q <= SUM_TABLE_MAX_BITS; everything else walks.  The bitsets are one
+stack, :func:`_sum_stack`, whose rows hold delta minus the sums that the
+subsets of the points pushed reach.  The searches push in colex order and
+test a candidate by one bit of the top row; :func:`check_esym` pushes its
+points last first and reads the walk's witness from the kept rows.  Off
+that route, the stack walks the (k-1)-subsets of the points taken from
+each candidate.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ def check_esym(
     _require_subset_count(n, k, guard)
     delta = _target(ctx, spec)
     if _by_sums(ctx, n, spec):
-        witness = _first_sum_subset(ctx, list(points), k, delta)
+        witness = _first_sum_subset(ctx, points, spec)
     else:
         step = _esym_step(ctx, list(points), r, delta, 0, k)
         witness = first_failing_subset(n, k, _esym_root(ctx, r), step)
@@ -206,75 +207,34 @@ def _by_sums(ctx: FieldContext, n: int, spec: ConditionSpec) -> bool:
             and SUM_TABLE_RATIO * n * k * ctx.m * -(-q // 64) <= comb(n, k))
 
 
-def _sum_translator(ctx: FieldContext) -> Callable[[FieldElement], Callable[[list], list]]:
-    """Translation of subset-sum bitsets over GF(q) by a field element.
-
-    A bitset is an int whose bit v stands for the element with counter
-    index v.  ``by(a)`` is the map that moves every bitset of a list by a:
-    bit v goes to the index of v + a.  Adding a moves digit i of every
-    index by a_i mod p, so each block of p^(i+1) bits rotates up by
-    c = a_i * p^i bits.  The mask of a rotation holds the low block - c
-    bits of every block; it is built by doubling, once per (block, c).
-    """
-    p, q = ctx.p, ctx.q
-    masks: dict[tuple[int, int], int] = {}
-
-    def by(a: FieldElement) -> Callable[[list], list]:
-        rots, block = [], 1
-        for d in a:
-            size, block = block, block * p
-            if d:
-                c = d * size
-                if (block, c) not in masks:
-                    low, width = (1 << (block - c)) - 1, block
-                    while width < q:
-                        low |= low << width
-                        width *= 2
-                    masks[block, c] = low
-                rots.append((block, c, masks[block, c]))
-
-        def translate(sets: list) -> list:
-            out = []
-            for bits in sets:
-                for block, c, low in rots:
-                    lo = bits & low
-                    bits = (lo << c) | ((bits ^ lo) >> (block - c))
-                out.append(bits)
-            return out
-
-        return translate
-
-    return by
-
-
 def _first_sum_subset(
-    ctx: FieldContext, points: list[FieldElement], k: int, delta: FieldElement
+    ctx: FieldContext, points: Sequence[FieldElement], spec: ConditionSpec
 ) -> Optional[tuple[int, ...]]:
     """Lex-first k-subset of the points that sums to delta, or None.
 
-    ``suf[i][j]`` has bit v set when some j-subset of ``points[i:]`` sums
-    to the element with counter index v.  Only j >= k - i is kept, since
-    a lex walk reaches ``points[i:]`` with at least k - i points still to
-    take.  The witness takes, for j = k..1, the lowest index whose point
-    leaves the rest of the target reachable by j - 1 later points.
+    The points go onto one :func:`_sum_stack` last first, so row n - 1 - i
+    covers ``points[i + 1:]``.  The witness opens at the lowest i whose
+    point's bit is set in entry k - 1 of that row, just before the point is
+    pushed.  Each later index is the lowest one whose point, added to those
+    taken, is set in the entry for the number of points still to take.
     """
-    n, to_int = len(points), ctx.to_int
-    by = _sum_translator(ctx)
-    suf = [[1] + [0] * k for _ in range(n + 1)]
+    n, to_int, add = len(points), ctx.to_int, ctx.add
+    _, push, _, rows = _sum_stack(ctx, spec)
+    start = None
     for i in range(n - 1, -1, -1):
-        row, nxt = suf[i], suf[i + 1]
-        lo, hi = max(1, k - i), min(k, n - i)
-        for j, bits in enumerate(by(points[i])(nxt[lo - 1:hi]), lo):
-            row[j] = nxt[j] | bits
-    if not suf[0][k] >> to_int(delta) & 1:
+        v = to_int(points[i])
+        if rows[-1][-1] >> v & 1:
+            start = i
+        push(v)
+    if start is None:
         return None
-    witness, i = [], 0
-    for j in range(k, 0, -1):
-        while not suf[i + 1][j - 1] >> to_int(ctx.sub(delta, points[i])) & 1:
+    witness, taken = [start], points[start]
+    for j in range(spec.k - 2, -1, -1):
+        i = witness[-1] + 1
+        while not rows[n - 1 - i][j] >> to_int(add(taken, points[i])) & 1:
             i += 1
         witness.append(i)
-        delta = ctx.sub(delta, points[i])
-        i += 1
+        taken = add(taken, points[i])
     return tuple(witness)
 
 
@@ -400,7 +360,9 @@ def _candidate_stack(ctx: FieldContext, n: int, spec: ConditionSpec) -> tuple[Ca
     ``next_free(v, limit)`` is the lowest candidate from v on that closes no
     failing k-subset with the points pushed, or at least limit if none is
     below it; ``push`` and ``pop`` add and drop a point."""
-    return (_sum_stack if _by_sums(ctx, n, spec) else _walk_stack)(ctx, spec)
+    if _by_sums(ctx, n, spec):
+        return _sum_stack(ctx, spec)[:3]
+    return _walk_stack(ctx, spec)
 
 
 def _walk_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Callable, ...]:
@@ -425,32 +387,59 @@ def _walk_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Callable, ...]:
     return next_free, lambda v: chosen.append(ctx.from_int(v)), chosen.pop
 
 
-def _sum_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Callable, ...]:
-    """(next_free, push, pop) for r = 1 by a stack of subset-sum bitsets.
+def _sum_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Any, ...]:
+    """(next_free, push, pop, rows) for r = 1 on a stack of subset-sum rows.
 
     Entry j < k of row d is the bitset of delta - s over the sums s of the
     j-subsets of the first d points pushed (bit v is the element with
     counter index v).  A candidate closes a k-subset that sums to delta
     exactly when its bit is set in entry k - 1 of the top row (with k = 1
     that entry is {delta}), so next_free is the lowest clear bit from v on.
-    Pushing a moves entry j - 1 by -a into entry j, a move kept per point
-    since the backtrack pushes each point many times; pop drops the row.
+    ``push(v)`` moves entry j - 1 by -v into entry j: adding -v turns digit
+    i of every index by c = -v_i mod p, so each block of p^(i+1) bits
+    rotates up by c * p^i bits.  The mask of a rotation holds the low
+    block - c * p^i bits of every block; it is built by doubling, once per
+    (block, shift).  The moves of v are kept, since the backtrack pushes
+    each value many times; pop drops the top row.
     """
-    by, moves = _sum_translator(ctx), {}
+    p, q = ctx.p, ctx.q
+    masks: dict[tuple[int, int], int] = {}
+    moves: dict[int, list] = {}
     rows = [[1 << ctx.to_int(_target(ctx, spec))] + [0] * (spec.k - 1)]
+
+    def rotations(v: int) -> list:
+        rots, size = [], 1
+        while size < q:
+            block, c = size * p, (-(v // size) % p) * size
+            if c:
+                if (block, c) not in masks:
+                    low, width = (1 << (block - c)) - 1, block
+                    while width < q:
+                        low |= low << width
+                        width *= 2
+                    masks[block, c] = low
+                rots.append((block, c, masks[block, c]))
+            size = block
+        return rots
 
     def next_free(v: int, limit: int) -> int:
         free = ~rows[-1][-1] >> v
         return v + (free & -free).bit_length() - 1
 
     def push(v: int) -> None:
-        move = moves.get(v)
-        if move is None:
-            move = moves[v] = by(ctx.neg(ctx.from_int(v)))
+        rots = moves.get(v)
+        if rots is None:
+            rots = moves[v] = rotations(v)
         row = rows[-1]
-        rows.append(row[:1] + [old | new for old, new in zip(row[1:], move(row[:-1]))])
+        new = row[:1]
+        for old, bits in zip(row[1:], row):
+            for block, c, low in rots:
+                lo = bits & low
+                bits = (lo << c) | ((bits ^ lo) >> (block - c))
+            new.append(old | bits)
+        rows.append(new)
 
-    return next_free, push, rows.pop
+    return next_free, push, rows.pop, rows
 
 
 def search_eval_set(

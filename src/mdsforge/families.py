@@ -204,6 +204,8 @@ def thm64(p: int, m: int, k: int, r: int, n: int) -> EvalCode:
     For r = 1 this reduces to the thm415 point pattern without its extras.
     """
     _require_odd_prime(p)
+    if m < 1:
+        raise InvalidParamsError("need m >= 1")
     if not 1 <= r <= k - 1:
         raise InvalidParamsError("need 1 <= r <= k - 1")
     _require_shape(k, n)

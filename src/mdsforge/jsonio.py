@@ -34,19 +34,31 @@ def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def parse_json(text: str, source: str) -> Any:
+    """The JSON value of `text`.  Every text the decoder refuses, also one
+    nested past the recursion limit or holding an integer too long to
+    convert, is a FormatError that names `source`."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise FormatError(f"{source} is not valid JSON: {exc}") from exc
+
+
 def write_atomic(path: str, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see a
-    partial document."""
+    partial document.  A path that cannot be written is a FormatError."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mdsforge-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mdsforge-", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +168,10 @@ def code_from_obj(obj: Any) -> tuple[EvalCode, Optional[dict]]:
 def load_code(path: str) -> tuple[EvalCode, Optional[dict]]:
     try:
         with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
-    return code_from_obj(obj)
+    return code_from_obj(parse_json(text, path))
 
 
 # ---------------------------------------------------------------------------

@@ -601,7 +601,7 @@ def test_r2_codes_keep_the_walk(monkeypatch):
         return walk(n, k, *args)
 
     monkeypatch.setattr(conditions, "first_failing_subset", recording)
-    monkeypatch.setattr(conditions, "_first_sum_subset", switched_off)
+    monkeypatch.setattr(conditions, "_sum_stack", switched_off)
     cert = non_rs_certificate(cor62(163, 3, 2, 6))
     assert (cert.is_mds, cert.verdict, walked) == (True, VERDICT_NON_RS, [(6, 3)])
 

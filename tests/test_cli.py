@@ -502,6 +502,48 @@ def test_encode_bad_message_json(capsys, tmp_path):
     assert rc == 2
 
 
+# JSON the decoder refuses: nested past the recursion limit, and an integer
+# literal past the interpreter's 4300-digit conversion limit
+REFUSED_JSON = {"deep": "[" * 5000 + "]" * 5000, "long-int": "[" + "7" * 5000 + "]"}
+
+
+@pytest.mark.parametrize("text", REFUSED_JSON.values(), ids=REFUSED_JSON.keys())
+@pytest.mark.parametrize("command", ["verify", "check", "encode", "decode"])
+def test_json_the_decoder_refuses_is_a_usage_error(capsys, tmp_path, command, text):
+    if command in ("verify", "check"):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        argv = [command, str(bad)]
+    else:
+        path, _ = construct_cor44(capsys, tmp_path)
+        flag = "--message" if command == "encode" else "--received"
+        argv = [command, str(path), flag, text]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and "not valid JSON" in err and "Traceback" not in err
+
+
+def test_code_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    rc, out, err = run(capsys, "verify", str(bad))
+    assert (rc, out) == (2, "") and err.startswith(f"error: cannot read {bad}: ")
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "dir"], ids=["no-such-dir", "a-directory"])
+@pytest.mark.parametrize("command", [
+    ["construct", "cor44", "--p", "13", "--k", "3", "--n", "6"],
+    ["search", "--field", "2,4", "--n", "5", "--k", "3", "--strategy", "greedy"],
+], ids=["construct", "search"])
+def test_output_path_that_cannot_be_written_is_a_usage_error(capsys, tmp_path, command, target):
+    (tmp_path / "dir").mkdir()
+    output = tmp_path / target
+    rc, out, err = run(capsys, *command, "-o", str(output))
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: cannot write {output}: ") and "Traceback" not in err
+    assert list(tmp_path.glob(".mdsforge-*.tmp")) == []
+
+
 def test_guard_env_override(capsys, tmp_path, monkeypatch):
     path, _ = construct_cor44(capsys, tmp_path)
     monkeypatch.setenv("MDSFORGE_GUARD", "5")

@@ -219,9 +219,24 @@ def on_route(route, fn, *args):
             mp.setattr(conditions, "first_failing_subset", refuse)
         else:
             mp.setattr(conditions, "SUM_TABLE_RATIO", math.inf)
-            mp.setattr(conditions, "_first_sum_subset", refuse)
             mp.setattr(conditions, "_sum_stack", refuse)
         return fn(*args)
+
+
+def test_one_sum_stack_serves_check_and_both_searches(monkeypatch):
+    # with the stack switched off, the r = 1 table route of the check,
+    # exhaustive search and greedy search all refuse to run
+    ctx, spec = make_field(2, 4), ConditionSpec(k=3)
+    monkeypatch.setattr(conditions, "SUM_TABLE_RATIO", 0)
+    monkeypatch.setattr(conditions, "_sum_stack", refuse)
+    calls = [
+        lambda: check_esym(ctx, tuple(ctx.from_int(v) for v in range(5)), spec),
+        lambda: search_eval_set(ctx, 5, spec, ExhaustiveSearch()),
+        lambda: search_eval_set(ctx, 5, spec, GreedySearch()),
+    ]
+    for call in calls:
+        with pytest.raises(AssertionError, match="switched off"):
+            call()
 
 
 @st.composite
@@ -247,6 +262,7 @@ def sum_cases(draw):
 @example(((7, 1), (1, 2), 3, None))  # k > n: vacuous
 @example(((3, 2), tuple(range(9)), 4, 4))  # the whole of GF(9)
 @example(((2, 4), tuple(range(1, 11)), 3, None))  # n = 10 without 0
+@example(((13, 1), (1, 2, 3, 4, 5), 3, 12))  # the witness 3 + 4 + 5 opens at index 2
 def test_sum_table_matches_walk_and_counts(case):
     (p, m), values, k, delta = case
     ctx = make_field(p, m)

@@ -139,6 +139,7 @@ REFUSALS = [
     ("thm63 --p 3 --m 3 --k 3 --r 1 --n 6", "error: characteristic 3 divides C(3,1)\n"),
     ("thm64 --p 5 --m 3 --k 4 --r 2 --n 8",
      "error: floor((r!p)^(1/r))/k < 1 for p=5, k=4, r=2\n"),
+    ("thm64 --p 5 --m 0 --k 3 --r 1 --n 6", "error: need m >= 1\n"),
     ("cor411 --r 4 --k 4", "error: k = 4 must be odd\n"),
     ("hamming-lift --r 2 --base-q 6 --k 3", "error: not a prime power\n"),
 ]
