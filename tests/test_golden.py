@@ -1,5 +1,5 @@
-"""Byte stability of `construct`, `verify`, `check` and `search`: pinned
-stdout digests and exit codes.
+"""Byte stability of `construct`, `verify`, `check`, `search`, `encode` and
+`decode`: pinned stdout digests and exit codes.
 
 Each `verify` case writes one code file and runs `verify` in-process.  The
 sha256 of stdout and the exit code were recorded while every Reed-Solomon
@@ -11,18 +11,22 @@ walking the subsets of the points already chosen, so a faster route for
 any of these inputs must print exactly the same bytes.  The `construct`
 cases were recorded while every family builder still wrote out its own
 points and code, so a shared point pattern must print the same files and
-refuse the same parameters with the same messages.
+refuse the same parameters with the same messages.  The thm415 and thm64
+`verify`, `encode` and `decode` cases were recorded while field elements were
+still digit tuples inside the library, so a change of element
+representation must print the same bytes at the boundary.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
 from mdsforge.cli import main
 from mdsforge.evalcode import EvalCode, EvalSet, ExponentSet
-from mdsforge.families import cor44, cor411
+from mdsforge.families import cor44, cor411, thm64, thm415
 from mdsforge.field import make_field
 from mdsforge.jsonio import canonical_dumps, code_to_obj
 
@@ -55,6 +59,23 @@ CASES = [
      "1a61cdac71884d9cd7b11e8191e9beac4c7c0e9a6181fcfc33ea57864f938995", 1),
     ("cor411-4-5", cor411(4, 5), [],
      "13abdc6c6e9f566f4bb5778a200a96acbae242ba1dd067feb242b53adffa0c80", 0),
+    ("thm415-11-2-3-34", thm415(11, 2, 3, 34), [],
+     "78226a730fd42ef999ffdadf73b10fd6f618f0c73016790340221b54c137b566", 0),
+    ("thm64-73-3-3-2-10", thm64(73, 3, 3, 2, 10), [],
+     "8e41364ddab0eeed94d6760700fb342751c9679344e7cc09a4c696e96905e6e8", 0),
+]
+
+#: (id, code, message, erased positions, encode sha256, decode sha256) of
+#: `encode` and of `decode` on that codeword with the positions erased: one
+#: field below the table cap, GF(11^2), and one above it, GF(73^3).  A
+#: message mixes digit arrays with bare prime-subfield integers.
+CODEC = [
+    ("thm415-11-2-3-34", thm415(11, 2, 3, 34), [[3, 7], [0, 10], 5], [0, 2, 5, 33],
+     "ec67520382f2895e3eba46c86ab39b40f446c1f5ff74b8e5ac7db44ecd8491a5",
+     "5fd9e3d7a9c309da29e6dcb444e6b64b0c5b0c6855898f69718635fe975e1f44"),
+    ("thm64-73-3-3-2-10", thm64(73, 3, 3, 2, 10), [[1, 2, 3], [72, 0, 5], 9], [1, 4, 9],
+     "b568f3b17378576c2ac5e32ab3643b0c59d0b8d97464015afbd30f91487d0e60",
+     "4a5c3697d74092a2a05be7f4d030f2fcc5fb292f3ae719419d99222b5405bdeb"),
 ]
 
 #: a failing r = 1 `check` over GF(3^2) whose witness is not the first subset
@@ -184,6 +205,22 @@ def test_greedy_stdout_is_pinned(field, n, k, r, digest, rc):
     argv = ["search", "--field", field, "--n", str(n), "--k", str(k), "--r", str(r),
             "--strategy", "greedy"]
     assert stdout_digest(argv) == (digest, rc)
+
+
+@pytest.mark.parametrize(
+    "code,message,erased,enc,dec", [c[1:] for c in CODEC], ids=[c[0] for c in CODEC]
+)
+def test_encode_and_decode_stdout_is_pinned(tmp_path, code, message, erased, enc, dec):
+    path = tmp_path / "code.json"
+    path.write_text(canonical_dumps(code_to_obj(code)))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(["encode", str(path), "--message", json.dumps(message)])
+    word = buf.getvalue()
+    assert (hashlib.sha256(word.encode()).hexdigest(), rc) == (enc, 0)
+    received = [None if i in erased else s for i, s in enumerate(json.loads(word))]
+    argv = ["decode", str(path), "--received", json.dumps(received)]
+    assert stdout_digest(argv) == (dec, 0)
 
 
 @pytest.mark.parametrize("args,digest", CONSTRUCTS, ids=[c[0] for c in CONSTRUCTS])
