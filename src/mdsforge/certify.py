@@ -18,10 +18,11 @@ across workers:
 * lambda_1 >= 2: :func:`mds_exhaustive`, the subset walk
   :func:`conditions.first_failing_subset` with the elimination step
   :func:`matrix.extend_basis`.  It is the only route that ``jobs``
-  affects: the walk is split by lowest index, one task per first index,
-  over at most one worker process per CPU, and the tasks after the first
-  witness are cancelled.  Below :data:`PARALLEL_MIN_SUBSETS` (20 000)
-  subsets, where a pool costs more than it saves, the scan stays serial.
+  affects: the walk is split by lowest index, first index 0 in this
+  process and then one task per first index over at most one worker
+  process per CPU, and the tasks after the first witness are cancelled.
+  Below :data:`PARALLEL_MIN_SUBSETS` (20 000) subsets, where a pool costs
+  more than it saves, the scan stays serial.
 
 Every route keeps the subset guard, so a code too long to scan is refused
 on all of them.  A witness is always confirmed by one rank of its k
@@ -105,7 +106,6 @@ def _first_dependent_subset(
     coordinate, so a leaf costs k - 1 multiply-adds: the last column is
     dependent exactly when its dot product with the normal vanishes.
     """
-    zero = ctx.zero()
     mul, add = ctx.mul, ctx.add
     last = k - 1
 
@@ -113,7 +113,7 @@ def _first_dependent_subset(
         pivots = {p for p, _ in basis}
         (w,) = null_vectors(ctx, basis, k)
         free = next(i for i in range(k) if i not in pivots)
-        return free, [(p, w[p]) for p, _ in basis if w[p] != zero]
+        return free, [(p, w[p]) for p, _ in basis if w[p]]
 
     def extend(state, depth: int, j: int):
         v = cols[j]
@@ -122,9 +122,9 @@ def _first_dependent_subset(
             acc = v[free]
             for p, w in tail:
                 f = v[p]
-                if f != zero:
+                if f:
                     acc = add(acc, mul(f, w))
-            return None if acc == zero else state
+            return state if acc else None
         basis = extend_basis(ctx, state, v)
         if basis is None or depth < last - 1:
             return basis
@@ -164,12 +164,13 @@ def mds_exhaustive(
     Returns (True, None) when the code generated by `mat` is MDS, otherwise
     (False, w) with w the lexicographically first dependent column subset.
     Works for any matrix; it is the elimination route of the certificate.
-    `jobs` > 1 splits the scan by lowest index: first indices 0..n-k go to
-    at most one worker process per CPU, each of which builds the field
-    once.  Results are read in first-index order, so the first witness read
-    is the lex-first one; the tasks after it are cancelled.  Scans of fewer
-    than :data:`PARALLEL_MIN_SUBSETS` subsets stay serial.  The answer is
-    independent of the split.
+    `jobs` > 1 splits the scan by lowest index: this process scans first
+    index 0 itself, so a witness there starts no pool, and first indices
+    1..n-k go to at most one worker process per CPU, each of which builds
+    the field once.  Results are read in first-index order, so the first
+    witness read is the lex-first one; the tasks after it are cancelled.
+    Scans of fewer than :data:`PARALLEL_MIN_SUBSETS` subsets stay serial.
+    The answer is independent of the split.
     """
     k, n = mat.rows, mat.cols
     if k > n:
@@ -181,6 +182,9 @@ def mds_exhaustive(
     if workers <= 1 or total < PARALLEL_MIN_SUBSETS:
         witness = _first_dependent_subset(ctx, cols, k)
         return (witness is None, witness)
+    witness = _first_dependent_subset(ctx, cols, k, 0)
+    if witness is not None:  # found before any worker starts
+        return (False, witness)
 
     from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
 
@@ -189,7 +193,7 @@ def mds_exhaustive(
         initializer=_start_worker,
         initargs=(ctx.p, ctx.m, ctx.modulus, cols, k),
     ) as pool:
-        tasks = [pool.submit(_scan_first_index, f) for f in range(n - k + 1)]
+        tasks = [pool.submit(_scan_first_index, f) for f in range(1, n - k + 1)]
         for task in tasks:
             witness = task.result()
             if witness is not None:
@@ -209,7 +213,7 @@ def schur_square_dim(mat: MatrixFq) -> int:
     prods = []
     for i in range(len(rows)):
         for j in range(i, len(rows)):
-            prods.append(tuple(ctx.mul(a, b) for a, b in zip(rows[i], rows[j])))
+            prods.append(map(ctx.mul, rows[i], rows[j]))
     return rank(matrix_from_rows(ctx, prods))
 
 
@@ -223,7 +227,7 @@ def schur_square_dim_from_exponents(code: EvalCode) -> int:
     exps = sumset(code.exponents).exps
     if exps[-1] < code.n:
         return len(exps)
-    rows = [tuple(ctx.pow(t, e) for t in code.points.points) for e in exps]
+    rows = [[ctx.pow(t, e) for t in code.points.points] for e in exps]
     return rank(matrix_from_rows(ctx, rows))
 
 
@@ -249,13 +253,13 @@ def min_distance_bruteforce(
     makes the codeword with s = -v lighter by h, and the s whose -s occurs
     nowhere leave the base weight.
 
-    Elements are counter indices (:meth:`FieldContext.to_int`, zero is 0),
-    so the walk does no field arithmetic.  The multiples of the first
-    k - 1 rows are stored as index lists, and two partials are added
-    through one q x q index table built from :meth:`FieldContext.add`.  The
-    level-0 partial is the zero vector, whose children are the multiples
-    themselves, so the table is built only when k >= 3; there q^2 <=
-    q^(k-1), never more than the walk, and under the default guard q <= 161.
+    Elements are counter indices (zero is 0), so the walk does no field
+    arithmetic: the multiples of the first k - 1 rows are index lists, and
+    two partials are added through one q x q table of
+    :meth:`FieldContext.add`.  The level-0 partial is the zero vector,
+    whose children are the multiples themselves, so the table is built
+    only when k >= 3; there q^2 <= q^(k-1), never more than the walk, and
+    under the default guard q <= 161.
     The degenerate all-zero code has no nonzero codeword; its distance
     reads as 0.
     """
@@ -265,17 +269,16 @@ def min_distance_bruteforce(
     if total > guard:
         raise TooLargeError(f"q^k = {total} exceeds codeword guard {guard}")
     gen = generator_matrix(code)
-    elements = ctx.elements()
-    zero, mul, to_int = ctx.zero(), ctx.mul, ctx.to_int
+    elements, mul = ctx.elements(), ctx.mul
     # Weights do not depend on column order either: the hit columns go
     # first, so a partial codeword splits by slicing.
     last = gen.entries[k - 1]
-    order = sorted(range(n), key=lambda j: last[j] == zero)
-    hit = n - last.count(zero)
-    scale = [ctx.inv(last[j]) for j in order[:hit]] + [ctx.one()] * (n - hit)
+    order = sorted(range(n), key=lambda j: last[j] == 0)
+    hit = n - last.count(0)
+    scale = [ctx.inv(last[j]) for j in order[:hit]] + [1] * (n - hit)
     rows = [[mul(row[j], c) for j, c in zip(order, scale)] for row in gen.entries[:-1]]
-    multiples = [[[to_int(mul(s, x)) for x in row] for s in elements] for row in rows]
-    plus = [[to_int(ctx.add(a, b)) for b in elements] for a in elements] if k >= 3 else None
+    multiples = [[[mul(s, x) for x in row] for s in elements] for row in rows]
+    plus = [[ctx.add(a, b) for b in elements] for a in elements] if k >= 3 else None
     dist = [0] * (n + 1)
 
     def count(partials: list[list[int]]) -> None:

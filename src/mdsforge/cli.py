@@ -22,9 +22,9 @@ nonzero ``--delta`` before searching: a code file's exponents
 {0..k} minus {k-r} stand for e_r != 0 only.  ``bound``
 exits 2 when no field has q elements, q > 2^32 or a side is too long to
 print.  ``--jobs N`` (N >= 1) affects only the elimination route: it
-splits the scan by the lowest index of a subset over at most min(N, CPUs)
-worker processes and stops at the first witness, without changing any
-result.  Scans of fewer than 20 000 subsets stay serial, since a pool
+splits the scan by the lowest index of a subset, scans index 0 itself and
+the rest over at most min(N, CPUs) worker processes, and stops at the
+first witness, without changing any result.  Scans of fewer than 20 000 subsets stay serial, since a pool
 costs more than it saves there.
 ``verify --cross-check`` derives the MDS answer a second time, on every
 route, from a from-scratch rank of every k-subset of columns, and fails
@@ -249,12 +249,12 @@ def _cmd_check(args) -> int:
             "holds": holds,
             "k": k,
             "r": r,
-            "delta": list(delta) if delta is not None else list(ctx.zero()),
+            "delta": jsonio.element_to_obj(ctx, delta or 0),
             "witness": None
             if witness is None
             else {
                 "indices": list(witness),
-                "points": [list(points[i]) for i in witness],
+                "points": [jsonio.element_to_obj(ctx, points[i]) for i in witness],
             },
         }
     )
@@ -268,7 +268,7 @@ def _cmd_search(args) -> int:
     if args.k > args.n:
         # Every set passes vacuously, but the code file would not verify.
         raise InvalidParamsError(f"k={args.k} exceeds n={args.n}")
-    if args.output and delta is not None and any(delta):
+    if args.output and delta:
         raise InvalidParamsError(
             "no monomial code file carries a nonzero delta; search without -o"
         )
@@ -285,8 +285,8 @@ def _cmd_search(args) -> int:
         return NEGATIVE
     exponents = gap_exponents(args.k, args.r)
     params = {"n": args.n, "k": args.k, "r": args.r, "strategy": args.strategy}
-    if delta is not None and any(delta):  # the exponents alone do not name it
-        params["delta"] = list(delta)
+    if delta:  # the exponents alone do not name it
+        params["delta"] = jsonio.element_to_obj(ctx, delta)
     if args.strategy == "random":
         params["seed"] = args.seed
     code = EvalCode(ctx, EvalSet(found), exponents, "search", params)
@@ -319,7 +319,7 @@ def _cmd_encode(args) -> int:
         raise FormatError("--message must be a JSON array of symbols")
     message = [jsonio.element_from_obj(code.ctx, s) for s in raw]
     word = encode_word(code, message)
-    _emit([list(s) for s in word])
+    _emit([jsonio.element_to_obj(code.ctx, s) for s in word])
     return 0
 
 
@@ -332,7 +332,7 @@ def _cmd_decode(args) -> int:
         None if s is None else jsonio.element_from_obj(code.ctx, s) for s in raw
     ]
     message = decode_erasures(code, received)
-    _emit([list(s) for s in message])
+    _emit([jsonio.element_to_obj(code.ctx, s) for s in message])
     return 0
 
 

@@ -69,8 +69,7 @@ SUM_TABLE_MAX_BITS = 1 << 28
 class ConditionSpec:
     """Which subsets to test (size k), which e_r, and the forbidden value.
 
-    ``delta`` is a field element; None means the zero of whatever field the
-    check runs in.
+    ``delta`` is a field element; None means zero.
     """
 
     k: int
@@ -170,7 +169,7 @@ def _esym_step(
 
 def _esym_root(ctx: FieldContext, r: int, first: Optional[FieldElement] = None) -> list:
     """(e_0, ..., e_r) of the empty set, or of the one point `first`."""
-    e = [ctx.one()] + [ctx.zero()] * r
+    e = [1] + [0] * r
     if first is not None:
         e[1] = first
     return e
@@ -218,11 +217,11 @@ def _first_sum_subset(
     pushed.  Each later index is the lowest one whose point, added to those
     taken, is set in the entry for the number of points still to take.
     """
-    n, to_int, add = len(points), ctx.to_int, ctx.add
+    n, add = len(points), ctx.add
     _, push, _, rows = _sum_stack(ctx, spec)
     start = None
     for i in range(n - 1, -1, -1):
-        v = to_int(points[i])
+        v = points[i]
         if rows[-1][-1] >> v & 1:
             start = i
         push(v)
@@ -231,7 +230,7 @@ def _first_sum_subset(
     witness, taken = [start], points[start]
     for j in range(spec.k - 2, -1, -1):
         i = witness[-1] + 1
-        while not rows[n - 1 - i][j] >> to_int(add(taken, points[i])) & 1:
+        while not rows[n - 1 - i][j] >> add(taken, points[i]) & 1:
             i += 1
         witness.append(i)
         taken = add(taken, points[i])
@@ -248,9 +247,9 @@ def _require_subset_count(n: int, k: int, guard: int) -> int:
 
 def _target(ctx: FieldContext, spec: ConditionSpec) -> FieldElement:
     """The forbidden value delta of `spec` in `ctx` (zero by default)."""
-    delta = spec.delta if spec.delta is not None else ctx.zero()
-    if len(delta) != ctx.m:
-        raise InvalidParamsError("delta has the wrong number of digits")
+    delta = spec.delta if spec.delta is not None else 0
+    if not 0 <= delta < ctx.q:
+        raise InvalidParamsError(f"delta {delta} is not an element of GF({ctx.q})")
     return delta
 
 
@@ -380,11 +379,11 @@ def _walk_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Callable, ...]:
         return first_failing_subset(len(chosen), k - 1, root, step) is not None
 
     def next_free(v: int, limit: int) -> int:
-        while v < limit and conflicts(ctx.from_int(v)):
+        while v < limit and conflicts(v):
             v += 1
         return v
 
-    return next_free, lambda v: chosen.append(ctx.from_int(v)), chosen.pop
+    return next_free, chosen.append, chosen.pop
 
 
 def _sum_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Any, ...]:
@@ -405,7 +404,7 @@ def _sum_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Any, ...]:
     p, q = ctx.p, ctx.q
     masks: dict[tuple[int, int], int] = {}
     moves: dict[int, list] = {}
-    rows = [[1 << ctx.to_int(_target(ctx, spec))] + [0] * (spec.k - 1)]
+    rows = [[1 << _target(ctx, spec)] + [0] * (spec.k - 1)]
 
     def rotations(v: int) -> list:
         rots, size = [], 1
@@ -473,7 +472,7 @@ def search_eval_set(
                 push(v)
                 values.append(v)
                 if len(values) == n:
-                    return tuple(ctx.from_int(u) for u in reversed(values))
+                    return tuple(reversed(values))
                 v = n - 1 - len(values)
             elif values:
                 pop()
@@ -484,8 +483,7 @@ def search_eval_set(
     if isinstance(strategy, RandomSearch):
         rng = random.Random(strategy.seed)
         for _ in range(strategy.max_attempts):
-            combo = sorted(rng.sample(range(q), n))
-            pts = tuple(ctx.from_int(v) for v in combo)
+            pts = tuple(sorted(rng.sample(range(q), n)))
             ok, _ = check_esym(ctx, pts, spec)
             if ok:
                 return pts
@@ -499,6 +497,6 @@ def search_eval_set(
             if values[-1] >= q:
                 return None
             push(values[-1])
-        return tuple(ctx.from_int(u) for u in values)
+        return tuple(values)
 
     raise InvalidParamsError(f"unknown search strategy {strategy!r}")

@@ -81,7 +81,7 @@ def generator_matrix(code: EvalCode) -> MatrixFq:
     ctx = code.ctx
     rows = []
     for e in code.exponents.exps:
-        rows.append(tuple(ctx.pow(t, e) for t in code.points.points))
+        rows.append([ctx.pow(t, e) for t in code.points.points])
     return matrix_from_rows(ctx, rows)
 
 
@@ -92,7 +92,7 @@ def encode(code: EvalCode, message: Sequence[FieldElement]) -> tuple[FieldElemen
         raise DimensionMismatchError(f"message must have length {code.k}")
     out = []
     for t in code.points.points:
-        acc = ctx.zero()
+        acc = 0
         for coeff, e in zip(message, code.exponents.exps):
             acc = ctx.add(acc, ctx.mul(coeff, ctx.pow(t, e)))
         out.append(acc)

@@ -73,8 +73,9 @@ def _require_shape(k: int, n: int) -> None:
 
 
 def _digit_points(ctx: FieldContext, count: int, w: int, first: int = 1) -> list[FieldElement]:
-    """The module docstring's point pattern for i = 0..count-1."""
-    return [(first + i % w,) + ctx.from_int(i // w)[:-1] for i in range(count)]
+    """The module docstring's point pattern for i = 0..count-1, whose
+    counter index is the constant digit plus p * floor(i / w)."""
+    return [first + i % w + ctx.p * (i // w) for i in range(count)]
 
 
 def _gap_code(family: str, ctx: FieldContext, points, order: int, **params) -> EvalCode:
@@ -105,7 +106,7 @@ def cor44(p: int, k: int, n: int) -> EvalCode:
         raise BoundViolatedError(
             f"k*n - k(k+1)/2 = {k * n - k * (k + 1) // 2} exceeds p - 1 = {p - 1}"
         )
-    return _gap_code("cor44", make_field(p, 1), [(t,) for t in range(n)], 1, p=p, k=k, n=n)
+    return _gap_code("cor44", make_field(p, 1), range(n), 1, p=p, k=k, n=n)
 
 
 def cor62(p: int, k: int, r: int, n: int) -> EvalCode:
@@ -120,7 +121,7 @@ def cor62(p: int, k: int, r: int, n: int) -> EvalCode:
     _require_shape(k, n)
     if (n * k) ** r > factorial(r) * p:
         raise BoundViolatedError(f"(n*k)^r = {(n * k) ** r} exceeds r!*p = {factorial(r) * p}")
-    return _gap_code("cor62", make_field(p, 1), [(t,) for t in range(n)], r, p=p, k=k, n=n, r=r)
+    return _gap_code("cor62", make_field(p, 1), range(n), r, p=p, k=k, n=n, r=r)
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +243,12 @@ def extended_hamming_parity(r: int, base_q: int) -> MatrixFq:
     ncols = (q**r - 1) // (q - 1) + 1
     if ncols > HAMMING_COLUMN_GUARD:
         raise InfeasibleError(f"{ncols} columns exceeds guard {HAMMING_COLUMN_GUARD}")
-    one, zero = ctx.one(), ctx.zero()
     columns = []
     for v in range(q**r):
-        vec = tuple(ctx.from_int(v // q**i % q) for i in range(r))  # base-q digits of v
-        if next((x for x in vec if x != zero), None) == one:
-            columns.append(vec + (one,))
-    columns.append((zero,) * r + (one,))
+        vec = tuple(v // q**i % q for i in range(r))  # base-q digits of v
+        if next((x for x in vec if x), None) == 1:
+            columns.append(vec + (1,))
+    columns.append((0,) * r + (1,))
     rows = [tuple(col[i] for col in columns) for i in range(r + 1)]
     return matrix_from_rows(ctx, rows)
 
@@ -258,7 +258,8 @@ def lift_parity_columns(h: MatrixFq, k: int) -> EvalCode:
     field glued from its rows, and use them as evaluation points.
 
     With rho rows over F_(p^mb), column (h_1, ..., h_rho) becomes the element
-    whose digit vector is the concatenation of the digit vectors of the h_i
+    whose digit vector is the concatenation of the digit vectors of the h_i,
+    the counter index h_1 + h_2 p^mb + ... + h_rho p^(mb (rho-1))
     -- an F_p-linear bijection, so k columns sum to zero in the big field
     exactly when they sum to zero columnwise.  The all-k-subset-sums-nonzero
     condition is re-checked at runtime rather than trusted.
@@ -268,7 +269,7 @@ def lift_parity_columns(h: MatrixFq, k: int) -> EvalCode:
     if k < 1 or k > ncols:
         raise InvalidParamsError(f"need 1 <= k <= {ncols}")
     ctx = make_field(base.p, base.m * rho)
-    pts = [tuple(d for row in h.entries for d in row[j]) for j in range(ncols)]
+    pts = [sum(row[j] * base.q**i for i, row in enumerate(h.entries)) for j in range(ncols)]
     if len(set(pts)) != len(pts):
         raise DuplicateColumnsError("two columns lift to the same field element")
     ok, witness = check_esym(ctx, pts, ConditionSpec(k=k, r=1))

@@ -1,30 +1,50 @@
 """Exact arithmetic in GF(p^m), built as Z_p[x] modulo a monic irreducible.
 
-Elements are little-endian digit vectors: ``(d0, d1, ..., d_{m-1})`` stands
-for ``d0 + d1*z + ... + d_{m-1}*z^(m-1)`` where ``z`` is the residue class
-of x.  Two elements are equal exactly when their digit tuples are equal, so
-plain tuples double as hashable, canonical element values.  All arithmetic
-goes through a :class:`FieldContext`; the tuples themselves carry no
-behaviour.
+A field element is its counter index: the int d0 + d1*p + ... +
+d_{m-1}*p^(m-1) stands for d0 + d1*z + ... + d_{m-1}*z^(m-1), where z is
+the residue class of x.  So 0 is zero, 1 is one, the prime-subfield value c
+is c itself, and equal elements are equal ints.  Digit tuples appear only
+at the boundary: :meth:`FieldContext.element` reads one and
+:meth:`FieldContext.digits` writes one.
+
+A :class:`FieldContext` does the arithmetic on indices in one of three ways:
+
+* prime fields (m = 1): the integers mod p.
+* m >= 2 and q <= :data:`TABLE_CAP`: exp/log tables of the primitive
+  element g, the smallest index whose multiplicative order is q - 1.  A
+  product is exp[log a + log b]; log 0 is a sentinel past every sum of two
+  logs of nonzero elements, and the exp entries from there on are 0, so a
+  zero factor needs no test.  For p = 2 the digits are bits and a sum is
+  the XOR of the indices.  For odd p a sum goes through Zech's logarithm
+  Z(n) = log(1 + g^n) (Lidl & Niederreiter, Finite Fields):
+  a + b = g^(log a + Z(log b - log a)), with Z(n) the sentinel where
+  1 + g^n = 0.  The tables are built once, on first use.
+* m >= 2 and q > TABLE_CAP: the polynomial path.  A product is the
+  schoolbook product of the operands' digits reduced mod f, an inverse is
+  found by extended Euclid, and for odd p a sum is taken digit by digit;
+  for p = 2 a sum is again an XOR.
+
+Powers are taken by literal square-and-multiply through :meth:`FieldContext.mul`
+in every field.
 
 ``make_field(p, m)`` picks the modulus deterministically: the candidate
 coefficient vectors are read as base-p counters (constant digit least
 significant) and the first one that :class:`FieldContext` accepts wins.
-Rebuilding a field with the same (p, m) therefore always yields the same
-labels for every element.  The context decides irreducibility of its own
-modulus f in its own ring Z_p[z]/(f), by Rabin's test (SIAM J. Comput.,
-1980): f is irreducible exactly when z^(p^m) = z and z^(p^(m/d)) - z is a
-unit for every prime d dividing m.
+So every build of a field with the same (p, m) labels its elements alike,
+and ``make_field`` keeps the one context it builds per (p, m) for the life
+of the process.  The context decides irreducibility of its own modulus f
+by Rabin's test (SIAM J. Comput., 1980): f is irreducible exactly when
+z^(p^m) = z and z^(p^(m/d)) - z is a unit for every prime d dividing m.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+import operator
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import NotPrimeError, TooLargeError
 
-FieldElement = tuple[int, ...]
+FieldElement = int
 
 #: make_field refuses any field with more elements than this.  Beyond it
 #: the canonical modulus search (m > 32) and the trial-division prime test
@@ -36,9 +56,12 @@ MAX_FIELD_SIZE = 1 << 32
 #: caller raises the guard explicitly.
 ENUMERATION_GUARD = 1 << 24
 
-# Caches of multiplication/inversion results are capped so a long-running
-# process over a big field cannot grow them without bound.
-_CACHE_CAP = 1 << 20
+#: Extension fields with at most this many elements get exp/log tables,
+#: about 7q list slots in all.  The build takes one polynomial step per
+#: power of g: on 2 shared CPUs with Python 3.11, 0.1 ms for GF(2^4),
+#: 1-2.6 ms for GF(7^3) and 3.5-5 ms at the cap, paid once per process.
+#: GF(73^3), with 389 017 elements, stays on the polynomial path.
+TABLE_CAP = 1 << 10
 
 
 def is_prime(n: int) -> bool:
@@ -58,7 +81,24 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Products and inverses over Z_p on little-endian coefficient vectors.
+# The polynomial path: products, powers and inverses in Z_p[z]/(mod).
+
+
+def _digits(p: int, m: int, a: int) -> list[int]:
+    """The m little-endian base-p digits of the counter index a."""
+    out = []
+    for _ in range(m):
+        a, d = divmod(a, p)
+        out.append(d)
+    return out
+
+
+def _index(p: int, digits: Sequence[int]) -> int:
+    """The counter index of little-endian digits in [0, p)."""
+    v = 0
+    for d in reversed(digits):
+        v = v * p + d
+    return v
 
 
 def _poly_trim(a: list[int]) -> list[int]:
@@ -70,10 +110,11 @@ def _poly_trim(a: list[int]) -> list[int]:
 def _poly_inverse(a: Sequence[int], mod: Sequence[int], p: int) -> Optional[list[int]]:
     """s with a*s = 1 modulo `mod`, by extended Euclid; None if a is no unit.
 
-    Each step cancels the leading term of the longer remainder, keeping
-    r_i = s_i * a (mod `mod`).  The remainders end at a nonzero constant c
-    exactly when gcd(a, mod) = 1, and then s / c is the inverse; otherwise
-    the last nonzero remainder is the gcd and the other one is empty.
+    a and s are coefficient vectors, constant first.  Each step cancels the
+    leading term of the longer remainder, keeping r_i = s_i * a (mod `mod`).
+    The remainders end at a nonzero constant c exactly when gcd(a, mod) = 1,
+    and then s / c is the inverse; otherwise the last nonzero remainder is
+    the gcd and the other one is empty.
     """
     r0, r1 = list(mod), _poly_trim(list(a))
     s0, s1 = [0], [1]
@@ -94,31 +135,47 @@ def _poly_inverse(a: Sequence[int], mod: Sequence[int], p: int) -> Optional[list
     return [(c * inv_c) % p for c in s1]
 
 
-def _poly_mul(p: int, mod: tuple[int, ...], a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """a*b modulo the monic `mod` of degree m = len(a): the schoolbook
-    product, then from the top down, each coefficient c of z^t with t >= m
-    cancelled by subtracting c * z^(t-m) * mod."""
-    m = len(a)
+def _poly_mul(p: int, mod: Sequence[int], a: int, b: int) -> int:
+    """The product of the counter indices a and b modulo the monic `mod` of
+    degree m: the schoolbook product of their nonzero digits, then from the
+    top down, each coefficient c of z^t with t >= m cancelled by
+    subtracting c * z^(t-m) * mod.  A factor 0 or 1 is its own index."""
+    if a < 2 or b < 2:
+        return a * b
+    m = len(mod) - 1
     conv = [0] * (2 * m - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b, i):
-                conv[j] += ai * bj
+    terms, j = [], 0
+    while b:
+        b, y = divmod(b, p)
+        if y:
+            terms.append((j, y))
+        j += 1
+    i = 0
+    while a:
+        a, x = divmod(a, p)
+        if x:
+            for j, y in terms:
+                conv[i + j] += x * y
+        i += 1
     for top in range(2 * m - 2, m - 1, -1):
         c = conv[top]
         if c:
             for j, f in enumerate(mod, top - m):
                 if f:
                     conv[j] -= c * f
-    return tuple(c % p for c in conv[:m])
+    return _index(p, [c % p for c in conv[:m]])
 
 
-def _poly_inv(p: int, mod: tuple[int, ...], a: Sequence[int]) -> tuple[int, ...]:
-    """The inverse of a modulo the irreducible `mod`, as m digits."""
-    res = _poly_inverse(a, mod, p)
-    if res is None:
-        raise ZeroDivisionError("inverse of zero")
-    return tuple(res) + (0,) * (len(mod) - 1 - len(res))
+def _poly_pow(p: int, mod: Sequence[int], a: int, e: int) -> int:
+    """a**e modulo `mod` by square-and-multiply, e >= 1."""
+    acc = None
+    while True:
+        if e & 1:
+            acc = a if acc is None else _poly_mul(p, mod, acc, a)
+        e >>= 1
+        if not e:
+            return acc
+        a = _poly_mul(p, mod, a, a)
 
 
 def _prime_divisors(n: int) -> Iterator[int]:
@@ -132,6 +189,25 @@ def _prime_divisors(n: int) -> Iterator[int]:
         f += 1
     if n > 1:
         yield n
+
+
+def _is_irreducible(p: int, mod: Sequence[int]) -> bool:
+    """Rabin's test of the module docstring, on the Frobenius iterates
+    z^(p^j), j = 0..m, of z in Z_p[z]/(mod), m >= 2."""
+    m = len(mod) - 1
+    if mod[0] == 0:  # f(0) = 0: x divides f
+        return False
+    z = _digits(p, m, p)
+    frob = [p]  # z has counter index p
+    for _ in range(m):
+        frob.append(_poly_pow(p, mod, frob[-1], p))
+    if frob[m] != p:
+        return False
+    return all(
+        _poly_inverse([(x - y) % p for x, y in zip(_digits(p, m, frob[m // d]), z)], mod, p)
+        is not None
+        for d in _prime_divisors(m)
+    )
 
 
 def prime_power(q: int) -> Optional[tuple[int, int]]:
@@ -148,19 +224,21 @@ def prime_power(q: int) -> Optional[tuple[int, int]]:
     return (p, m) if q == 1 else None
 
 
-class FieldContext:
-    """Immutable handle for one concrete GF(p^m).
+#: Kinds of arithmetic; see the module docstring.
+_PRIME, _TABLE, _POLY = "prime", "table", "poly"
 
-    Holds the characteristic, extension degree and modulus.  Extension-field
-    products and inverses go through ``functools.lru_cache`` wrappers of the
-    module-level reductions, each capped at ``_CACHE_CAP`` entries; a product
-    is keyed smaller factor first, so a*b and b*a share one entry.  The
-    wrappers hold p and the modulus but not the context, so a dropped
-    context leaves no reference cycle.  Instances may be shared freely
-    across threads.
+
+class FieldContext:
+    """Handle for one concrete GF(p^m); its elements are counter indices.
+
+    Holds the characteristic, extension degree, modulus and the kind of
+    arithmetic of the module docstring.  A table field builds its tables
+    (``_exp``, ``_log`` and, for odd p, ``_zech``) on their first use, and
+    nothing else in the context changes after construction, so instances
+    may be shared freely across threads.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_mul", "_inv")
+    __slots__ = ("p", "m", "q", "modulus", "_kind", "_exp", "_log", "_zech")
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
         if not is_prime(p):
@@ -174,100 +252,165 @@ class FieldContext:
         self.m = m
         self.q = p**m
         self.modulus = mod
-        self._mul = lru_cache(maxsize=_CACHE_CAP)(partial(_poly_mul, p, mod))
-        self._inv = lru_cache(maxsize=_CACHE_CAP)(partial(_poly_inv, p, mod))
-        if m > 1 and not self._modulus_is_irreducible():
+        if m == 1:
+            self._kind = _PRIME
+        elif not _is_irreducible(p, mod):
             raise ValueError("modulus is reducible")
+        else:
+            self._kind = _TABLE if self.q <= TABLE_CAP else _POLY
 
-    def _modulus_is_irreducible(self) -> bool:
-        """Rabin's test of the module docstring, on the Frobenius iterates
-        z^(p^j), j = 0..m, of z in this ring."""
-        p, m, mod = self.p, self.m, self.modulus
-        if mod[0] == 0:  # f(0) = 0: x divides f
-            return False
-        z = (0, 1) + (0,) * (m - 2)
-        frob = [z]
-        for _ in range(m):
-            frob.append(self.pow(frob[-1], p))
-        if frob[m] != z:
-            return False
-        return all(
-            _poly_inverse(self.sub(frob[m // d], z), mod, p) is not None
-            for d in _prime_divisors(m)
-        )
+    def __getattr__(self, name: str):
+        # Only an unset table slot of a table field gets here: build them all.
+        if name not in ("_exp", "_log", "_zech") or self._kind != _TABLE:
+            raise AttributeError(name)
+        self._build_tables()
+        return getattr(self, name)
 
-    # -- identities and coercions ------------------------------------------
+    def _build_tables(self) -> None:
+        """exp/log tables of the primitive element (and Zech logs for odd p).
 
-    def zero(self) -> FieldElement:
-        return (0,) * self.m
+        With N = q - 1, ``_exp`` holds g^i at i and i + N for 0 <= i < N and
+        0 from 2N to 4N; ``_log[0]`` is 2N, so exp[log a + log b] is 0 when
+        a factor is 0.  ``_zech`` holds Z(n) at n and n + N, so negative
+        differences of logs index it from the end.  The powers of g are
+        taken on digit lists, each times g by Horner's rule in z, and 1 + a
+        is a with its constant digit turned up by one.
+        """
+        p, m, q, mod = self.p, self.m, self.q, self.modulus
+        n = q - 1
+        g = next(v for v in range(2, q)
+                 if all(_poly_pow(p, mod, v, n // d) != 1 for d in _prime_divisors(n)))
+        top, *rest = _poly_trim(_digits(p, m, g))[::-1]
+        minus_f = [-c % p for c in mod[:m]]
+        places = [p**j for j in range(m)]
+        exp, power = [0] * n, [1] + [0] * (m - 1)
+        for i in range(n):
+            exp[i] = sum(map(operator.mul, power, places))
+            acc = [top * c for c in power]
+            for gi in rest:  # acc*z + gi*power, z^m reduced by f
+                t = acc[-1]
+                acc = [(s + t * f + gi * c) % p for s, f, c in zip([0] + acc[:-1], minus_f, power)]
+            power = acc
+        log = [2 * n] * q
+        for i, v in enumerate(exp):
+            log[v] = i
+        if p != 2:
+            zech = [log[v + 1 if v % p != p - 1 else v + 1 - p] for v in exp]
+            self._zech = zech + zech
+        else:
+            self._zech = None
+        self._log = log
+        self._exp = exp + exp + [0] * (2 * n + 1)
 
-    def one(self) -> FieldElement:
-        return (1,) + (0,) * (self.m - 1)
+    # -- the boundary: digits and counter indices --------------------------
+
+    def digits(self, a: FieldElement) -> tuple[int, ...]:
+        """The m little-endian base-p digits of the element a."""
+        return tuple(_digits(self.p, self.m, a))
+
+    def element(self, digits: Iterable[int]) -> FieldElement:
+        """The element with these m little-endian digits, each taken mod p."""
+        d = [int(x) % self.p for x in digits]
+        if len(d) != self.m:
+            raise ValueError(f"expected {self.m} digits, got {len(d)}")
+        return _index(self.p, d)
 
     def scalar(self, c: int) -> FieldElement:
         """The prime-subfield element c (an integer taken mod p)."""
-        return (c % self.p,) + (0,) * (self.m - 1)
-
-    def element(self, digits: Iterable[int]) -> FieldElement:
-        d = tuple(int(x) % self.p for x in digits)
-        if len(d) != self.m:
-            raise ValueError(f"expected {self.m} digits, got {len(d)}")
-        return d
+        return c % self.p
 
     def from_int(self, v: int) -> FieldElement:
-        """Inverse of :meth:`to_int`: base-p digits of v, low digit first."""
+        """The element with counter index v, which is v itself."""
         if not 0 <= v < self.q:
             raise ValueError(f"counter value {v} outside [0, {self.q})")
-        out = []
-        for _ in range(self.m):
-            out.append(v % self.p)
-            v //= self.p
-        return tuple(out)
-
-    def to_int(self, a: FieldElement) -> int:
-        v = 0
-        for d in reversed(a):
-            v = v * self.p + d
         return v
 
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
+        kind = self._kind
+        if kind is _PRIME:
+            return (a + b) % self.p
+        if self.p == 2:
+            return a ^ b
+        if not a:
+            return b
+        if not b:
+            return a
+        if kind is _TABLE:
+            log = self._log
+            la = log[a]
+            return self._exp[la + self._zech[log[b] - la]]
         p = self.p
-        if self.m == 1:
-            return ((a[0] + b[0]) % p,)
-        return tuple((x + y) % p for x, y in zip(a, b))
+        return _index(p, [(x + y) % p for x, y in zip(_digits(p, self.m, a), _digits(p, self.m, b))])
 
     def neg(self, a: FieldElement) -> FieldElement:
-        p = self.p
-        return tuple((-x) % p for x in a)
+        kind, p = self._kind, self.p
+        if kind is _PRIME:
+            return -a % p
+        if p == 2:
+            return a
+        if kind is _TABLE:
+            return self._exp[self._log[a] + (self.q - 1) // 2]
+        return _index(p, [-x % p for x in _digits(p, self.m, a)])
 
     def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        p = self.p
-        if self.m == 1:
-            return ((a[0] - b[0]) % p,)
-        return tuple((x - y) % p for x, y in zip(a, b))
+        return self.add(a, self.neg(b))
 
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        if self.m == 1:
-            return ((a[0] * b[0]) % self.p,)
-        return self._mul(a, b) if a <= b else self._mul(b, a)
+        kind = self._kind
+        if kind is _TABLE:
+            log = self._log
+            return self._exp[log[a] + log[b]]
+        if kind is _PRIME:
+            return a * b % self.p
+        return _poly_mul(self.p, self.modulus, a, b)
 
     def inv(self, a: FieldElement) -> FieldElement:
-        if self.m > 1:
-            return self._inv(a)
-        if a[0] == 0:
+        if not a:
             raise ZeroDivisionError("inverse of zero")
-        return (pow(a[0], self.p - 2, self.p),)
+        kind = self._kind
+        if kind is _TABLE:
+            return self._exp[self.q - 1 - self._log[a]]
+        if kind is _PRIME:
+            return pow(a, -1, self.p)
+        p = self.p
+        return _index(p, _poly_inverse(_digits(p, self.m, a), self.modulus, p))
+
+    def add_multiple(self, v: Sequence[int], c: FieldElement, b: Sequence[int]) -> list[int]:
+        """The vector v + c*b, entry by entry, for vectors of equal length.
+
+        The row step of elimination.  In prime and table fields it runs as
+        one comprehension over the entries, with log c taken once; in a table
+        field of odd p, x + c*y is x * (1 + c*y/x) by one Zech lookup.
+        """
+        kind, p = self._kind, self.p
+        if kind is _PRIME:
+            return [(x + c * y) % p for x, y in zip(v, b)]
+        if not c:
+            return list(v)
+        if kind is _POLY:
+            add, mul = self.add, self.mul
+            return [add(x, mul(c, y)) if y else x for x, y in zip(v, b)]
+        exp, log = self._exp, self._log
+        lc = log[c]
+        if p == 2:
+            return [x ^ exp[lc + log[y]] for x, y in zip(v, b)]
+        zech = self._zech
+        return [
+            x if not y else exp[lc + log[y]] if not x
+            else exp[log[x] + zech[lc + log[y] - log[x]]]
+            for x, y in zip(v, b)
+        ]
 
     def pow(self, a: FieldElement, e: int) -> FieldElement:
         """a**e by literal square-and-multiply; 0**0 is defined as 1."""
         if e < 0:
             raise ValueError("exponent must be >= 0")
         if e == 0:
-            return self.one()
-        if not any(a):
-            return self.zero()
+            return 1
+        if not a:
+            return 0
         while not e & 1:  # the accumulator starts at the lowest set bit
             a = self.mul(a, a)
             e >>= 1
@@ -281,10 +424,10 @@ class FieldContext:
 
     # -- misc ----------------------------------------------------------------
 
-    def elements(self, guard: int = ENUMERATION_GUARD) -> list[FieldElement]:
+    def elements(self, guard: int = ENUMERATION_GUARD) -> range:
         if self.q > guard:
             raise TooLargeError(f"field of size {self.q} exceeds enumeration guard {guard}")
-        return [self.from_int(v) for v in range(self.q)]
+        return range(self.q)
 
     def __eq__(self, other) -> bool:
         return (
@@ -299,13 +442,21 @@ class FieldContext:
         return f"FieldContext(p={self.p}, m={self.m}, modulus={list(self.modulus)})"
 
 
+#: The one context make_field builds per (p, m).
+_FIELDS: dict[tuple[int, int], FieldContext] = {}
+
+
 def make_field(p: int, m: int = 1) -> FieldContext:
-    """Build GF(p^m) with the canonical (counter-order smallest) modulus.
+    """GF(p^m) with the canonical (counter-order smallest) modulus, built
+    once per (p, m) and shared by every later call.
 
     Raises :class:`TooLargeError` when p^m exceeds :data:`MAX_FIELD_SIZE`;
     that is decided before p is tested for primality and, for p >= 2,
     without computing p^m when m alone settles it.
     """
+    ctx = _FIELDS.get((p, m))
+    if ctx is not None:
+        return ctx
     if p >= 2 and m >= 1 and (m >= MAX_FIELD_SIZE.bit_length() or p**m > MAX_FIELD_SIZE):
         raise TooLargeError(f"field GF({p}^{m}) exceeds the size limit {MAX_FIELD_SIZE}")
     if not is_prime(p):
@@ -314,8 +465,8 @@ def make_field(p: int, m: int = 1) -> FieldContext:
         raise ValueError("extension degree must be >= 1")
     for v in range(p**m):
         try:
-            return FieldContext(p, m, tuple(v // p**i % p for i in range(m)) + (1,))
+            ctx = FieldContext(p, m, tuple(v // p**i % p for i in range(m)) + (1,))
         except ValueError:  # a monic degree-m candidate fails only as reducible
-            pass
+            continue
+        return _FIELDS.setdefault((p, m), ctx)
     raise AssertionError(f"no irreducible degree-{m} polynomial over Z_{p} found")
-

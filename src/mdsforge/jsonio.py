@@ -14,7 +14,8 @@ Code file layout::
      "params": {...},
      "certificate": {...}}        (optional)
 
-Field elements serialize as little-endian digit arrays.
+Field elements serialize as little-endian digit arrays; inside the library
+they are counter indices, and the functions here convert between the two.
 """
 
 from __future__ import annotations
@@ -95,8 +96,8 @@ def field_from_obj(obj: Any) -> FieldContext:
     return ctx
 
 
-def element_to_obj(a: FieldElement) -> list[int]:
-    return list(a)
+def element_to_obj(ctx: FieldContext, a: FieldElement) -> list[int]:
+    return list(ctx.digits(a))
 
 
 def element_from_obj(ctx: FieldContext, obj: Any) -> FieldElement:
@@ -121,7 +122,7 @@ def element_from_obj(ctx: FieldContext, obj: Any) -> FieldElement:
 def code_to_obj(code: EvalCode) -> dict:
     return {
         "field": field_to_obj(code.ctx),
-        "points": [element_to_obj(t) for t in code.points.points],
+        "points": [element_to_obj(code.ctx, t) for t in code.points.points],
         "exponents": list(code.exponents.exps),
         "family": code.family,
         "params": dict(code.params),

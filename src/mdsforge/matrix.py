@@ -1,5 +1,8 @@
 """Exact dense linear algebra over a FieldContext.
 
+Entries are field elements as the context holds them, counter indices, so
+a zero entry is the int 0 and is skipped without a field operation.
+
 Everything here is built on one elimination step, :func:`extend_basis`,
 which inserts a row into an echelon basis (its pivot is its first nonzero
 entry once reduced), and on :func:`null_vectors`, which back-substitutes
@@ -66,17 +69,15 @@ def extend_basis(
     and the first nonzero entry left becomes the new pivot.  Earlier rows are
     not reduced against the new one.  `basis` is not modified.
     """
-    zero = ctx.zero()
-    mul, sub = ctx.mul, ctx.sub
     for p, b in basis:
         f = v[p]
-        if f != zero:
-            v = [sub(x, mul(f, y)) for x, y in zip(v, b)]
-    piv = next((i for i, x in enumerate(v) if x != zero), None)
+        if f:
+            v = ctx.add_multiple(v, ctx.neg(f), b)
+    piv = next((i for i, x in enumerate(v) if x), None)
     if piv is None:
         return None
-    inv = ctx.inv(v[piv])
-    return basis + [(piv, [mul(inv, x) for x in v])]
+    # the row scaled to 1 at its pivot
+    return basis + [(piv, ctx.add_multiple([0] * len(v), ctx.inv(v[piv]), v))]
 
 
 def null_vectors(ctx: FieldContext, basis: list, cols: int) -> list[tuple[FieldElement, ...]]:
@@ -87,24 +88,23 @@ def null_vectors(ctx: FieldContext, basis: list, cols: int) -> list[tuple[FieldE
     in reverse insertion order.  That vector is unique, so the result depends
     only on the row space, not on the order the rows were inserted.
     """
-    zero, one = ctx.zero(), ctx.one()
     mul, sub = ctx.mul, ctx.sub
     pivots = {p for p, _ in basis}
     out = []
     for f in range(cols):
         if f in pivots:
             continue
-        x = [zero] * cols
-        x[f] = one
+        x = [0] * cols
+        x[f] = 1
         solved = []
         for p, b in reversed(basis):
             # the row is 0 left of p and at earlier pivots, so only f and
             # the nonzero pivot entries solved so far contribute
-            acc = sub(zero, b[f])
+            acc = ctx.neg(b[f])
             for c, xc in solved:
-                if b[c] != zero:
+                if b[c]:
                     acc = sub(acc, mul(b[c], xc))
-            if acc != zero:
+            if acc:
                 x[p] = acc
                 solved.append((p, acc))
         out.append(tuple(x))

@@ -47,10 +47,10 @@ def prime_rank(p: int, rows: list[list[int]]) -> int:
 def _mult_matrix(ctx: FieldContext, a: FieldElement) -> list[list[int]]:
     """m x m matrix over Z_p of multiplication by a, columns = a * z^j."""
     cols = []
-    z = tuple(1 if i == 1 else 0 for i in range(ctx.m)) if ctx.m > 1 else (1,)
-    power = ctx.one()
+    z = ctx.element(1 if i == 1 else 0 for i in range(ctx.m)) if ctx.m > 1 else 1
+    power = 1
     for _ in range(ctx.m):
-        cols.append(ctx.mul(a, power))
+        cols.append(ctx.digits(ctx.mul(a, power)))
         power = ctx.mul(power, z)
     return [[cols[j][i] for j in range(ctx.m)] for i in range(ctx.m)]
 
@@ -76,7 +76,7 @@ def mat_vec(mat: MatrixFq, x: list[FieldElement]) -> tuple[FieldElement, ...]:
     assert len(x) == mat.cols
     out = []
     for row in mat.entries:
-        acc = ctx.zero()
+        acc = 0
         for a, b in zip(row, x):
             acc = ctx.add(acc, ctx.mul(a, b))
         out.append(acc)
@@ -94,10 +94,10 @@ def brute_weight_distribution(
         msg = [ctx.from_int(v) for v in msg_idx]
         weight = 0
         for j in range(n):
-            acc = ctx.zero()
+            acc = 0
             for i in range(k):
                 acc = ctx.add(acc, ctx.mul(msg[i], gen_rows[i][j]))
-            if acc != ctx.zero():
+            if acc != 0:
                 weight += 1
         dist[weight] += 1
     return tuple(dist)
@@ -112,8 +112,8 @@ def brute_min_distance(ctx: FieldContext, gen_rows: list[list[FieldElement]]) ->
 def esym_direct(ctx: FieldContext, elems: list[FieldElement], r: int) -> FieldElement:
     """e_r by summing products over all r-subsets."""
     if r == 0:
-        return ctx.one()
-    total = ctx.zero()
+        return 1
+    total = 0
     for combo in itertools.combinations(elems, r):
         total = ctx.add(total, reduce(ctx.mul, combo))
     return total
@@ -121,7 +121,7 @@ def esym_direct(ctx: FieldContext, elems: list[FieldElement], r: int) -> FieldEl
 
 def subset_scan(ctx, points, k: int, r: int, delta=None):
     """First k-subset (index tuple, lex order) with e_r == delta, or None."""
-    delta = delta if delta is not None else ctx.zero()
+    delta = delta if delta is not None else 0
     for combo in itertools.combinations(range(len(points)), k):
         if esym_direct(ctx, [points[i] for i in combo], r) == delta:
             return combo
@@ -152,7 +152,7 @@ def colex_scan(ctx, n: int, k: int, r: int, delta=None):
 def greedy_scan(ctx, n: int, k: int, r: int, delta=None):
     """Greedy set in counter order: take a field element unless some k-subset
     through it and the elements already taken has e_r == delta."""
-    delta = delta if delta is not None else ctx.zero()
+    delta = delta if delta is not None else 0
     chosen = []
     for v in range(ctx.q):
         cand = ctx.from_int(v)
@@ -205,9 +205,9 @@ def binom_exact(n: int, k: int) -> int:
 
 def poly_from_roots(ctx: FieldContext, roots: list[FieldElement]) -> list[FieldElement]:
     """Coefficients (low to high) of prod (x - root), leading coeff 1."""
-    coeffs = [ctx.one()]
+    coeffs = [1]
     for root in roots:
-        nxt = [ctx.zero()] * (len(coeffs) + 1)
+        nxt = [0] * (len(coeffs) + 1)
         for i, c in enumerate(coeffs):
             nxt[i + 1] = ctx.add(nxt[i + 1], c)
             nxt[i] = ctx.sub(nxt[i], ctx.mul(root, c))
@@ -242,7 +242,7 @@ class GrsSpec:
         if not 1 <= self.k <= self.points.n:
             raise InvalidParamsError("dimension must satisfy 1 <= k <= n")
         for v in self.multipliers:
-            if v == self.ctx.zero():
+            if v == 0:
                 raise ZeroMultiplierError("column multipliers must be nonzero")
 
 
@@ -287,7 +287,7 @@ def esym_value(ctx: FieldContext, elems: Sequence[FieldElement], r: int) -> Fiel
     """e_r of a sequence of field elements (direct product expansion)."""
     if not 0 <= r <= len(elems):
         raise InvalidParamsError("need 0 <= r <= number of elements")
-    e = [ctx.one()] + [ctx.zero()] * r
+    e = [1] + [0] * r
     top = 0
     for a in elems:
         top = min(top + 1, r)
@@ -334,11 +334,10 @@ def subset_sum_counts(
 
     processed = 0
     for t in points:
-        t_idx = ctx.to_int(t)
         processed += 1
         for j in range(min(k, processed), 0, -1):
             prev, cur = table[j - 1], table[j]
             for s_idx, cnt in enumerate(prev):
                 if cnt:
-                    cur[add_index(s_idx, t_idx)] += cnt
+                    cur[add_index(s_idx, t)] += cnt
     return table

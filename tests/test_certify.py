@@ -8,6 +8,7 @@ import json
 import os
 import random
 import tempfile
+from math import comb
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -109,7 +110,7 @@ def test_parallel_scan_matches_serial(monkeypatch):
 
 def test_k_greater_than_n_rejected():
     ctx = make_field(13)
-    g = matrix_from_rows(ctx, [[ctx.one()], [ctx.zero()]])
+    g = matrix_from_rows(ctx, [[1], [0]])
     with pytest.raises(InvalidParamsError):
         mds_exhaustive(g)
 
@@ -320,14 +321,14 @@ def test_dual_annihilates_and_is_mds():
     d = dual_code(g)
     assert d.rows == 3
     for i in range(d.rows):
-        assert all(v == ctx.zero() for v in mat_vec(g, d.entries[i]))
+        assert all(v == 0 for v in mat_vec(g, d.entries[i]))
     assert rank(d) == 3
     assert mds_exhaustive(d)[0]
 
 
 def test_dual_of_full_length_code_is_empty():
     ctx = make_field(5)
-    g = matrix_from_rows(ctx, [[ctx.one(), ctx.zero()], [ctx.zero(), ctx.one()]])
+    g = matrix_from_rows(ctx, [[1, 0], [0, 1]])
     assert dual_code(g).rows == 0
 
 
@@ -653,5 +654,24 @@ def test_jobs_start_at_most_one_worker_per_cpu(monkeypatch, cpus, workers):
     if workers == 1:
         assert RecordingPool.log == []  # a single worker would only add a fork
     else:
-        # no task past the witness's block is read; first indices run 0..n-k
-        assert RecordingPool.log == [workers, 0, 1, 2, "cancel", workers, 0, 1, 2, 3, 4, 5]
+        # first index 0 is scanned before the pool, and no task past the
+        # witness's block is read; the pool's first indices run 1..n-k
+        assert RecordingPool.log == [workers, 1, 2, "cancel", workers, 1, 2, 3, 4, 5]
+
+
+def test_jobs_find_a_witness_in_block_0_without_a_pool(monkeypatch):
+    # E = {0, 1, 4}: the minor on points S is their Vandermonde determinant
+    # times h_2(S), and h_2(0, 1, c) = c^2 + c + 1 vanishes at the cube root
+    # of unity c = 499501 of GF(1000003), so (0, 1, 2) is the first subset
+    code = make_code(make_field(1000003), [0, 1, 499501, *range(2, 119)], (0, 1, 4))
+    gen = generator_matrix(code)
+    serial = mds_exhaustive(gen)
+    assert serial == (False, (0, 1, 2))
+    assert comb(gen.cols, gen.rows) >= certify.PARALLEL_MIN_SUBSETS
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a witness in block 0 must not start a pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(certify.os, "cpu_count", lambda: 2)
+    assert mds_exhaustive(gen, jobs=2) == serial

@@ -38,7 +38,7 @@ def test_roundtrip_every_erasure_pattern():
 def test_too_many_erasures():
     code = cor44(13, 3, 6)
     ctx = code.ctx
-    word = list(encode(code, (ctx.one(), ctx.zero(), ctx.one())))
+    word = list(encode(code, (1, 0, 1)))
     for pos in (0, 1, 2, 3):  # n - k + 1 = 4 erasures
         word[pos] = ERASED
     with pytest.raises(TooManyErasuresError):
@@ -49,9 +49,9 @@ def test_corrupted_survivor_detected():
     # corruption outside the k positions used for solving must still be caught
     code = cor44(13, 3, 6)
     ctx = code.ctx
-    word = list(encode(code, (ctx.one(), ctx.zero(), ctx.one())))
+    word = list(encode(code, (1, 0, 1)))
     word[1] = ERASED  # survivors: 0, 2, 3, 4, 5; solver uses 0, 2, 3
-    word[5] = ctx.add(word[5], ctx.one())
+    word[5] = ctx.add(word[5], 1)
     with pytest.raises(InconsistentError):
         decode_erasures(code, word)
 

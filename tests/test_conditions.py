@@ -58,10 +58,10 @@ def test_spec_validation():
 def test_esym_value_small_cases():
     ctx = make_field(13)
     elems = scalars(ctx, [2, 3, 5])
-    assert esym_value(ctx, elems, 1) == (10,)
-    assert esym_value(ctx, elems, 2) == ((6 + 10 + 15) % 13,)
-    assert esym_value(ctx, elems, 3) == ((30) % 13,)
-    assert esym_value(ctx, elems, 0) == ctx.one()
+    assert ctx.digits(esym_value(ctx, elems, 1)) == (10,)
+    assert ctx.digits(esym_value(ctx, elems, 2)) == ((6 + 10 + 15) % 13,)
+    assert ctx.digits(esym_value(ctx, elems, 3)) == ((30) % 13,)
+    assert esym_value(ctx, elems, 0) == 1
 
 
 @settings(max_examples=50, deadline=None)
@@ -101,13 +101,13 @@ def test_check_order_two():
     assert ok
     # e_2 over 3-subsets of {0..5} ranges within [2, 47]: far from 0 mod 163
     subs = [(a, b, c) for a in range(6) for b in range(a + 1, 6) for c in range(b + 1, 6)]
-    vals = sorted(esym_value(ctx, scalars(ctx, sub), 2)[0] for sub in subs)
+    vals = sorted(ctx.digits(esym_value(ctx, scalars(ctx, sub), 2))[0] for sub in subs)
     assert vals[0] == 2 and vals[-1] == 47
 
 
 def test_check_nonzero_delta():
     ctx = make_field(7)
-    spec = ConditionSpec(k=2, delta=(3,))
+    spec = ConditionSpec(k=2, delta=ctx.element((3,)))
     ok, witness = check_esym(ctx, scalars(ctx, [0, 1, 2]), spec)
     assert not ok
     assert witness == (1, 2)  # 1 + 2 == 3
@@ -302,8 +302,8 @@ def test_route_follows_the_cost_ratio(monkeypatch):
 
 def test_shift_transform_example():
     ctx = make_field(7)
-    shifted = shift_transform(ctx, scalars(ctx, [0, 1, 2]), (3,), 3)
-    assert shifted == ((6,), (0,), (1,))
+    shifted = shift_transform(ctx, scalars(ctx, [0, 1, 2]), ctx.element((3,)), 3)
+    assert tuple(map(ctx.digits, shifted)) == ((6,), (0,), (1,))
 
 
 def test_shift_transform_moves_target_to_zero():
@@ -317,7 +317,7 @@ def test_shift_transform_moves_target_to_zero():
         pts = scalars(ctx, rng.sample(range(11), n))
         delta = ctx.scalar(rng.randrange(11))
         shifted = shift_transform(ctx, pts, delta, k)
-        before = subset_sum_counts(ctx, pts, k)[k][ctx.to_int(delta)]
+        before = subset_sum_counts(ctx, pts, k)[k][delta]
         after = subset_sum_counts(ctx, shifted, k)[k][0]
         assert before == after
 
@@ -339,7 +339,7 @@ def test_vieta_coefficient_identity():
         coeffs = poly_from_roots(ctx, roots)
         assert len(coeffs) == k + 1
         for r in range(k + 1):
-            sign = ctx.one() if r % 2 == 0 else ctx.neg(ctx.one())
+            sign = 1 if r % 2 == 0 else ctx.neg(1)
             expected = ctx.mul(sign, esym_value(ctx, roots, r))
             assert coeffs[k - r] == expected
 
@@ -409,7 +409,7 @@ def test_vieta_variant_needs_no_max_exp():
 def test_exhaustive_search_finds_known_set():
     ctx = make_field(2, 4)
     found = search_eval_set(ctx, 9, ConditionSpec(k=3), ExhaustiveSearch())
-    assert [ctx.to_int(t) for t in found] == [0, 4, 5, 6, 7, 8, 9, 10, 11]
+    assert list(found) == [0, 4, 5, 6, 7, 8, 9, 10, 11]
 
 
 def test_exhaustive_search_none_when_impossible():
@@ -462,7 +462,7 @@ def test_exhaustive_r1_search_takes_the_sum_stack(monkeypatch):
     monkeypatch.setattr(conditions, "first_failing_subset", refuse)
     ctx = make_field(2, 4)
     found = search_eval_set(ctx, 9, ConditionSpec(k=3), ExhaustiveSearch())
-    assert [ctx.to_int(t) for t in found] == [0, 4, 5, 6, 7, 8, 9, 10, 11]
+    assert list(found) == [0, 4, 5, 6, 7, 8, 9, 10, 11]
     assert search_eval_set(ctx, 10, ConditionSpec(k=3), ExhaustiveSearch()) is None
 
 
@@ -547,10 +547,12 @@ def test_exhaustive_subset_guard_comes_before_the_search():
         search_eval_set(ctx, 40, ConditionSpec(k=20), ExhaustiveSearch())
 
 
-def test_exhaustive_rejects_delta_of_the_wrong_length():
+def test_exhaustive_rejects_delta_outside_the_field():
+    # delta is a counter index; its digit count is checked where it is read
     ctx = make_field(7)
-    with pytest.raises(InvalidParamsError, match="delta has the wrong number of digits"):
-        search_eval_set(ctx, 4, ConditionSpec(k=2, delta=(1, 0)), ExhaustiveSearch())
+    for delta in (7, -1):
+        with pytest.raises(InvalidParamsError, match=rf"delta {delta} is not an element of GF\(7\)"):
+            search_eval_set(ctx, 4, ConditionSpec(k=2, delta=delta), ExhaustiveSearch())
 
 
 def test_random_search_deterministic_and_valid():
@@ -602,7 +604,7 @@ def test_single_point_request_is_vacuous():
     spec = ConditionSpec(k=3)
     for strategy in (ExhaustiveSearch(), GreedySearch()):
         found = search_eval_set(ctx, 1, spec, strategy)
-        assert found == (ctx.zero(),)
+        assert found == (0,)
     found = search_eval_set(ctx, 1, spec, RandomSearch(seed=2))
     assert found is not None and len(found) == 1
 

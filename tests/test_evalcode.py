@@ -56,23 +56,23 @@ def test_generator_matrix_rows_are_monomial_evaluations():
     code = make_code(ctx, range(6), (0, 1, 3))
     g = generator_matrix(code)
     assert g.rows == 3 and g.cols == 6
-    assert [ctx.to_int(v) for v in g.entries[0]] == [1, 1, 1, 1, 1, 1]
-    assert [ctx.to_int(v) for v in g.entries[1]] == [0, 1, 2, 3, 4, 5]
-    assert [ctx.to_int(v) for v in g.entries[2]] == [0, 1, 8, 1, 12, 8]
+    assert list(g.entries[0]) == [1, 1, 1, 1, 1, 1]
+    assert list(g.entries[1]) == [0, 1, 2, 3, 4, 5]
+    assert list(g.entries[2]) == [0, 1, 8, 1, 12, 8]
 
 
 def test_zero_to_the_zero_is_one():
     # the constant monomial evaluates to 1 everywhere, including at 0
     ctx = make_field(5)
     g = generator_matrix(make_code(ctx, [0], (0,)))
-    assert g.entries[0][0] == ctx.one()
+    assert g.entries[0][0] == 1
 
 
 def test_encode_known_value():
     ctx = make_field(13)
     code = make_code(ctx, range(6), (0, 1, 3))
     word = encode(code, scalars(ctx, [1, 0, 12]))
-    assert [ctx.to_int(v) for v in word] == [1, 0, 6, 0, 2, 6]
+    assert list(word) == [1, 0, 6, 0, 2, 6]
 
 
 def test_encode_wrong_length():
@@ -164,7 +164,7 @@ def test_nonzero_codeword_weight_lower_bound():
         if not any(msg_idx):
             continue
         word = encode(code, scalars(ctx, msg_idx))
-        weight = sum(1 for v in word if v != ctx.zero())
+        weight = sum(1 for v in word if v != 0)
         assert weight >= code.n - code.exponents.max_exp
 
 
@@ -173,8 +173,8 @@ def test_grs_generator_entries():
     spec = GrsSpec(ctx, EvalSet(scalars(ctx, [1, 2, 3, 4])), scalars(ctx, [1, 1, 2, 3]), 2)
     g = grs_generator(spec)
     assert g.rows == 2 and g.cols == 4
-    assert [ctx.to_int(v) for v in g.entries[0]] == [1, 1, 2, 3]
-    assert [ctx.to_int(v) for v in g.entries[1]] == [1, 2, 6, 12]
+    assert list(g.entries[0]) == [1, 1, 2, 3]
+    assert list(g.entries[1]) == [1, 2, 6, 12]
 
 
 def test_grs_zero_multiplier_rejected():

@@ -81,7 +81,7 @@ def test_cor44_pinned():
     code = cor44(13, 3, 6)
     assert code.family == "cor44"
     assert code.exponents.exps == (0, 1, 3)
-    assert [code.ctx.to_int(t) for t in code.points.points] == [0, 1, 2, 3, 4, 5]
+    assert list(code.points.points) == [0, 1, 2, 3, 4, 5]
     assert code.params == {"family": "cor44", "p": 13, "k": 3, "n": 6}
 
 
@@ -125,12 +125,12 @@ def test_thm412_pinned():
     code = thm412(3, 3, 4, 9)
     assert code.ctx.q == 27
     assert code.exponents.exps == (0, 1, 2, 4)
-    assert [code.ctx.to_int(t) for t in code.points.points] == [
+    assert list(code.points.points) == [
         1, 4, 7, 10, 13, 16, 19, 22, 25]
     # constant digit 1 everywhere; tails sweep the z-span in counter order
-    assert code.points.points[0] == (1, 0, 0)
-    assert code.points.points[1] == (1, 1, 0)
-    assert code.points.points[2] == (1, 2, 0)
+    assert code.ctx.digits(code.points.points[0]) == (1, 0, 0)
+    assert code.ctx.digits(code.points.points[1]) == (1, 1, 0)
+    assert code.ctx.digits(code.points.points[2]) == (1, 2, 0)
 
 
 def test_thm412_validation():
@@ -146,7 +146,7 @@ def test_thm412_validation():
 
 def test_thm415_pinned():
     code = thm415(7, 2, 3, 14)
-    assert [tuple(t) for t in code.points.points] == [
+    assert [code.ctx.digits(t) for t in code.points.points] == [
         (1, 0), (2, 0), (1, 1), (2, 1), (1, 2), (2, 2), (1, 3),
         (2, 3), (1, 4), (2, 4), (1, 5), (2, 5), (1, 6), (2, 6)]
 
@@ -157,7 +157,7 @@ def test_thm415_length_caps():
     with pytest.raises(BoundViolatedError):
         thm415(7, 2, 3, 15)  # 7 = 3*2+1: no room for extras
     code = thm415(11, 2, 3, 34)  # 3*11 main + 1 extra
-    assert tuple(code.points.points[-1]) == (4, 0)
+    assert code.ctx.digits(code.points.points[-1]) == (4, 0)
     with pytest.raises(BoundViolatedError):
         thm415(11, 2, 3, 35)
 
@@ -166,9 +166,9 @@ def test_thm415_prime_field_case():
     # m = 1 collapses to plain bounded residues: u distinct values plus at
     # most one extra when p - k*u - 1 > 0
     code = thm415(29, 1, 3, 8)
-    assert [code.ctx.to_int(t) for t in code.points.points] == [1, 2, 3, 4, 5, 6, 7, 8]
+    assert list(code.points.points) == [1, 2, 3, 4, 5, 6, 7, 8]
     code = thm415(29, 1, 3, 10)
-    assert [code.ctx.to_int(t) for t in code.points.points] == list(range(1, 11))
+    assert list(code.points.points) == list(range(1, 11))
     with pytest.raises(BoundViolatedError):
         thm415(29, 1, 3, 11)
 
@@ -177,7 +177,7 @@ def test_thm63_pinned():
     code = thm63(7, 3, 3, 2, 6)
     assert code.ctx.q == 343
     assert code.exponents.exps == (0, 2, 3)
-    assert [tuple(t) for t in code.points.points] == [
+    assert [code.ctx.digits(t) for t in code.points.points] == [
         (1, 0, 0), (1, 1, 0), (1, 2, 0), (1, 3, 0), (1, 4, 0), (1, 5, 0)]
     ok, _ = check_esym(code.ctx, code.points.points, ConditionSpec(k=3, r=2))
     assert ok
@@ -195,7 +195,7 @@ def test_thm63_validation():
 def test_thm64_pinned():
     code = thm64(73, 3, 3, 2, 10)
     # w = floor(sqrt(2*73))/3 = 12//3 = 4: constant digits cycle 1..4
-    assert [tuple(t) for t in code.points.points][:6] == [
+    assert [code.ctx.digits(t) for t in code.points.points][:6] == [
         (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 0), (1, 1, 0), (2, 1, 0)]
     ok, _ = check_esym(code.ctx, code.points.points, ConditionSpec(k=3, r=2))
     assert ok
@@ -240,7 +240,7 @@ def test_construction_is_deterministic():
 def test_extended_hamming_binary():
     h = extended_hamming_parity(3, 2)
     assert (h.rows, h.cols) == (4, 8)
-    cols = [tuple(h.ctx.to_int(h.entries[i][j]) for i in range(4)) for j in range(8)]
+    cols = [tuple(h.entries[i][j] for i in range(4)) for j in range(8)]
     assert cols == [
         (1, 0, 0, 1), (0, 1, 0, 1), (1, 1, 0, 1), (0, 0, 1, 1),
         (1, 0, 1, 1), (0, 1, 1, 1), (1, 1, 1, 1), (0, 0, 0, 1)]
@@ -279,12 +279,13 @@ def test_lift_produces_field_elements_from_columns():
     assert code.n == 8 and code.k == 3
     assert code.family == "hamming-lift"
     # every lifted point carries the final parity digit: counter index >= 8
-    assert sorted(code.ctx.to_int(t) for t in code.points.points) == list(range(8, 16))
+    assert sorted(code.points.points) == list(range(8, 16))
 
 
 def test_lift_rejects_duplicate_columns():
     ctx = make_field(2)
-    h = matrix_from_rows(ctx, [[(1,), (1,)], [(0,), (0,)]])
+    one, zero = ctx.element((1,)), ctx.element((0,))
+    h = matrix_from_rows(ctx, [[one, one], [zero, zero]])
     with pytest.raises(DuplicateColumnsError):
         lift_parity_columns(h, 1)
 

@@ -10,8 +10,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Poly, symbols
 
+from mdsforge import field
 from mdsforge.errors import NotPrimeError, TooLargeError
-from mdsforge.field import MAX_FIELD_SIZE, FieldContext, is_prime, make_field, prime_power
+from mdsforge.field import (
+    MAX_FIELD_SIZE,
+    TABLE_CAP,
+    FieldContext,
+    _poly_inverse,
+    _poly_mul,
+    _poly_pow,
+    is_prime,
+    make_field,
+    prime_power,
+)
 
 X = symbols("x")
 
@@ -138,11 +149,11 @@ def test_counter_order_roundtrip():
     seen = []
     for v in range(9):
         e = ctx.from_int(v)
-        assert ctx.to_int(e) == v
+        assert e == v
         seen.append(e)
-    assert seen[0] == (0, 0)
-    assert seen[1] == (1, 0)
-    assert seen[3] == (0, 1)  # z comes after the prime subfield in counter order
+    assert ctx.digits(seen[0]) == (0, 0)
+    assert ctx.digits(seen[1]) == (1, 0)
+    assert ctx.digits(seen[3]) == (0, 1)  # z comes after the prime subfield in counter order
     assert len(set(seen)) == 9
 
 
@@ -150,8 +161,8 @@ def test_enumerate_field():
     ctx = make_field(3, 2)
     elems = ctx.elements()
     assert len(elems) == 9
-    assert elems[0] == ctx.zero()
-    assert elems[1] == ctx.one()
+    assert elems[0] == 0
+    assert elems[1] == 1
     assert len(set(elems)) == 9
 
 
@@ -163,11 +174,12 @@ def test_enumerate_guard_trips():
 
 def test_pow_conventions():
     ctx = make_field(13)
-    assert ctx.pow((2,), 6) == (12,)
-    assert ctx.pow((0,), 0) == (1,)  # 0^0 = 1 by the evaluation convention
-    assert ctx.pow((0,), 5) == (0,)
+    e = ctx.element
+    assert ctx.pow(e((2,)), 6) == e((12,))
+    assert ctx.pow(e((0,)), 0) == e((1,))  # 0^0 = 1 by the evaluation convention
+    assert ctx.pow(e((0,)), 5) == e((0,))
     with pytest.raises(ValueError):
-        ctx.pow((2,), -1)
+        ctx.pow(e((2,)), -1)
 
 
 def test_pow_is_literal_not_reduced_mod_order():
@@ -186,7 +198,7 @@ def test_pow_makes_no_product_by_one(monkeypatch, p, m, e):
     # accumulator, which starts at the lowest set bit of e
     ctx = make_field(p, m)
     a = ctx.from_int(ctx.q - 2)
-    expected = ctx.one()
+    expected = 1
     for _ in range(e):
         expected = ctx.mul(expected, a)
     calls = []
@@ -204,7 +216,7 @@ def test_pow_makes_no_product_by_one(monkeypatch, p, m, e):
 def test_nonzero_elements_have_order_dividing_q_minus_1():
     ctx = make_field(2, 4)
     for v in range(1, 16):
-        assert ctx.pow(ctx.from_int(v), 15) == ctx.one()
+        assert ctx.pow(ctx.from_int(v), 15) == 1
 
 
 CONTEXTS = [make_field(2, 4), make_field(3, 2), make_field(13), make_field(5, 1)]
@@ -223,11 +235,11 @@ def test_field_axioms(data, which):
     assert ctx.add(ctx.add(a, b), c) == ctx.add(a, ctx.add(b, c))
     assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
     assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
-    assert ctx.add(a, ctx.neg(a)) == ctx.zero()
+    assert ctx.add(a, ctx.neg(a)) == 0
     assert ctx.sub(a, b) == ctx.add(a, ctx.neg(b))
-    assert ctx.mul(a, ctx.one()) == a
-    if a != ctx.zero():
-        assert ctx.mul(a, ctx.inv(a)) == ctx.one()
+    assert ctx.mul(a, 1) == a
+    if a != 0:
+        assert ctx.mul(a, ctx.inv(a)) == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -254,7 +266,7 @@ def test_inverse_matches_power():
         a = ctx.from_int(rng.randrange(1, ctx.q))
         assert ctx.inv(a) == ctx.pow(a, ctx.q - 2)
     with pytest.raises(ZeroDivisionError):
-        ctx.inv(ctx.zero())
+        ctx.inv(0)
 
 
 ORACLE_FIELDS = {pm: make_field(*pm) for pm in [(2, 6), (3, 3), (7, 3), (73, 3)]}
@@ -275,54 +287,52 @@ def test_mul_and_inv_match_sympy(data, pm):
     pick = st.integers(0, ctx.q - 1)
     a, b = ctx.from_int(data.draw(pick)), ctx.from_int(data.draw(pick))
     f = sympy_poly(ctx.modulus, p)
-    pa, pb = sympy_poly(a, p), sympy_poly(b, p)
-    assert ctx.mul(a, b) == sympy_digits((pa * pb).rem(f), p, m)
-    if any(a):
-        assert ctx.inv(a) == sympy_digits(pa.invert(f), p, m)
+    pa, pb = sympy_poly(ctx.digits(a), p), sympy_poly(ctx.digits(b), p)
+    assert ctx.digits(ctx.mul(a, b)) == sympy_digits((pa * pb).rem(f), p, m)
+    if a:
+        assert ctx.digits(ctx.inv(a)) == sympy_digits(pa.invert(f), p, m)
 
 
 def test_dropped_context_leaves_no_cycles():
-    # the product and inverse caches must not refer back to the context:
-    # a cycle would keep every dropped field's cache alive until a gc pass
+    # neither the polynomial path nor the tables may refer back to the
+    # context: a cycle would keep every dropped field's tables alive until
+    # a gc pass
     gc.collect()
     gc.disable()
     try:
         ctx = FieldContext(73, 3, (2, 0, 0, 1))
         a = ctx.from_int(12345)
-        assert ctx.mul(a, ctx.inv(a)) == ctx.one()
+        assert ctx.mul(a, ctx.inv(a)) == 1
+        del ctx
+        assert gc.collect() == 0
+        ctx = FieldContext(7, 3, (2, 0, 0, 1))
+        a = ctx.from_int(123)
+        assert ctx.mul(a, ctx.inv(a)) == 1
         del ctx
         assert gc.collect() == 0
     finally:
         gc.enable()
 
 
-def test_product_cache_keeps_one_entry_per_unordered_pair():
-    ctx = make_field(2, 4)
-    a, b = ctx.from_int(6), ctx.from_int(11)
-    ctx._mul.cache_clear()
-    assert ctx.mul(a, b) == ctx.mul(b, a)
-    assert ctx._mul.cache_info().currsize == 1
-
-
 def test_inverse_of_zero_fails():
     ctx = make_field(7)
     with pytest.raises(ZeroDivisionError):
-        ctx.inv(ctx.zero())
+        ctx.inv(0)
 
 
 def test_scalar_embedding():
     ctx = make_field(3, 2)
-    assert ctx.scalar(0) == (0, 0)
-    assert ctx.scalar(4) == (1, 0)  # reduced mod p
-    assert ctx.scalar(-1) == (2, 0)
+    assert ctx.digits(ctx.scalar(0)) == (0, 0)
+    assert ctx.digits(ctx.scalar(4)) == (1, 0)  # reduced mod p
+    assert ctx.digits(ctx.scalar(-1)) == (2, 0)
 
 
 def test_element_validation():
     ctx = make_field(3, 2)
     with pytest.raises(ValueError):
         ctx.element((1,))  # wrong digit count
-    assert ctx.element((3, 0)) == (0, 0)  # digits normalize mod p
-    assert ctx.element((-1, 1)) == (2, 1)
+    assert ctx.digits(ctx.element((3, 0))) == (0, 0)  # digits normalize mod p
+    assert ctx.digits(ctx.element((-1, 1))) == (2, 1)
 
 
 def test_context_equality_and_hash():
@@ -336,3 +346,86 @@ def test_prime_power_decomposition():
     assert (prime_power(2**32), prime_power(73**3)) == ((2, 32), (73, 3))
     # a small factor decides at once, however large its cofactor
     assert prime_power(2 * (2**61 - 1)) is None
+
+
+#: Every table field of these families: GF(2^m) with m <= 8, GF(3^m) with
+#: m <= 5 and GF(p^2) with p <= 31.
+TABLE_FIELDS = (
+    [(2, m) for m in range(2, 9)]
+    + [(3, m) for m in range(2, 6)]
+    + [(p, 2) for p in range(5, 32) if is_prime(p)]
+)
+
+
+def poly_reference(ctx, a, b, e):
+    """(a*b, 1/a or None, a + b, a - b, -a, a^e) by the polynomial path on
+    digit lists, with sums taken digit by digit."""
+    p, m, mod = ctx.p, ctx.m, ctx.modulus
+    da, db = ctx.digits(a), ctx.digits(b)
+    inv = _poly_inverse(list(da), mod, p)
+    power = 1 if e == 0 else 0 if a == 0 else _poly_pow(p, mod, a, e)
+    return (
+        _poly_mul(p, mod, a, b),
+        None if inv is None else ctx.element(inv + [0] * (m - len(inv))),
+        ctx.element(x + y for x, y in zip(da, db)),
+        ctx.element(x - y for x, y in zip(da, db)),
+        ctx.element(-x for x in da),
+        power,
+    )
+
+
+def table_ops(ctx, a, b, e):
+    return (ctx.mul(a, b), ctx.inv(a) if a else None, ctx.add(a, b), ctx.sub(a, b),
+            ctx.neg(a), ctx.pow(a, e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), pm=st.sampled_from(TABLE_FIELDS))
+def test_tables_match_the_polynomial_reference(data, pm):
+    ctx = make_field(*pm)
+    assert ctx.q <= TABLE_CAP
+    pick = st.integers(0, ctx.q - 1)
+    a, b, e = data.draw(pick), data.draw(pick), data.draw(st.integers(0, 3 * ctx.q))
+    assert table_ops(ctx, a, b, e) == poly_reference(ctx, a, b, e)
+    assert ctx.add_multiple([b, a], e % ctx.q, [a, b]) == [
+        ctx.add(b, ctx.mul(e % ctx.q, a)), ctx.add(a, ctx.mul(e % ctx.q, b))]
+
+
+@pytest.mark.parametrize("p, m", [(2, 11), (37, 2)])
+def test_tables_just_above_the_cap_match_the_polynomial_path(monkeypatch, p, m):
+    poly = make_field(p, m)
+    assert poly.q > TABLE_CAP
+    monkeypatch.setattr(field, "TABLE_CAP", poly.q)
+    tables = FieldContext(p, m, poly.modulus)
+    rng = random.Random(p)
+    for _ in range(400):
+        a, b, c = (rng.randrange(poly.q) for _ in range(3))
+        e = rng.randrange(3 * poly.q)
+        assert table_ops(tables, a, b, e) == table_ops(poly, a, b, e)
+        assert tables.add_multiple([a, b, 0], c, [b, 0, a]) == poly.add_multiple([a, b, 0], c, [b, 0, a])
+
+
+@pytest.mark.parametrize("p, m", [(2, 4), (2, 8), (2, 9), (3, 3), (3, 5), (7, 3), (31, 2)])
+def test_primitive_element_is_the_smallest_generator(p, m):
+    ctx = make_field(p, m)
+    n, mod = ctx.q - 1, ctx.modulus
+    g = ctx._exp[1]
+
+    def order(v):
+        k, x = 1, v
+        while x != 1:
+            x, k = _poly_mul(p, mod, x, v), k + 1
+        return k
+
+    assert order(g) == n and all(order(v) < n for v in range(1, g))
+    # exp is a bijection onto the nonzero elements, and log inverts it
+    assert sorted(ctx._exp[:n]) == list(range(1, ctx.q))
+    assert all(ctx._log[ctx._exp[i]] == i for i in range(n))
+    # a second build of the same field picks the same element and tables
+    again = FieldContext(p, m, mod)
+    assert (again._exp, again._log, again._zech) == (ctx._exp, ctx._log, ctx._zech)
+
+
+def test_make_field_builds_each_field_once():
+    assert make_field(7, 3) is make_field(7, 3)
+    assert make_field(13) is make_field(13, 1)

@@ -46,9 +46,9 @@ def test_field_from_obj_rejects_garbage():
 
 def test_element_forms():
     ctx = make_field(3, 2)
-    assert element_to_obj((2, 1)) == [2, 1]
-    assert element_from_obj(ctx, [2, 1]) == (2, 1)
-    assert element_from_obj(ctx, 2) == (2, 0)  # bare int means prime-subfield
+    assert element_to_obj(ctx, ctx.element((2, 1))) == [2, 1]
+    assert element_from_obj(ctx, [2, 1]) == ctx.element((2, 1))
+    assert element_from_obj(ctx, 2) == ctx.element((2, 0))  # bare int means prime-subfield
     with pytest.raises(FormatError):
         element_from_obj(ctx, [1])  # wrong digit count
     with pytest.raises(FormatError):

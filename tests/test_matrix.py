@@ -54,7 +54,7 @@ def test_ragged_rows_rejected():
 def test_row_column_accessors():
     ctx = make_field(5)
     m = ints(ctx, [[1, 2, 3], [4, 0, 1]])
-    assert m.column(2) == ((3,), (1,))
+    assert tuple(map(ctx.digits, m.column(2))) == ((3,), (1,))
     with pytest.raises(IndexOutOfRangeError):
         m.column(-1)
 
@@ -71,7 +71,7 @@ def test_solve_singular_raises():
     ctx = make_field(5)
     a = ints(ctx, [[1, 2], [2, 4]])
     with pytest.raises(SingularError):
-        solve_square(a, [ctx.one(), ctx.one()])
+        solve_square(a, [1, 1])
 
 
 def test_null_space_of_identity_is_empty():
@@ -88,7 +88,7 @@ def test_null_space_annihilates():
     ns = null_space(m)
     assert ns.rows == 2  # rank 2, 4 columns
     for i in range(ns.rows):
-        assert all(v == ctx.zero() for v in mat_vec(m, ns.entries[i]))
+        assert all(v == 0 for v in mat_vec(m, ns.entries[i]))
     assert rank(ns) == ns.rows
 
 
@@ -128,7 +128,7 @@ def test_rank_plus_nullity(data):
     assert rank(m) + ns.rows == c
     # column f is free exactly when it lies in the span of the columns left
     # of it; its vector is 1 there and 0 at every other free column
-    ints_rows = [[v[0] for v in row] for row in rows]
+    ints_rows = [[ctx.digits(v)[0] for v in row] for row in rows]
     free = [
         f for f in range(c)
         if prime_rank(5, [row[: f + 1] for row in ints_rows])
@@ -136,8 +136,8 @@ def test_rank_plus_nullity(data):
     ]
     assert ns.rows == len(free)
     for vec, f in zip(ns.entries, free):
-        assert [vec[g] for g in free] == [ctx.one() if g == f else ctx.zero() for g in free]
-        assert all(v == ctx.zero() for v in mat_vec(m, vec))
+        assert [vec[g] for g in free] == [1 if g == f else 0 for g in free]
+        assert all(v == 0 for v in mat_vec(m, vec))
 
 
 @settings(max_examples=40, deadline=None)
