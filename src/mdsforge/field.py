@@ -163,7 +163,10 @@ def _poly_mul(p: int, mod: Sequence[int], a: int, b: int) -> int:
             for j, f in enumerate(mod, top - m):
                 if f:
                     conv[j] -= c * f
-    return _index(p, [c % p for c in conv[:m]])
+    v = 0
+    for c in reversed(conv[:m]):
+        v = v * p + c % p
+    return v
 
 
 def _poly_pow(p: int, mod: Sequence[int], a: int, e: int) -> int:
@@ -341,8 +344,13 @@ class FieldContext:
             log = self._log
             la = log[a]
             return self._exp[la + self._zech[log[b] - la]]
-        p = self.p
-        return _index(p, [(x + y) % p for x, y in zip(_digits(p, self.m, a), _digits(p, self.m, b))])
+        p, out, place = self.p, 0, 1
+        while a or b:  # digit by digit
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            out += (x + y) % p * place
+            place *= p
+        return out
 
     def neg(self, a: FieldElement) -> FieldElement:
         kind, p = self._kind, self.p
@@ -352,7 +360,12 @@ class FieldContext:
             return a
         if kind is _TABLE:
             return self._exp[self._log[a] + (self.q - 1) // 2]
-        return _index(p, [-x % p for x in _digits(p, self.m, a)])
+        out, place = 0, 1
+        while a:  # digit by digit
+            a, x = divmod(a, p)
+            out += -x % p * place
+            place *= p
+        return out
 
     def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
         return self.add(a, self.neg(b))
@@ -442,7 +455,9 @@ class FieldContext:
         return f"FieldContext(p={self.p}, m={self.m}, modulus={list(self.modulus)})"
 
 
-#: The one context make_field builds per (p, m).
+#: The one context make_field builds per (p, m).  A context never changes
+#: once built (its tables are a function of p and m), so every caller can
+#: share it; a process holds one per field it uses.
 _FIELDS: dict[tuple[int, int], FieldContext] = {}
 
 
