@@ -24,8 +24,8 @@ exits 2 when no field has q elements, q > 2^32 or a side is too long to
 print.  ``--jobs N`` (N >= 1) affects only the elimination route: it
 splits the scan by the lowest index of a subset, scans index 0 itself and
 the rest over at most min(N, CPUs) worker processes, and stops at the
-first witness, without changing any result.  Scans of fewer than 20 000 subsets stay serial, since a pool
-costs more than it saves there.
+first witness, without changing any result.  Scans of fewer than 20 000
+subsets stay serial, since a pool costs more than it saves there.
 ``verify --cross-check`` derives the MDS answer a second time, on every
 route, from a from-scratch rank of every k-subset of columns, and fails
 loudly if the two differ.

@@ -345,7 +345,7 @@ class FieldContext:
             la = log[a]
             return self._exp[la + self._zech[log[b] - la]]
         p, out, place = self.p, 0, 1
-        while a or b:  # digit by digit
+        while a or b:
             a, x = divmod(a, p)
             b, y = divmod(b, p)
             out += (x + y) % p * place
@@ -361,7 +361,7 @@ class FieldContext:
         if kind is _TABLE:
             return self._exp[self._log[a] + (self.q - 1) // 2]
         out, place = 0, 1
-        while a:  # digit by digit
+        while a:
             a, x = divmod(a, p)
             out += -x % p * place
             place *= p

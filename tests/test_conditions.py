@@ -551,7 +551,8 @@ def test_exhaustive_rejects_delta_outside_the_field():
     # delta is a counter index; its digit count is checked where it is read
     ctx = make_field(7)
     for delta in (7, -1):
-        with pytest.raises(InvalidParamsError, match=rf"delta {delta} is not an element of GF\(7\)"):
+        message = rf"delta {delta} is not an element of GF\(7\)"
+        with pytest.raises(InvalidParamsError, match=message):
             search_eval_set(ctx, 4, ConditionSpec(k=2, delta=delta), ExhaustiveSearch())
 
 

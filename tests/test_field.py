@@ -402,7 +402,8 @@ def test_tables_just_above_the_cap_match_the_polynomial_path(monkeypatch, p, m):
         a, b, c = (rng.randrange(poly.q) for _ in range(3))
         e = rng.randrange(3 * poly.q)
         assert table_ops(tables, a, b, e) == table_ops(poly, a, b, e)
-        assert tables.add_multiple([a, b, 0], c, [b, 0, a]) == poly.add_multiple([a, b, 0], c, [b, 0, a])
+        v, w = [a, b, 0], [b, 0, a]
+        assert tables.add_multiple(v, c, w) == poly.add_multiple(v, c, w)
 
 
 @pytest.mark.parametrize("p, m", [(2, 4), (2, 8), (2, 9), (3, 3), (3, 5), (7, 3), (31, 2)])
