@@ -281,7 +281,8 @@ class FieldContext:
         """
         p, m, q, mod = self.p, self.m, self.q, self.modulus
         n = q - 1
-        g = next(v for v in range(2, q)
+        # indices below p are the prime subfield, whose orders divide p - 1
+        g = next(v for v in range(p, q)
                  if all(_poly_pow(p, mod, v, n // d) != 1 for d in _prime_divisors(n)))
         top, *rest = _poly_trim(_digits(p, m, g))[::-1]
         minus_f = [-c % p for c in mod[:m]]
