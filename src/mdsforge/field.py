@@ -58,8 +58,8 @@ ENUMERATION_GUARD = 1 << 24
 
 #: Extension fields with at most this many elements get exp/log tables,
 #: about 7q list slots in all.  The build takes one polynomial step per
-#: power of g: on 2 shared CPUs with Python 3.11, 0.1 ms for GF(2^4),
-#: 1-2.6 ms for GF(7^3) and 3.5-5 ms at the cap, paid once per process.
+#: power of g: on 2 shared CPUs with Python 3.11, 0.04 ms for GF(2^4),
+#: 1.3 ms for GF(7^3) and 1.6-3.2 ms near the cap, paid once per process.
 #: GF(73^3), with 389 017 elements, stays on the polynomial path.
 TABLE_CAP = 1 << 10
 
