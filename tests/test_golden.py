@@ -14,7 +14,11 @@ points and code, so a shared point pattern must print the same files and
 refuse the same parameters with the same messages.  The thm415 and thm64
 `verify`, `encode` and `decode` cases were recorded while field elements were
 still digit tuples inside the library, so a change of element
-representation must print the same bytes at the boundary.
+representation must print the same bytes at the boundary.  The
+`--min-distance` cases and the codeword-guard refusals were recorded while
+the codeword walk still visited every partial codeword, one for each scalar
+multiple, so a walk over one partial per scalar class must print the same
+bytes and refuse the same codes.
 """
 
 import contextlib
@@ -26,7 +30,7 @@ import pytest
 
 from mdsforge.cli import main
 from mdsforge.evalcode import EvalCode, EvalSet, ExponentSet
-from mdsforge.families import cor44, cor411, thm64, thm415
+from mdsforge.families import cor44, cor411, thm63, thm64, thm412, thm415
 from mdsforge.field import make_field
 from mdsforge.jsonio import canonical_dumps, code_to_obj
 
@@ -42,6 +46,8 @@ RS_32 = counter_code(2, 5, [(11 * i + 5) % 32 for i in range(20)], range(4))
 RS_13 = counter_code(13, 1, [0, 12, 1, 11, 2, 10, 3, 9, 4, 8, 5, 7], range(4))
 # two skipped exponents (lambda_1 = 2); 1 and -1 make the first triple dependent
 FAILING = counter_code(13, 1, [1, 12, 2, 3, 4, 5, 6, 7], (0, 2, 4))
+# x^5 = x on GF(5): rank 1, and every nonzero codeword has weight 4 > n - k + 1
+RANK_ONE = counter_code(5, 1, [1, 2, 3, 4], (1, 5))
 
 #: (id, code, extra verify arguments, stdout sha256, exit code)
 CASES = [
@@ -63,6 +69,25 @@ CASES = [
      "78226a730fd42ef999ffdadf73b10fd6f618f0c73016790340221b54c137b566", 0),
     ("thm64-73-3-3-2-10", thm64(73, 3, 3, 2, 10), [],
      "8e41364ddab0eeed94d6760700fb342751c9679344e7cc09a4c696e96905e6e8", 0),
+    ("thm412-3-3-4-9-min-distance", thm412(3, 3, 4, 9), ["--min-distance"],
+     "c5953abeea8c8c67320a7d90e3b072ad2a715d69e39303994db5f27152e5dc84", 0),
+    ("cor44-53-3-8-min-distance", cor44(53, 3, 8), ["--min-distance"],
+     "09471b6413fa2585f56c73d60d330201df1b4d85089448ff6fc17b569d9ef546", 0),
+    ("thm415-11-2-3-34-min-distance", thm415(11, 2, 3, 34), ["--min-distance"],
+     "1681a4e1b56ad73654fe80bf98a4bc256350f7dc7db3915181c8fa1040a1a5ca", 0),
+    ("failing-e024-gf13-min-distance", FAILING, ["--min-distance"],
+     "cefe22390232ed162aa91f3678f052cdc6aaa0b399968af33569f7c5c56a8e04", 1),
+    ("rank-one-e15-gf5-min-distance", RANK_ONE, ["--min-distance"],
+     "32c94b0ddc768a2e96fa95ffdc0fb5b80a45e06e07e5585e5491f49537bc41c2", 1),
+]
+
+#: (id, code, MDSFORGE_GUARD or None, stderr) of `verify --min-distance` on
+#: a code past the codeword guard: exit 2, nothing on stdout
+CODEWORD_REFUSALS = [
+    ("thm63-7-3-3-2-6", thm63(7, 3, 3, 2, 6), None,
+     "error: q^k = 40353607 exceeds codeword guard 4194304\n"),
+    ("cor44-13-3-6-guard-2000", cor44(13, 3, 6), "2000",
+     "error: q^k = 2197 exceeds codeword guard 2000\n"),
 ]
 
 #: (id, code, message, erased positions, encode sha256, decode sha256) of
@@ -184,6 +209,20 @@ def verify_digest(tmp_path, code, extra):
 )
 def test_verify_stdout_is_pinned(tmp_path, code, extra, digest, rc):
     assert verify_digest(tmp_path, code, extra) == (digest, rc)
+
+
+@pytest.mark.parametrize(
+    "code,guard,err", [r[1:] for r in CODEWORD_REFUSALS], ids=[r[0] for r in CODEWORD_REFUSALS]
+)
+def test_codeword_guard_refusal_is_pinned(tmp_path, capsys, monkeypatch, code, guard, err):
+    if guard is None:
+        monkeypatch.delenv("MDSFORGE_GUARD", raising=False)
+    else:
+        monkeypatch.setenv("MDSFORGE_GUARD", guard)
+    path = tmp_path / "code.json"
+    path.write_text(canonical_dumps(code_to_obj(code)))
+    assert main(["verify", str(path), "--min-distance"]) == 2
+    assert capsys.readouterr() == ("", err)
 
 
 def test_check_stdout_is_pinned():
