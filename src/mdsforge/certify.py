@@ -41,10 +41,12 @@ rows, once from the exponent sumset E+E, whose size it is when
 max(E+E) < n -- and the two must agree.
 
 On request (``with_min_distance``) :func:`min_distance_bruteforce` counts
-the weights of all q^k codewords.  For an MDS code that weight
-distribution is fixed by n, k and q (:func:`mds_weight_distribution`), so
-the count is checked against the closed form, and any disagreement is an
-error.
+the weights of all q^k codewords, walking one partial codeword per class
+of scalar multiples.  For an MDS code that weight distribution is fixed by
+n, k and q (:func:`mds_weight_distribution`), so the count is checked
+against the closed form.  For a code with a witness and a full-rank
+generator, the count must show a nonzero codeword of weight at most n - k.
+Any disagreement is an error.
 """
 
 from __future__ import annotations
@@ -241,25 +243,33 @@ def min_distance_bruteforce(
 ) -> tuple[int, tuple[int, ...]]:
     """Minimum nonzero weight and full weight distribution, by enumeration.
 
-    Exact over all q^k codewords, but it walks only the q^(k-1) partial
-    codewords c of the first k - 1 generator rows; the q codewords c + s*g
-    of the last row g are counted together.  Weights do not change when a
-    column is scaled by a nonzero constant, so every column with g_j != 0
-    is scaled by 1/g_j: the last row becomes 1 on those `hit` coordinates
-    and stays 0 on the rest.  Then c + s*g vanishes at a hit coordinate j
-    for exactly one s, namely -c_j, and at any other coordinate for every s
-    when c_j = 0.  The histogram of the partial's own hit entries therefore
-    gives the weight of all q codewords: a value v that occurs h times
-    makes the codeword with s = -v lighter by h, and the s whose -s occurs
-    nowhere leave the base weight.
+    Exact over all q^k codewords, but it walks only one partial codeword
+    per scalar class.  A partial codeword c is a combination of the first
+    k - 1 generator rows, and the q codewords c + s*g of the last row g are
+    counted together.  Scaling a message by a nonzero constant changes no
+    weight, so the partials whose first nonzero coefficient is 1 stand for
+    all others: each is counted q - 1 times, and the zero partial once.
+    That is (q^(k-1) - 1)/(q - 1) + 1 partials in place of q^(k-1).
 
-    Elements are counter indices (zero is 0), so the walk does no field
-    arithmetic: the multiples of the first k - 1 rows are index lists, and
-    two partials are added through one q x q table of
-    :meth:`FieldContext.add`.  The level-0 partial is the zero vector,
-    whose children are the multiples themselves, so the table is built
-    only when k >= 3; there q^2 <= q^(k-1), never more than the walk, and
-    under the default guard q <= 161.
+    Weights do not change when a column is scaled by a nonzero constant
+    either, so every column with g_j != 0 is scaled by 1/g_j: the last row
+    becomes 1 on those `hit` coordinates and stays 0 on the rest.  Then
+    c + s*g vanishes at a hit coordinate j for exactly one s, namely -c_j,
+    and at any other coordinate for every s when c_j = 0.  The histogram
+    of the partial's own hit entries therefore gives the weight of all q
+    codewords: a value v that occurs h times makes the codeword with
+    s = -v lighter by h, and the s whose -s occurs nowhere leave the base
+    weight.
+
+    A class whose leading 1 sits at row j is walked from row j itself,
+    adding every multiple of rows j+1..k-2 in turn.  Elements are counter
+    indices (zero is 0), so the walk does no field arithmetic: the
+    multiples of rows 1..k-2 are index lists (row 0 only ever leads, with
+    coefficient 1), and a partial takes the next row through the rows of
+    an addition table.  Row a of that table is built the first time a
+    partial that has children holds a, and that partial alone reads the
+    row q times, so the table never holds more sums than the walk makes
+    lookups.
     The degenerate all-zero code has no nonzero codeword; its distance
     reads as 0.
     """
@@ -269,7 +279,7 @@ def min_distance_bruteforce(
     if total > guard:
         raise TooLargeError(f"q^k = {total} exceeds codeword guard {guard}")
     gen = generator_matrix(code)
-    elements, mul = ctx.elements(), ctx.mul
+    elements, mul, add_multiple = ctx.elements(), ctx.mul, ctx.add_multiple
     # Weights do not depend on column order either: the hit columns go
     # first, so a partial codeword splits by slicing.
     last = gen.entries[k - 1]
@@ -277,8 +287,10 @@ def min_distance_bruteforce(
     hit = n - last.count(0)
     scale = [ctx.inv(last[j]) for j in order[:hit]] + [1] * (n - hit)
     rows = [[mul(row[j], c) for j, c in zip(order, scale)] for row in gen.entries[:-1]]
-    multiples = [[[mul(s, x) for x in row] for s in elements] for row in rows]
-    plus = [[ctx.add(a, b) for b in elements] for a in elements] if k >= 3 else None
+    # s * row as 0 + s*row: one comprehension per multiple, not n calls
+    zero = [0] * n
+    multiples = {i: [add_multiple(zero, s, rows[i]) for s in elements] for i in range(1, k - 1)}
+    plus: list[Optional[list[int]]] = [None] * q  # plus[a][b] is a + b
     dist = [0] * (n + 1)
 
     def count(partials: list[list[int]]) -> None:
@@ -291,22 +303,21 @@ def min_distance_bruteforce(
             for h in hits.values():
                 dist[base - h] += 1
 
-    def walk(level: int, partial: list[int]) -> None:
-        if level == 0:
-            children = multiples[0]
-        else:
-            sums = [plus[c] for c in partial]
-            children = [list(map(getitem, sums, mult)) for mult in multiples[level]]
+    def walk(level: int, partials: list[list[int]]) -> None:
         if level == k - 2:
-            count(children)
-        else:
-            for child in children:
-                walk(level + 1, child)
+            count(partials)
+            return
+        for partial in partials:
+            for a in set(partial):
+                if plus[a] is None:
+                    plus[a] = add_multiple([a] * q, 1, elements)
+            sums = [plus[a] for a in partial]
+            walk(level + 1, [list(map(getitem, sums, mult)) for mult in multiples[level + 1]])
 
-    if k == 1:
-        count([[0] * n])
-    else:
-        walk(0, [0] * n)
+    for lead in range(k - 1):
+        walk(lead, [rows[lead]])
+    dist[:] = [(q - 1) * a for a in dist]
+    count([zero])
     min_w = next((w for w in range(1, n + 1) if dist[w]), 0)
     return min_w, tuple(dist)
 
@@ -399,8 +410,13 @@ def non_rs_certificate(
     affects the elimination route (lambda_1 >= 2); `cross_check` derives
     the MDS answer a second time and raises AssertionError if the two
     differ.
-    `with_min_distance` walks all codewords; for an MDS code their weight
-    distribution must equal the closed form, else AssertionError.
+    `with_min_distance` walks all codewords, and the MDS answer is checked
+    against their weights, else AssertionError: for an MDS code the weight
+    distribution must equal the closed form; for a code with a witness and
+    a full-rank generator (A_0 = 1), some nonzero codeword vanishes on the
+    witness's k columns, so the minimum distance must be at most n - k.  A
+    rank-deficient generator (A_0 > 1) is not checked, since its nonzero
+    codewords can all be heavier.
     """
     k, n = code.k, code.n
     gen = generator_matrix(code)
@@ -428,6 +444,12 @@ def non_rs_certificate(
                 raise AssertionError(
                     f"internal disagreement: codeword walk {dist} != MDS closed form {closed}"
                 )
+        elif dist[0] == 1 and min_d > n - k:
+            # full rank: some nonzero message vanishes on the witness columns
+            raise AssertionError(
+                f"internal disagreement: codeword walk min distance {min_d} > n - k = {n - k}"
+                f" though columns {list(witness)} are dependent"
+            )
     return Certificate(
         n=n,
         k=k,

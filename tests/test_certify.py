@@ -35,7 +35,15 @@ from mdsforge.evalcode import (
     generator_matrix,
     sumset,
 )
-from mdsforge.families import cor44, cor62, cor411, thm412, thm415
+from mdsforge.families import (
+    cor44,
+    cor62,
+    cor411,
+    extended_hamming_parity,
+    lift_parity_columns,
+    thm412,
+    thm415,
+)
 from mdsforge.field import make_field
 from mdsforge.jsonio import canonical_dumps, code_to_obj
 from mdsforge.matrix import matrix_from_rows, rank
@@ -234,9 +242,32 @@ def counter_code(ctx, vals, exps):
 # k = 4 over GF(2^2) and k = 3 over GF(3^2): two table levels, one table level
 @example(code=counter_code(WD_FIELDS[2], range(4), (0, 1, 2, 5)))
 @example(code=counter_code(WD_FIELDS[4], [0, 1, 3, 5, 7, 8], (0, 2, 3)))
+# k = 4, so classes lead at rows 0, 1 and 2 and both table levels run, on
+# generators with repeated rows (x^q = x) and a zero column (the point 0):
+# x^5 = x and x^6 = x^2 on GF(5), rows 0 = 2 and 1 = 3
+@example(code=counter_code(WD_FIELDS[0], range(5), (1, 2, 5, 6)))
+# x^4 = x and x^5 = x^2 on GF(2^2)
+@example(code=counter_code(WD_FIELDS[2], range(4), (1, 2, 4, 5)))
+# rows 1, 2 and 3 equal and zero at the point 0: one hit coordinate
+@example(code=counter_code(WD_FIELDS[0], [0, 1], (0, 1, 2, 3)))
+# every row zero: each class is the zero partial again
+@example(code=counter_code(WD_FIELDS[2], [0], (1, 2, 3, 4)))
 def test_weight_distribution_matches_oracle(code):
     rows = [list(r) for r in generator_matrix(code).entries]
     assert min_distance_bruteforce(code)[1] == brute_weight_distribution(code.ctx, rows)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [cor44(13, 3, 6), cor44(29, 3, 11), thm412(3, 3, 4, 9), thm415(7, 2, 3, 14),
+     thm415(11, 2, 3, 34), lift_parity_columns(extended_hamming_parity(3, 2), 3)],
+    ids=["cor44-13-3-6", "cor44-29-3-11", "thm412-3-3-4-9", "thm415-7-2-3-14",
+         "thm415-11-2-3-34", "lift-h-3-2-3"],
+)
+def test_weight_distribution_of_every_walked_batch_code_is_the_closed_form(code):
+    # the codes of scripts/certify_families.py under the codeword guard
+    _, dist = min_distance_bruteforce(code)
+    assert dist == mds_weight_distribution(code.n, code.k, code.ctx.q)
 
 
 def test_weight_distribution_of_the_benchmark_families():
@@ -265,6 +296,27 @@ def test_weight_distribution_check_catches_a_moved_codeword(monkeypatch):
 
     monkeypatch.setattr(certify, "min_distance_bruteforce", moved)
     assert non_rs_certificate(code).is_mds
+    with pytest.raises(AssertionError, match="internal disagreement"):
+        non_rs_certificate(code, with_min_distance=True)
+
+
+def test_min_distance_check_catches_a_lost_light_codeword(monkeypatch):
+    # not MDS, full rank: columns (0, 1, 2) are dependent, so some nonzero
+    # codeword vanishes on them and d <= n - k = 5
+    code = make_code(make_field(13), [1, 12, 2, 3, 4, 5, 6, 7], (0, 2, 4))
+    n, k = code.n, code.k
+    walk = certify.min_distance_bruteforce
+
+    def heavier(code, guard=certify.CODEWORD_GUARD):
+        _, dist = walk(code, guard)
+        light = sum(dist[1 : n - k + 1])
+        dist = (dist[0],) + (0,) * (n - k) + (dist[n - k + 1] + light,) + dist[n - k + 2 :]
+        return n - k + 1, dist
+
+    cert = non_rs_certificate(code, with_min_distance=True)
+    assert cert.failing_columns == (0, 1, 2)
+    assert cert.min_distance <= n - k
+    monkeypatch.setattr(certify, "min_distance_bruteforce", heavier)
     with pytest.raises(AssertionError, match="internal disagreement"):
         non_rs_certificate(code, with_min_distance=True)
 
