@@ -59,6 +59,7 @@ def main() -> int:
     wanted = args.strategies.split(",")
     try:
         ctx = parse_field(args.field)
+        ctx.elements()  # every strategy draws from the whole field
         spec = ConditionSpec(k=args.k, r=args.r)
         unknown = [name for name in wanted if name not in makers]
         if unknown:

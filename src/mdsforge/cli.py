@@ -52,7 +52,15 @@ from .conditions import (
     existence_bound,
     search_eval_set,
 )
-from .errors import FormatError, InvalidParamsError, MdsforgeError, TooLargeError
+from .errors import (
+    ConditionViolatedError,
+    FormatError,
+    InconsistentError,
+    InvalidParamsError,
+    MdsforgeError,
+    TooLargeError,
+    TooManyErasuresError,
+)
 from .evalcode import EvalCode, EvalSet, encode as encode_word, gap_exponents, gap_order
 from .field import MAX_FIELD_SIZE, FieldContext, make_field, prime_power
 from .jsonio import canonical_dumps, write_atomic
@@ -355,14 +363,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except MdsforgeError as exc:
-        # Mathematically negative outcomes exit 1; bad parameters and guard
-        # overruns are operational errors and exit 2.
-        from .errors import ConditionViolatedError, InconsistentError, TooManyErasuresError
-
+        # Mathematically negative outcomes exit 1; bad parameters, malformed
+        # input and guard overruns are operational errors and exit 2.
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (ConditionViolatedError, InconsistentError, TooManyErasuresError)):
             return NEGATIVE

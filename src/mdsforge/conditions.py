@@ -45,8 +45,8 @@ from dataclasses import dataclass
 from math import comb, inf, log10
 from typing import Any, Callable, Optional, Sequence, Union
 
-from .errors import InfeasibleError, InvalidParamsError, TooLargeError
-from .field import ENUMERATION_GUARD, FieldContext, FieldElement
+from .errors import InfeasibleError, InvalidParamsError
+from .field import FieldContext, FieldElement
 
 SUBSET_GUARD = 10**7
 
@@ -142,37 +142,29 @@ def _esym_step(
     points: Sequence[FieldElement],
     r: int,
     delta: FieldElement,
-    base: int,
-    size: int,
+    leaf: int,
 ) -> Callable:
     """The e_r step of :func:`first_failing_subset` over `points`.
 
-    A state is the vector (e_0, ..., e_r) of the points chosen so far,
-    `base` of which are folded into the root.  A step multiplies in one
-    more point, O(r) field operations, and rejects when the subset reaches
-    `size` points with e_r equal to delta; there only e_r is computed.
+    A state is the vector (e_0, ..., e_r) of the points chosen so far.  A
+    step multiplies in one more point, O(r) field operations, skipping each
+    e_j whose e_{j-1} is zero (so the entries past the number of points
+    chosen cost nothing), and at depth `leaf` computes only e_r and rejects
+    when it equals delta.
     """
     add, mul = ctx.add, ctx.mul
-    leaf = size - base - 1
 
     def extend(e: list, depth: int, i: int) -> Optional[list]:
         a = points[i]
         if depth == leaf:
             return None if add(e[r], mul(a, e[r - 1])) == delta else e
         nxt = list(e)
-        for j in range(min(base + depth + 1, r), 0, -1):
-            nxt[j] = add(nxt[j], mul(a, nxt[j - 1]))
+        for j in range(r, 0, -1):
+            if nxt[j - 1]:
+                nxt[j] = add(nxt[j], mul(a, nxt[j - 1]))
         return nxt
 
     return extend
-
-
-def _esym_root(ctx: FieldContext, r: int, first: Optional[FieldElement] = None) -> list:
-    """(e_0, ..., e_r) of the empty set, or of the one point `first`."""
-    e = [1] + [0] * r
-    if first is not None:
-        e[1] = first
-    return e
 
 
 def check_esym(
@@ -194,8 +186,8 @@ def check_esym(
     if _by_sums(ctx, n, spec):
         witness = _first_sum_subset(ctx, points, spec)
     else:
-        step = _esym_step(ctx, list(points), r, delta, 0, k)
-        witness = first_failing_subset(n, k, _esym_root(ctx, r), step)
+        step = _esym_step(ctx, list(points), r, delta, k - 1)
+        witness = first_failing_subset(n, k, [1] + [0] * r, step)
     return (witness is None, witness)
 
 
@@ -370,10 +362,10 @@ def _walk_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Callable, ...]:
     with k = 1 that walk is empty and {candidate} is the subset."""
     k, r, delta = spec.k, spec.r, _target(ctx, spec)
     chosen: list[FieldElement] = []
-    step = _esym_step(ctx, chosen, r, delta, 1, k)
+    step = _esym_step(ctx, chosen, r, delta, k - 2)
 
     def conflicts(cand: FieldElement) -> bool:
-        root = _esym_root(ctx, r, cand)
+        root = [1, cand] + [0] * (r - 1)
         if k == 1:
             return root[r] == delta
         return first_failing_subset(len(chosen), k - 1, root, step) is not None
@@ -456,8 +448,7 @@ def search_eval_set(
     q = ctx.q
     if not 1 <= n <= q:
         raise InvalidParamsError(f"need 1 <= n <= q = {q}")
-    if q > ENUMERATION_GUARD:
-        raise TooLargeError(f"field of size {q} exceeds enumeration guard")
+    ctx.elements()  # refuses a field past the enumeration guard
 
     if isinstance(strategy, ExhaustiveSearch):
         _require_subset_count(q, n, strategy.guard)  # the sets searched

@@ -243,11 +243,9 @@ def extended_hamming_parity(r: int, base_q: int) -> MatrixFq:
     ncols = (q**r - 1) // (q - 1) + 1
     if ncols > HAMMING_COLUMN_GUARD:
         raise InfeasibleError(f"{ncols} columns exceeds guard {HAMMING_COLUMN_GUARD}")
-    columns = []
-    for v in range(q**r):
-        vec = tuple(v // q**i % q for i in range(r))  # base-q digits of v
-        if next((x for x in vec if x), None) == 1:
-            columns.append(vec + (1,))
+    # the counter values whose lowest nonzero base-q digit, at place i, is 1
+    values = sorted(q**i * (1 + q * t) for i in range(r) for t in range(q ** (r - 1 - i)))
+    columns = [tuple(v // q**i % q for i in range(r)) + (1,) for v in values]
     columns.append((0,) * r + (1,))
     rows = [tuple(col[i] for col in columns) for i in range(r + 1)]
     return matrix_from_rows(ctx, rows)

@@ -24,8 +24,11 @@ A :class:`FieldContext` does the arithmetic on indices in one of three ways:
   found by extended Euclid, and for odd p a sum is taken digit by digit;
   for p = 2 a sum is again an XOR.
 
-Powers are taken by literal square-and-multiply through :meth:`FieldContext.mul`
-in every field.
+In every field, the negation of a is the product of a and p - 1, the
+prime-subfield -1, and one square-and-multiply ladder takes powers both for
+:meth:`FieldContext.pow`, through :meth:`FieldContext.mul`, and for the
+modulus test and the primitive-element search, through the polynomial
+product.
 
 ``make_field(p, m)`` picks the modulus deterministically: the candidate
 coefficient vectors are read as base-p counters (constant digit least
@@ -40,7 +43,8 @@ z^(p^m) = z and z^(p^(m/d)) - z is a unit for every prime d dividing m.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Iterator, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import NotPrimeError, TooLargeError
 
@@ -66,18 +70,7 @@ TABLE_CAP = 1 << 10
 
 def is_prime(n: int) -> bool:
     """Trial-division primality test; adequate for desk-scale moduli."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and next(_prime_divisors(n)) == n
 
 
 # ---------------------------------------------------------------------------
@@ -169,27 +162,30 @@ def _poly_mul(p: int, mod: Sequence[int], a: int, b: int) -> int:
     return v
 
 
-def _poly_pow(p: int, mod: Sequence[int], a: int, e: int) -> int:
-    """a**e modulo `mod` by square-and-multiply, e >= 1."""
+def _power(mul: Callable[[int, int], int], a: int, e: int) -> int:
+    """a**e by square-and-multiply through the product `mul`, e >= 1: the
+    accumulator starts at the lowest set bit of e, and a is squared only
+    while higher bits remain."""
     acc = None
     while True:
         if e & 1:
-            acc = a if acc is None else _poly_mul(p, mod, acc, a)
+            acc = a if acc is None else mul(acc, a)
         e >>= 1
         if not e:
             return acc
-        a = _poly_mul(p, mod, a, a)
+        a = mul(a, a)
 
 
 def _prime_divisors(n: int) -> Iterator[int]:
-    """The distinct prime divisors of n in increasing order, found lazily."""
+    """The distinct prime divisors of n >= 1 in increasing order, found
+    lazily by trial division by 2 and the odd numbers."""
     f = 2
     while f * f <= n:
         if n % f == 0:
             yield f
             while n % f == 0:
                 n //= f
-        f += 1
+        f += 1 if f == 2 else 2
     if n > 1:
         yield n
 
@@ -202,8 +198,9 @@ def _is_irreducible(p: int, mod: Sequence[int]) -> bool:
         return False
     z = _digits(p, m, p)
     frob = [p]  # z has counter index p
+    mul = partial(_poly_mul, p, mod)
     for _ in range(m):
-        frob.append(_poly_pow(p, mod, frob[-1], p))
+        frob.append(_power(mul, frob[-1], p))
     if frob[m] != p:
         return False
     return all(
@@ -280,10 +277,10 @@ class FieldContext:
         is a with its constant digit turned up by one.
         """
         p, m, q, mod = self.p, self.m, self.q, self.modulus
-        n = q - 1
+        n, mul = q - 1, partial(_poly_mul, p, mod)
         # indices below p are the prime subfield, whose orders divide p - 1
         g = next(v for v in range(p, q)
-                 if all(_poly_pow(p, mod, v, n // d) != 1 for d in _prime_divisors(n)))
+                 if all(_power(mul, v, n // d) != 1 for d in _prime_divisors(n)))
         top, *rest = _poly_trim(_digits(p, m, g))[::-1]
         minus_f = [-c % p for c in mod[:m]]
         places = [p**j for j in range(m)]
@@ -354,19 +351,7 @@ class FieldContext:
         return out
 
     def neg(self, a: FieldElement) -> FieldElement:
-        kind, p = self._kind, self.p
-        if kind is _PRIME:
-            return -a % p
-        if p == 2:
-            return a
-        if kind is _TABLE:
-            return self._exp[self._log[a] + (self.q - 1) // 2]
-        out, place = 0, 1
-        while a:
-            a, x = divmod(a, p)
-            out += -x % p * place
-            place *= p
-        return out
+        return self.mul(a, self.p - 1)
 
     def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
         return self.add(a, self.neg(b))
@@ -418,23 +403,14 @@ class FieldContext:
         ]
 
     def pow(self, a: FieldElement, e: int) -> FieldElement:
-        """a**e by literal square-and-multiply; 0**0 is defined as 1."""
+        """a**e by the square-and-multiply ladder; 0**0 is defined as 1."""
         if e < 0:
             raise ValueError("exponent must be >= 0")
         if e == 0:
             return 1
         if not a:
             return 0
-        while not e & 1:  # the accumulator starts at the lowest set bit
-            a = self.mul(a, a)
-            e >>= 1
-        acc = a
-        while e > 1:
-            e >>= 1
-            a = self.mul(a, a)
-            if e & 1:
-                acc = self.mul(acc, a)
-        return acc
+        return _power(self.mul, a, e)
 
     # -- misc ----------------------------------------------------------------
 
@@ -481,7 +457,7 @@ def make_field(p: int, m: int = 1) -> FieldContext:
         raise ValueError("extension degree must be >= 1")
     for v in range(p**m):
         try:
-            ctx = FieldContext(p, m, tuple(v // p**i % p for i in range(m)) + (1,))
+            ctx = FieldContext(p, m, _digits(p, m, v) + [1])
         except ValueError:  # a monic degree-m candidate fails only as reducible
             continue
         return _FIELDS.setdefault((p, m), ctx)

@@ -572,6 +572,16 @@ def test_huge_field_is_a_usage_error(capsys, field):
     assert "exceeds the size limit" in err
 
 
+def test_hamming_lift_past_the_field_size_limit_is_refused_at_once(capsys):
+    # 4098 columns pass the column guard; their lift would live in GF(2^36)
+    start = time.monotonic()
+    rc, out, err = run(capsys, "construct", "hamming-lift", "--r", "2", "--base-q", "4096",
+                       "--k", "3")
+    assert time.monotonic() - start < 5
+    assert (rc, out) == (2, "")
+    assert err == "error: field GF(2^36) exceeds the size limit 4294967296\n"
+
+
 def test_code_file_with_a_huge_field_is_a_usage_error(capsys, tmp_path):
     path, obj = construct_cor44(capsys, tmp_path)
     obj["field"] = {"p": 2, "m": 200}
@@ -581,6 +591,62 @@ def test_code_file_with_a_huge_field_is_a_usage_error(capsys, tmp_path):
     assert time.monotonic() - start < 5
     assert rc == 2 and out == ""
     assert "GF(2^200) exceeds the size limit" in err
+
+
+#: (argv with {code} standing for a cor44 code file, MDSFORGE_GUARD or None,
+#: a function of the code document that gives the file's contents, and the
+#: refusal message) of usage errors: each exits 2 with one error line
+USAGE_REFUSALS = {
+    "guard-zero": (["verify", "{code}"], "0", None, "MDSFORGE_GUARD must be positive"),
+    "check-without-points": (["check"], None, None,
+                             "check needs a code file, or --field with --points"),
+    "duplicate-points": (["check", "--field", "13", "--points", "1", "1", "--k", "1"], None,
+                         None, "points must be distinct"),
+    "field-not-int": (["check", "--field", "13,x", "--points", "1", "--k", "1"], None, None,
+                      "bad --field value '13,x'"),
+    "point-not-int": (["check", "--field", "13", "--points", "1,x", "--k", "1"], None, None,
+                      "bad point '1,x'"),
+    "message-object": (["encode", "{code}", "--message", '{"a":1}'], None, None,
+                       "--message must be a JSON array of symbols"),
+    "received-int": (["decode", "{code}", "--received", "3"], None, None,
+                     "--received must be a JSON array of symbols/nulls"),
+    "hamming-lift-without-r": (["construct", "hamming-lift", "--base-q", "2", "--k", "3"], None,
+                               None, "hamming-lift needs --r"),
+    "p-boolean": (["verify", "{code}"], None, lambda d: {**d, "field": {"p": True, "m": 1}},
+                  "field block has wrong types"),
+    "modulus-not-canonical": (
+        ["verify", "{code}"], None,
+        lambda d: {**d, "field": {"p": 13, "m": 1, "modulus": [1, 1]}},
+        "modulus [1, 1] is not the canonical modulus for GF(13^1)"),
+    "point-float": (["verify", "{code}"], None, lambda d: {**d, "points": [1.5]},
+                    "not a field element: 1.5"),
+    "top-level-array": (["verify", "{code}"], None, lambda d: [d],
+                        "code document must be a JSON object"),
+    "points-empty": (["verify", "{code}"], None, lambda d: {**d, "points": []},
+                     "points must be a nonempty array"),
+    "family-not-string": (["verify", "{code}"], None, lambda d: {**d, "family": 3},
+                          "family must be a string"),
+    "params-not-object": (["verify", "{code}"], None, lambda d: {**d, "params": [1]},
+                          "params must be an object"),
+    "certificate-not-object": (["verify", "{code}"], None, lambda d: {**d, "certificate": [1]},
+                               "certificate must be an object"),
+}
+
+
+@pytest.mark.parametrize("argv, guard, edit, message", USAGE_REFUSALS.values(),
+                         ids=USAGE_REFUSALS.keys())
+def test_usage_refusal_exits_two_with_one_error_line(capsys, tmp_path, monkeypatch,
+                                                     argv, guard, edit, message):
+    path, doc = construct_cor44(capsys, tmp_path)
+    if edit is not None:
+        path.write_text(canonical_dumps(edit(doc)))
+    if guard is None:
+        monkeypatch.delenv("MDSFORGE_GUARD", raising=False)
+    else:
+        monkeypatch.setenv("MDSFORGE_GUARD", guard)
+    rc, out, err = run(capsys, *[str(path) if a == "{code}" else a for a in argv])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 def test_no_command_is_usage_error(capsys):

@@ -266,6 +266,16 @@ def test_extended_hamming_prime_power_base():
     assert (h.rows, h.cols) == (3, 6)
 
 
+@pytest.mark.parametrize("q, r", [(2, 3), (3, 2), (4, 2), (2, 5), (5, 3), (7, 2)])
+def test_extended_hamming_columns_are_the_normalized_vectors_in_counter_order(q, r):
+    # every vector of F_q^r in counter order, kept when its first nonzero
+    # coordinate is 1
+    digits = [tuple(v // q**i % q for i in range(r)) for v in range(q**r)]
+    expected = [d + (1,) for d in digits if next((x for x in d if x), None) == 1]
+    h = extended_hamming_parity(r, q)
+    assert [h.column(j) for j in range(h.cols)] == expected + [(0,) * r + (1,)]
+
+
 def test_extended_hamming_validation():
     with pytest.raises(InvalidParamsError):
         extended_hamming_parity(1, 2)

@@ -18,7 +18,7 @@ from mdsforge.field import (
     FieldContext,
     _poly_inverse,
     _poly_mul,
-    _poly_pow,
+    _power,
     is_prime,
     make_field,
     prime_power,
@@ -363,7 +363,7 @@ def poly_reference(ctx, a, b, e):
     p, m, mod = ctx.p, ctx.m, ctx.modulus
     da, db = ctx.digits(a), ctx.digits(b)
     inv = _poly_inverse(list(da), mod, p)
-    power = 1 if e == 0 else 0 if a == 0 else _poly_pow(p, mod, a, e)
+    power = 1 if e == 0 else 0 if a == 0 else _power(lambda x, y: _poly_mul(p, mod, x, y), a, e)
     return (
         _poly_mul(p, mod, a, b),
         None if inv is None else ctx.element(inv + [0] * (m - len(inv))),

@@ -74,6 +74,16 @@ def test_solve_singular_raises():
         solve_square(a, [1, 1])
 
 
+@pytest.mark.parametrize("rows, b, message", [
+    ([[1, 2, 3], [4, 5, 6]], [1, 1], "matrix is not square"),
+    ([[1, 2], [3, 4]], [1, 1, 1], "right-hand side has wrong length"),
+], ids=["not-square", "wrong-length"])
+def test_solve_square_rejects_bad_shapes(rows, b, message):
+    ctx = make_field(7)
+    with pytest.raises(DimensionMismatchError, match=message):
+        solve_square(ints(ctx, rows), b)
+
+
 def test_null_space_of_identity_is_empty():
     ctx = make_field(7)
     eye = ints(ctx, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])

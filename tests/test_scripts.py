@@ -64,6 +64,7 @@ def test_length_probe_keeps_none_for_proofs():
         (["--field", "abc", "--k", "3"], "'p' or 'p,m'"),
         (["--field", "7", "--k", "0"], "k must be >= 1"),
         (["--field", "7", "--k", "3", "--strategies", "gredy"], "unknown strategy 'gredy'"),
+        (["--field", "2,25", "--k", "3"], "exceeds enumeration guard 16777216"),
     ],
 )
 def test_length_probe_rejects_bad_parameters(args, message):
