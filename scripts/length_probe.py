@@ -25,7 +25,7 @@ from mdsforge.conditions import (
     RandomSearch,
     search_eval_set,
 )
-from mdsforge.errors import InfeasibleError, MdsforgeError
+from mdsforge.errors import MdsforgeError, TooLargeError
 from mdsforge.field import make_field
 
 
@@ -84,7 +84,7 @@ def main() -> int:
             start = time.perf_counter()
             try:
                 found = search_eval_set(ctx, n, spec, strategies[name]())
-            except InfeasibleError:
+            except TooLargeError:
                 cells.append(f"{'guard':>12}")
                 alive.discard(name)
                 continue

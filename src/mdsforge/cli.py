@@ -180,8 +180,7 @@ def _cmd_construct(args) -> int:
         for req in ("r", "base_q", "k"):
             if getattr(args, req) is None:
                 raise FormatError(f"hamming-lift needs --{req.replace('_', '-')}")
-        h = families.extended_hamming_parity(args.r, args.base_q)
-        code = families.lift_parity_columns(h, args.k)
+        code = families.hamming_lift(args.r, args.base_q, args.k)
     else:
         builder = families.FAMILIES[name]
         import inspect

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .errors import DimensionMismatchError, InconsistentError, TooManyErasuresError
+from .errors import InconsistentError, InvalidParamsError, TooManyErasuresError
 from .evalcode import EvalCode, encode, generator_matrix
 from .field import FieldElement
 from .matrix import matrix_from_rows, solve_square
@@ -30,7 +30,7 @@ def decode_erasures(code: EvalCode, received: ReceivedWord) -> tuple[FieldElemen
     ctx = code.ctx
     n, k = code.n, code.k
     if len(received) != n:
-        raise DimensionMismatchError(f"received word must have length {n}")
+        raise InvalidParamsError(f"received word must have length {n}")
     survivors = [i for i, s in enumerate(received) if s is not None]
     erased = n - len(survivors)
     if erased > n - k:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from math import comb, inf, log10
 from typing import Any, Callable, Optional, Sequence, Union
 
-from .errors import InfeasibleError, InvalidParamsError
+from .errors import InvalidParamsError, TooLargeError
 from .field import FieldContext, FieldElement
 
 SUBSET_GUARD = 10**7
@@ -233,7 +233,7 @@ def _require_subset_count(n: int, k: int, guard: int) -> int:
     """C(n, k), the number of k-subsets a scan visits; refuses past `guard`."""
     total = comb(n, k)
     if total > guard:
-        raise InfeasibleError(f"C({n},{k}) = {total} exceeds subset guard {guard}")
+        raise TooLargeError(f"C({n},{k}) = {total} exceeds subset guard {guard}")
     return total
 
 

@@ -1,7 +1,18 @@
 """Exception hierarchy shared by every module in the package.
 
 All domain errors derive from :class:`MdsforgeError` so callers (and the
-CLI) can distinguish "the mathematics said no" from genuine bugs.
+CLI) can distinguish "the mathematics said no" from genuine bugs.  The CLI
+prints ``error: <message>`` for each and exits with the status given:
+
+- :class:`InvalidParamsError` (exit 2): parameters outside the documented
+  domain -- a composite p, a family's bound or divisibility condition,
+  mismatched shapes, a singular square system; the message names which.
+- :class:`TooLargeError` (exit 2): a field, enumeration or scan past its
+  size guard.
+- :class:`FormatError` (exit 2): malformed input text or file.
+- :class:`ConditionViolatedError` (exit 1): a subset condition failed.
+- :class:`InconsistentError` (exit 1): a received word fits no codeword.
+- :class:`TooManyErasuresError` (exit 1): too many erasures to decode.
 """
 
 
@@ -9,44 +20,16 @@ class MdsforgeError(Exception):
     """Base class for every error raised deliberately by this package."""
 
 
-class NotPrimeError(MdsforgeError):
-    """A parameter that must be prime is composite (or < 2)."""
-
-
-class TooLargeError(MdsforgeError):
-    """A full enumeration was requested past its size guard."""
-
-
-class InfeasibleError(MdsforgeError):
-    """A combinatorial scan would exceed its enumeration guard."""
-
-
-class IndexOutOfRangeError(MdsforgeError):
-    """A row/column index fell outside the matrix dimensions."""
-
-
-class DimensionMismatchError(MdsforgeError):
-    """Shapes of the operands do not line up."""
-
-
-class SingularError(MdsforgeError):
-    """A square system has no unique solution."""
-
-
 class InvalidParamsError(MdsforgeError):
     """Parameters are outside the documented domain of the operation."""
 
 
-class BoundViolatedError(MdsforgeError):
-    """Requested parameters exceed the feasibility bound of a family."""
+class TooLargeError(MdsforgeError):
+    """A field, enumeration or scan was requested past its size guard."""
 
 
-class BinomialDivisibleError(MdsforgeError):
-    """The characteristic divides the binomial coefficient C(k, r)."""
-
-
-class DuplicateColumnsError(MdsforgeError):
-    """Two parity-check columns map to the same field element."""
+class FormatError(MdsforgeError):
+    """A JSON document does not match the expected file format."""
 
 
 class ConditionViolatedError(MdsforgeError):
@@ -60,17 +43,9 @@ class ConditionViolatedError(MdsforgeError):
         self.witness = witness
 
 
-class KEvenError(MdsforgeError):
-    """An odd k was required."""
-
-
-class TooManyErasuresError(MdsforgeError):
-    """More than n - k coordinates of a received word are erased."""
-
-
 class InconsistentError(MdsforgeError):
     """The non-erased symbols of a received word fit no codeword."""
 
 
-class FormatError(MdsforgeError):
-    """A JSON document does not match the expected file format."""
+class TooManyErasuresError(MdsforgeError):
+    """More than n - k coordinates of a received word are erased."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Optional, Sequence
 
-from .errors import DimensionMismatchError, InvalidParamsError
+from .errors import InvalidParamsError
 from .field import FieldContext, FieldElement
 from .matrix import MatrixFq, matrix_from_rows
 
@@ -89,7 +89,7 @@ def encode(code: EvalCode, message: Sequence[FieldElement]) -> tuple[FieldElemen
     """Evaluate the message polynomial sum(m_j * x^{E[j]}) at every point."""
     ctx = code.ctx
     if len(message) != code.k:
-        raise DimensionMismatchError(f"message must have length {code.k}")
+        raise InvalidParamsError(f"message must have length {code.k}")
     out = []
     for t in code.points.points:
         acc = 0

@@ -23,16 +23,7 @@ from __future__ import annotations
 from math import comb, factorial
 
 from .conditions import ConditionSpec, check_esym
-from .errors import (
-    BinomialDivisibleError,
-    BoundViolatedError,
-    ConditionViolatedError,
-    DuplicateColumnsError,
-    InfeasibleError,
-    InvalidParamsError,
-    KEvenError,
-    NotPrimeError,
-)
+from .errors import ConditionViolatedError, InvalidParamsError, TooLargeError
 from .evalcode import EvalCode, EvalSet, gap_exponents
 from .field import FieldContext, FieldElement, is_prime, make_field, prime_power
 from .matrix import MatrixFq, matrix_from_rows
@@ -58,7 +49,7 @@ def int_root(x: int, r: int) -> int:
 
 def _require_prime(p: int) -> None:
     if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+        raise InvalidParamsError(f"{p} is not prime")
 
 
 def _require_odd_prime(p: int) -> None:
@@ -103,7 +94,7 @@ def cor44(p: int, k: int, n: int) -> EvalCode:
     _require_odd_prime(p)
     _require_shape(k, n)
     if k * n - k * (k + 1) // 2 > p - 1:
-        raise BoundViolatedError(
+        raise InvalidParamsError(
             f"k*n - k(k+1)/2 = {k * n - k * (k + 1) // 2} exceeds p - 1 = {p - 1}"
         )
     return _gap_code("cor44", make_field(p, 1), range(n), 1, p=p, k=k, n=n)
@@ -120,7 +111,7 @@ def cor62(p: int, k: int, r: int, n: int) -> EvalCode:
         raise InvalidParamsError("need 2 <= r <= k - 1")
     _require_shape(k, n)
     if (n * k) ** r > factorial(r) * p:
-        raise BoundViolatedError(f"(n*k)^r = {(n * k) ** r} exceeds r!*p = {factorial(r) * p}")
+        raise InvalidParamsError(f"(n*k)^r = {(n * k) ** r} exceeds r!*p = {factorial(r) * p}")
     return _gap_code("cor62", make_field(p, 1), range(n), r, p=p, k=k, n=n, r=r)
 
 
@@ -141,7 +132,7 @@ def thm412(p: int, m: int, k: int, n: int) -> EvalCode:
         raise InvalidParamsError(f"characteristic {p} must not divide k={k}")
     _require_shape(k, n)
     if n > p ** (m - 1):
-        raise BoundViolatedError(f"n = {n} exceeds p^(m-1) = {p ** (m - 1)}")
+        raise InvalidParamsError(f"n = {n} exceeds p^(m-1) = {p ** (m - 1)}")
     ctx = make_field(p, m)
     return _gap_code("thm412", ctx, _digit_points(ctx, n, 1), 1, p=p, m=m, k=k, n=n)
 
@@ -166,7 +157,7 @@ def thm415(p: int, m: int, k: int, n: int) -> EvalCode:
     main_cap = u * tail_space
     extras_cap = min(p - k * u - 1, tail_space)
     if n > main_cap + extras_cap:
-        raise BoundViolatedError(
+        raise InvalidParamsError(
             f"n = {n} exceeds u*p^(m-1) + extras = {main_cap} + {extras_cap}"
         )
     ctx = make_field(p, m)
@@ -186,12 +177,12 @@ def thm63(p: int, m: int, k: int, r: int, n: int) -> EvalCode:
         raise InvalidParamsError("need 1 <= r <= k - 1")
     _require_shape(k, n)
     if comb(k, r) % p == 0:
-        raise BinomialDivisibleError(f"characteristic {p} divides C({k},{r})")
+        raise InvalidParamsError(f"characteristic {p} divides C({k},{r})")
     t = (m - 1) // r
     if t < 1:
-        raise BoundViolatedError(f"floor((m-1)/r) = {t} < 1: extension too small for r={r}")
+        raise InvalidParamsError(f"floor((m-1)/r) = {t} < 1: extension too small for r={r}")
     if n > p**t:
-        raise BoundViolatedError(f"n = {n} exceeds p^t = {p ** t}")
+        raise InvalidParamsError(f"n = {n} exceeds p^t = {p ** t}")
     ctx = make_field(p, m)
     return _gap_code("thm63", ctx, _digit_points(ctx, n, 1), r, p=p, m=m, k=k, n=n, r=r)
 
@@ -212,16 +203,41 @@ def thm64(p: int, m: int, k: int, r: int, n: int) -> EvalCode:
     _require_shape(k, n)
     w = int_root(factorial(r) * p, r) // k
     if w < 1:
-        raise BoundViolatedError(f"floor((r!p)^(1/r))/k < 1 for p={p}, k={k}, r={r}")
+        raise InvalidParamsError(f"floor((r!p)^(1/r))/k < 1 for p={p}, k={k}, r={r}")
     t = (m - 1) // r
     if n > w * p**t:
-        raise BoundViolatedError(f"n = {n} exceeds w*p^t = {w * p ** t}")
+        raise InvalidParamsError(f"n = {n} exceeds w*p^t = {w * p ** t}")
     ctx = make_field(p, m)
     return _gap_code("thm64", ctx, _digit_points(ctx, n, w), r, p=p, m=m, k=k, n=n, r=r)
 
 
 # ---------------------------------------------------------------------------
 # Parity-check lifting
+
+
+def _hamming_shape(r: int, base_q: int) -> tuple[FieldContext, int]:
+    """F_base_q and the column count of its extended Hamming parity-check
+    matrix, refusing r < 2, a base_q that is no prime power and a column
+    count past HAMMING_COLUMN_GUARD, in that order."""
+    if r < 2:
+        raise InvalidParamsError("need r >= 2")
+    pm = prime_power(base_q)
+    if pm is None:
+        raise InvalidParamsError(
+            f"{base_q} is not a prime power" if base_q < 2 else "not a prime power"
+        )
+    ctx = make_field(*pm)
+    ncols = (ctx.q**r - 1) // (ctx.q - 1) + 1
+    if ncols > HAMMING_COLUMN_GUARD:
+        raise TooLargeError(f"{ncols} columns exceeds guard {HAMMING_COLUMN_GUARD}")
+    return ctx, ncols
+
+
+def _lift_field(base: FieldContext, rho: int, ncols: int, k: int) -> FieldContext:
+    """The field a lift of rho rows over `base` lands in; refuses k outside 1..ncols first."""
+    if k < 1 or k > ncols:
+        raise InvalidParamsError(f"need 1 <= k <= {ncols}")
+    return make_field(base.p, base.m * rho)
 
 
 def extended_hamming_parity(r: int, base_q: int) -> MatrixFq:
@@ -231,18 +247,8 @@ def extended_hamming_parity(r: int, base_q: int) -> MatrixFq:
     nonzero coordinate 1, counter order) each extended by a final 1, plus
     the single column (0, ..., 0, 1).  Shape: (r+1) x ((q^r-1)/(q-1) + 1).
     """
-    if r < 2:
-        raise InvalidParamsError("need r >= 2")
-    pm = prime_power(base_q)
-    if pm is None:
-        raise InvalidParamsError(
-            f"{base_q} is not a prime power" if base_q < 2 else "not a prime power"
-        )
-    ctx = make_field(*pm)
+    ctx, _ = _hamming_shape(r, base_q)
     q = ctx.q
-    ncols = (q**r - 1) // (q - 1) + 1
-    if ncols > HAMMING_COLUMN_GUARD:
-        raise InfeasibleError(f"{ncols} columns exceeds guard {HAMMING_COLUMN_GUARD}")
     # the counter values whose lowest nonzero base-q digit, at place i, is 1
     values = sorted(q**i * (1 + q * t) for i in range(r) for t in range(q ** (r - 1 - i)))
     columns = [tuple(v // q**i % q for i in range(r)) + (1,) for v in values]
@@ -263,13 +269,11 @@ def lift_parity_columns(h: MatrixFq, k: int) -> EvalCode:
     condition is re-checked at runtime rather than trusted.
     """
     base = h.ctx
-    rho, ncols = h.rows, h.cols
-    if k < 1 or k > ncols:
-        raise InvalidParamsError(f"need 1 <= k <= {ncols}")
-    ctx = make_field(base.p, base.m * rho)
+    ncols = h.cols
+    ctx = _lift_field(base, h.rows, ncols, k)
     pts = [sum(row[j] * base.q**i for i, row in enumerate(h.entries)) for j in range(ncols)]
     if len(set(pts)) != len(pts):
-        raise DuplicateColumnsError("two columns lift to the same field element")
+        raise InvalidParamsError("two columns lift to the same field element")
     ok, witness = check_esym(ctx, pts, ConditionSpec(k=k, r=1))
     if not ok:
         raise ConditionViolatedError(
@@ -277,6 +281,17 @@ def lift_parity_columns(h: MatrixFq, k: int) -> EvalCode:
             witness=witness,
         )
     return _gap_code("hamming-lift", ctx, pts, 1, p=base.p, m=ctx.m, k=k, n=ncols)
+
+
+def hamming_lift(r: int, base_q: int, k: int) -> EvalCode:
+    """The lift of extended_hamming_parity(r, base_q) with dimension k.
+
+    A bad k or a lift field past the size limit depends only on the shape,
+    so both are refused before any column is built.
+    """
+    base, ncols = _hamming_shape(r, base_q)
+    _lift_field(base, r + 1, ncols, k)
+    return lift_parity_columns(extended_hamming_parity(r, base_q), k)
 
 
 def cor411(r: int, k: int) -> EvalCode:
@@ -289,10 +304,10 @@ def cor411(r: int, k: int) -> EvalCode:
     if r < 3:
         raise InvalidParamsError("need r >= 3")
     if k % 2 == 0:
-        raise KEvenError(f"k = {k} must be odd")
+        raise InvalidParamsError(f"k = {k} must be odd")
     if not 3 <= k <= 2 ** (r - 1):
-        raise BoundViolatedError(f"need 3 <= k <= 2^(r-1) = {2 ** (r - 1)}")
-    code = lift_parity_columns(extended_hamming_parity(r, 2), k)
+        raise InvalidParamsError(f"need 3 <= k <= 2^(r-1) = {2 ** (r - 1)}")
+    code = hamming_lift(r, 2, k)
     return _gap_code("cor411", code.ctx, code.points.points, 1, p=2, m=r + 1, k=k, n=2**r, r=r)
 
 

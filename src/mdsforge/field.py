@@ -46,7 +46,7 @@ import operator
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .errors import NotPrimeError, TooLargeError
+from .errors import InvalidParamsError, TooLargeError
 
 FieldElement = int
 
@@ -242,7 +242,7 @@ class FieldContext:
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
         if not is_prime(p):
-            raise NotPrimeError(f"{p} is not prime")
+            raise InvalidParamsError(f"{p} is not prime")
         if m < 1:
             raise ValueError("extension degree must be >= 1")
         mod = tuple(int(c) % p for c in modulus[:-1]) + (int(modulus[-1]),)
@@ -452,7 +452,7 @@ def make_field(p: int, m: int = 1) -> FieldContext:
     if p >= 2 and m >= 1 and (m >= MAX_FIELD_SIZE.bit_length() or p**m > MAX_FIELD_SIZE):
         raise TooLargeError(f"field GF({p}^{m}) exceeds the size limit {MAX_FIELD_SIZE}")
     if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+        raise InvalidParamsError(f"{p} is not prime")
     if m < 1:
         raise ValueError("extension degree must be >= 1")
     for v in range(p**m):

@@ -26,7 +26,7 @@ import tempfile
 from typing import Any, Optional
 
 from .certify import Certificate
-from .errors import FormatError, InvalidParamsError, NotPrimeError
+from .errors import FormatError, InvalidParamsError
 from .evalcode import EvalCode, EvalSet, ExponentSet
 from .field import FieldContext, FieldElement, make_field
 
@@ -85,7 +85,7 @@ def field_from_obj(obj: Any) -> FieldContext:
         raise FormatError("field block has wrong types")
     try:
         ctx = make_field(p, m)
-    except (ValueError, NotPrimeError) as exc:
+    except (ValueError, InvalidParamsError) as exc:
         raise FormatError(f"invalid field block: {exc}") from exc
     modulus = obj.get("modulus")
     if modulus is not None:

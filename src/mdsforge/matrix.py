@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import DimensionMismatchError, IndexOutOfRangeError, SingularError
+from .errors import InvalidParamsError
 from .field import FieldContext, FieldElement
 
 
@@ -38,7 +38,7 @@ class MatrixFq:
         if self.entries:
             w = len(self.entries[0])
             if w == 0 or any(len(r) != w for r in self.entries):
-                raise DimensionMismatchError("rows must be nonempty and equal length")
+                raise InvalidParamsError("rows must be nonempty and equal length")
 
     @property
     def rows(self) -> int:
@@ -50,7 +50,7 @@ class MatrixFq:
 
     def column(self, j: int) -> tuple[FieldElement, ...]:
         if not 0 <= j < self.cols:
-            raise IndexOutOfRangeError(f"column {j} out of range")
+            raise InvalidParamsError(f"column {j} out of range")
         return tuple(r[j] for r in self.entries)
 
 
@@ -123,7 +123,7 @@ def rank(mat: MatrixFq) -> int:
 
 
 def solve_square(a: MatrixFq, b: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
-    """Unique solution x of A x = b for square A; SingularError otherwise.
+    """Unique solution x of A x = b for square A; InvalidParamsError otherwise.
 
     x is the negated null vector of [A | b] at its last column: the system
     is singular when that column is a pivot or A has fewer than n pivots.
@@ -131,11 +131,11 @@ def solve_square(a: MatrixFq, b: Sequence[FieldElement]) -> tuple[FieldElement, 
     ctx = a.ctx
     n = a.rows
     if a.cols != n:
-        raise DimensionMismatchError("matrix is not square")
+        raise InvalidParamsError("matrix is not square")
     if len(b) != n:
-        raise DimensionMismatchError("right-hand side has wrong length")
+        raise InvalidParamsError("right-hand side has wrong length")
     basis = _basis(ctx, [list(row) + [b[i]] for i, row in enumerate(a.entries)])
     if len(basis) < n or any(p == n for p, _ in basis):
-        raise SingularError("coefficient matrix is singular")
+        raise InvalidParamsError("coefficient matrix is singular")
     (x,) = null_vectors(ctx, basis, n + 1)
     return tuple(ctx.neg(v) for v in x[:n])

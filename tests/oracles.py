@@ -25,7 +25,6 @@ from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
 from mdsforge.errors import (
-    DimensionMismatchError,
     InvalidParamsError,
     MdsforgeError,
     TooLargeError,
@@ -238,7 +237,7 @@ class GrsSpec:
 
     def __post_init__(self):
         if len(self.multipliers) != self.points.n:
-            raise DimensionMismatchError("need one multiplier per point")
+            raise InvalidParamsError("need one multiplier per point")
         if not 1 <= self.k <= self.points.n:
             raise InvalidParamsError("dimension must satisfy 1 <= k <= n")
         for v in self.multipliers:

@@ -26,7 +26,7 @@ from mdsforge.certify import (
     schur_square_dim_from_exponents,
 )
 from mdsforge.cli import main
-from mdsforge.errors import InfeasibleError, InvalidParamsError
+from mdsforge.errors import InvalidParamsError, TooLargeError
 from mdsforge.evalcode import (
     EvalCode,
     EvalSet,
@@ -126,7 +126,7 @@ def test_k_greater_than_n_rejected():
 def test_subset_guard_trips():
     ctx = make_field(13)
     g = generator_matrix(make_code(ctx, range(6), (0, 1, 3)))
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(TooLargeError, match=r"C\(6,3\) = 20 exceeds subset guard 5"):
         mds_exhaustive(g, guard=5)
 
 
@@ -601,7 +601,7 @@ def test_reed_solomon_route_scans_nothing(monkeypatch):
 
 def test_reed_solomon_route_keeps_the_subset_guard(capsys, tmp_path, monkeypatch):
     code = make_code(make_field(13), range(12), range(4))  # C(12,4) = 495
-    with pytest.raises(InfeasibleError, match="C\\(12,4\\) = 495"):
+    with pytest.raises(TooLargeError, match="C\\(12,4\\) = 495"):
         non_rs_certificate(code, guard=494)
     assert non_rs_certificate(code, guard=495).is_mds
     wide = make_code(make_field(13), range(2), range(3))

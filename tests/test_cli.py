@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from mdsforge import certify
+from mdsforge import certify, cli, errors, families
 from mdsforge.cli import main
 from mdsforge.jsonio import canonical_dumps
 
@@ -582,6 +582,21 @@ def test_hamming_lift_past_the_field_size_limit_is_refused_at_once(capsys):
     assert err == "error: field GF(2^36) exceeds the size limit 4294967296\n"
 
 
+@pytest.mark.parametrize("k, message", [
+    ("3", "field GF(2^36) exceeds the size limit 4294967296"),
+    ("0", "need 1 <= k <= 262658"),
+], ids=["lift-field", "k"])
+def test_hamming_lift_refuses_before_building_the_columns(capsys, monkeypatch, k, message):
+    # 262 658 columns pass the column guard; both refusals need only their count
+    def build_columns(r, base_q):
+        raise AssertionError("the parity-check columns were built")
+
+    monkeypatch.setattr(families, "extended_hamming_parity", build_columns)
+    rc, out, err = run(capsys, "construct", "hamming-lift", "--r", "3", "--base-q", "512",
+                       "--k", k)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_code_file_with_a_huge_field_is_a_usage_error(capsys, tmp_path):
     path, obj = construct_cor44(capsys, tmp_path)
     obj["field"] = {"p": 2, "m": 200}
@@ -657,3 +672,19 @@ def test_no_command_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+NEGATIVE_ERRORS = (errors.ConditionViolatedError, errors.InconsistentError,
+                   errors.TooManyErasuresError)
+ERROR_CLASSES = [cls for cls in vars(errors).values()
+                 if isinstance(cls, type) and issubclass(cls, errors.MdsforgeError)]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=[cls.__name__ for cls in ERROR_CLASSES])
+def test_every_error_class_has_its_exit_status(capsys, monkeypatch, cls):
+    def command(args):
+        raise cls("the message")
+
+    monkeypatch.setitem(cli._COMMANDS, "bound", command)
+    rc, out, err = run(capsys, "bound", "--q", "2", "--n", "1", "--k", "1")
+    assert (rc, out, err) == (1 if cls in NEGATIVE_ERRORS else 2, "", "error: the message\n")

@@ -5,8 +5,8 @@ import pytest
 
 from mdsforge.codec import ERASED, decode_erasures
 from mdsforge.errors import (
-    DimensionMismatchError,
     InconsistentError,
+    InvalidParamsError,
     TooManyErasuresError,
 )
 from mdsforge.evalcode import EvalCode, EvalSet, ExponentSet, encode
@@ -58,7 +58,7 @@ def test_corrupted_survivor_detected():
 
 def test_wrong_received_length():
     code = cor44(13, 3, 6)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(InvalidParamsError, match="received word must have length 6"):
         decode_erasures(code, [ERASED] * 5)
 
 

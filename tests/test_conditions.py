@@ -21,7 +21,6 @@ from mdsforge.conditions import (
     search_eval_set,
 )
 from mdsforge.errors import (
-    InfeasibleError,
     InvalidParamsError,
     TooLargeError,
 )
@@ -121,7 +120,7 @@ def test_check_vacuous_when_too_few_points():
 
 def test_check_guard():
     ctx = make_field(163)
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(TooLargeError, match=r"C\(30,10\) = 30045015 exceeds subset guard 10"):
         check_esym(ctx, scalars(ctx, range(30)), ConditionSpec(k=10), guard=10)
 
 
@@ -296,7 +295,7 @@ def test_route_follows_the_cost_ratio(monkeypatch):
         check_esym(ctx, points, ConditionSpec(k=5))
     # the subset guard comes first on the table route too
     monkeypatch.setattr(conditions, "SUM_TABLE_RATIO", 0)
-    with pytest.raises(InfeasibleError, match="exceeds subset guard 10"):
+    with pytest.raises(TooLargeError, match="exceeds subset guard 10"):
         check_esym(ctx, points, ConditionSpec(k=5), guard=10)
 
 
@@ -429,7 +428,7 @@ def test_exhaustive_search_result_satisfies_condition():
 
 def test_exhaustive_guard():
     ctx = make_field(163)
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(TooLargeError, match=r"C\(163,20\) = \d+ exceeds subset guard 100"):
         search_eval_set(ctx, 20, ConditionSpec(k=3), ExhaustiveSearch(guard=100))
 
 
@@ -543,7 +542,7 @@ def test_exhaustive_search_proves_gf16_length_10_impossible():
 
 def test_exhaustive_subset_guard_comes_before_the_search():
     ctx = make_field(41)
-    with pytest.raises(InfeasibleError, match=r"C\(40,20\) = 137846528820 exceeds subset guard"):
+    with pytest.raises(TooLargeError, match=r"C\(40,20\) = 137846528820 exceeds subset guard"):
         search_eval_set(ctx, 40, ConditionSpec(k=20), ExhaustiveSearch())
 
 

@@ -3,10 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdsforge.errors import (
-    DimensionMismatchError,
-    InvalidParamsError,
-)
+from mdsforge.errors import InvalidParamsError
 from mdsforge.evalcode import (
     EvalCode,
     EvalSet,
@@ -78,7 +75,7 @@ def test_encode_known_value():
 def test_encode_wrong_length():
     ctx = make_field(13)
     code = make_code(ctx, range(6), (0, 1, 3))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(InvalidParamsError, match="message must have length 3"):
         encode(code, scalars(ctx, [1, 0]))
 
 

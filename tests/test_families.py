@@ -12,15 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from mdsforge.certify import VERDICT_NON_RS, mds_exhaustive, non_rs_certificate
 from mdsforge.conditions import ConditionSpec, check_esym
-from mdsforge.errors import (
-    BinomialDivisibleError,
-    BoundViolatedError,
-    ConditionViolatedError,
-    DuplicateColumnsError,
-    InvalidParamsError,
-    KEvenError,
-    NotPrimeError,
-)
+from mdsforge.errors import ConditionViolatedError, InvalidParamsError
 from mdsforge.evalcode import generator_matrix
 from mdsforge.field import make_field
 from mdsforge.jsonio import canonical_dumps, code_to_obj
@@ -87,13 +79,13 @@ def test_cor44_pinned():
 
 def test_cor44_feasibility_edge():
     cor44(13, 3, 6)  # k*n - k(k+1)/2 = 12 = p - 1: tight
-    with pytest.raises(BoundViolatedError):
+    with pytest.raises(InvalidParamsError, match=r"k\*n - k\(k\+1\)/2 = 15 exceeds p - 1 = 12"):
         cor44(13, 3, 7)
     with pytest.raises(InvalidParamsError):
         cor44(13, 2, 6)
     with pytest.raises(InvalidParamsError):
         cor44(13, 3, 5)
-    with pytest.raises(NotPrimeError):
+    with pytest.raises(InvalidParamsError, match="^15 is not prime$"):
         cor44(15, 3, 6)
     with pytest.raises(InvalidParamsError):
         cor44(2, 3, 6)  # odd characteristic required
@@ -110,7 +102,7 @@ def test_cor62_pinned():
 def test_cor62_feasibility_edge():
     # (n*k)^r <= r! * p: 18^2 = 324 <= 326, but 21^2 > 326
     cor62(163, 3, 2, 6)
-    with pytest.raises(BoundViolatedError):
+    with pytest.raises(InvalidParamsError, match=r"\(n\*k\)\^r = 441 exceeds r!\*p = 326"):
         cor62(163, 3, 2, 7)
     with pytest.raises(InvalidParamsError):
         cor62(163, 3, 1, 6)  # r = 1 belongs to the sum-condition family
@@ -134,7 +126,7 @@ def test_thm412_pinned():
 
 
 def test_thm412_validation():
-    with pytest.raises(BoundViolatedError):
+    with pytest.raises(InvalidParamsError, match=r"n = 10 exceeds p\^\(m-1\) = 9"):
         thm412(3, 3, 4, 10)  # n > p^(m-1)
     with pytest.raises(InvalidParamsError):
         thm412(3, 3, 3, 6)  # p divides k
@@ -154,11 +146,11 @@ def test_thm415_pinned():
 def test_thm415_length_caps():
     # u = floor(p/k); extras live at digit u+1 and are capped so the
     # largest k-subset digit sum stays below p
-    with pytest.raises(BoundViolatedError):
+    with pytest.raises(InvalidParamsError, match=r"n = 15 exceeds u\*p\^\(m-1\) \+ extras = 14 \+ 0"):
         thm415(7, 2, 3, 15)  # 7 = 3*2+1: no room for extras
     code = thm415(11, 2, 3, 34)  # 3*11 main + 1 extra
     assert code.ctx.digits(code.points.points[-1]) == (4, 0)
-    with pytest.raises(BoundViolatedError):
+    with pytest.raises(InvalidParamsError, match=r"n = 35 exceeds u\*p\^\(m-1\) \+ extras = 33 \+ 1"):
         thm415(11, 2, 3, 35)
 
 
@@ -169,7 +161,7 @@ def test_thm415_prime_field_case():
     assert list(code.points.points) == [1, 2, 3, 4, 5, 6, 7, 8]
     code = thm415(29, 1, 3, 10)
     assert list(code.points.points) == list(range(1, 11))
-    with pytest.raises(BoundViolatedError):
+    with pytest.raises(InvalidParamsError, match=r"n = 11 exceeds u\*p\^\(m-1\) \+ extras = 9 \+ 1"):
         thm415(29, 1, 3, 11)
 
 
@@ -184,11 +176,11 @@ def test_thm63_pinned():
 
 
 def test_thm63_validation():
-    with pytest.raises(BoundViolatedError):
+    with pytest.raises(InvalidParamsError, match=r"n = 8 exceeds p\^t = 7"):
         thm63(7, 3, 3, 2, 8)  # n > p^t with t = 1
-    with pytest.raises(BinomialDivisibleError):
+    with pytest.raises(InvalidParamsError, match=r"characteristic 3 divides C\(3,1\)"):
         thm63(3, 7, 3, 1, 6)  # 3 divides C(3,1)
-    with pytest.raises(BoundViolatedError):
+    with pytest.raises(InvalidParamsError, match=r"floor\(\(m-1\)/r\) = 0 < 1"):
         thm63(7, 2, 3, 2, 6)  # t = floor(1/2) = 0
 
 
@@ -202,7 +194,7 @@ def test_thm64_pinned():
 
 
 def test_thm64_cap():
-    with pytest.raises(BoundViolatedError):
+    with pytest.raises(InvalidParamsError, match=r"n = 8 exceeds w\*p\^t = 7"):
         thm64(7, 3, 3, 2, 8)  # w = 1, t = 1: at most 7 points
 
 
@@ -296,7 +288,7 @@ def test_lift_rejects_duplicate_columns():
     ctx = make_field(2)
     one, zero = ctx.element((1,)), ctx.element((0,))
     h = matrix_from_rows(ctx, [[one, one], [zero, zero]])
-    with pytest.raises(DuplicateColumnsError):
+    with pytest.raises(InvalidParamsError, match="two columns lift to the same field element"):
         lift_parity_columns(h, 1)
 
 
@@ -319,9 +311,9 @@ def test_cor411_pinned():
 
 
 def test_cor411_validation():
-    with pytest.raises(KEvenError):
+    with pytest.raises(InvalidParamsError, match="k = 4 must be odd"):
         cor411(4, 4)
-    with pytest.raises(BoundViolatedError):
+    with pytest.raises(InvalidParamsError, match=r"need 3 <= k <= 2\^\(r-1\) = 4"):
         cor411(3, 5)  # k > 2^(r-1)
     with pytest.raises(InvalidParamsError):
         cor411(2, 3)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import Poly, symbols
 
 from mdsforge import field
-from mdsforge.errors import NotPrimeError, TooLargeError
+from mdsforge.errors import InvalidParamsError, TooLargeError
 from mdsforge.field import (
     MAX_FIELD_SIZE,
     TABLE_CAP,
@@ -116,11 +116,11 @@ def test_malformed_moduli_rejected():
 
 
 def test_not_prime_rejected():
-    with pytest.raises(NotPrimeError):
+    with pytest.raises(InvalidParamsError, match="^4 is not prime$"):
         make_field(4)
-    with pytest.raises(NotPrimeError):
+    with pytest.raises(InvalidParamsError, match="^1 is not prime$"):
         make_field(1, 2)
-    with pytest.raises(NotPrimeError):
+    with pytest.raises(InvalidParamsError, match="^91 is not prime$"):
         make_field(91)  # 7 * 13
 
 

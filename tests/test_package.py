@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import mdsforge
 
@@ -22,3 +23,10 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout == "[]\n"
+
+
+def test_readme_library_example_runs_as_printed():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library example\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})

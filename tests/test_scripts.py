@@ -56,6 +56,17 @@ def test_length_probe_keeps_none_for_proofs():
                           "exhaustive: longest set found n = 6"]
 
 
+def test_length_probe_prints_guard_past_the_subset_guard():
+    # C(37, 7) exceeds the exhaustive search's subset guard: the column
+    # reads `guard` and the strategy stops there
+    done = run_script("length_probe.py", "--field", "37", "--k", "3",
+                      "--strategies", "exhaustive")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[3].split() == ["7", "guard"]
+    assert lines[-1] == "exhaustive: longest set found n = 6"
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
