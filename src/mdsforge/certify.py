@@ -225,12 +225,10 @@ def schur_square_dim_from_exponents(code: EvalCode) -> int:
     When max(E+E) < n the evaluated monomials are distinct rows of the
     invertible Vandermonde matrix of the n points (0^0 = 1): no rank needed.
     """
-    ctx = code.ctx
-    exps = sumset(code.exponents).exps
-    if exps[-1] < code.n:
-        return len(exps)
-    rows = [[ctx.pow(t, e) for t in code.points.points] for e in exps]
-    return rank(matrix_from_rows(ctx, rows))
+    sums = sumset(code.exponents)
+    if sums.max_exp < code.n:
+        return sums.k
+    return rank(generator_matrix(EvalCode(code.ctx, code.points, sums)))
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,10 @@ import sys
 from typing import Optional, Sequence
 
 from . import families, jsonio
-from .certify import non_rs_certificate
+from .certify import CODEWORD_GUARD, non_rs_certificate
 from .codec import decode_erasures
 from .conditions import (
+    SUBSET_GUARD,
     BoundQuery,
     ConditionSpec,
     ExhaustiveSearch,
@@ -131,10 +132,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _guard_override() -> Optional[int]:
+def _guard_override(default: int) -> int:
     raw = os.environ.get("MDSFORGE_GUARD")
     if raw is None:
-        return None
+        return default
     try:
         value = int(raw)
     except ValueError:
@@ -201,20 +202,16 @@ def _cmd_verify(args) -> int:
     if args.jobs < 1:
         raise InvalidParamsError(f"--jobs must be >= 1, got {args.jobs}")
     code, embedded = jsonio.load_code(args.code)
-    guard = _guard_override()
-    kwargs = {}
-    if guard is not None:
-        kwargs["guard"] = guard
-        kwargs["codeword_guard"] = guard
     want_dist = args.min_distance or (
         embedded is not None and embedded.get("min_distance") is not None
     )
     cert = non_rs_certificate(
         code,
+        guard=_guard_override(SUBSET_GUARD),
         jobs=args.jobs,
         with_min_distance=want_dist,
+        codeword_guard=_guard_override(CODEWORD_GUARD),
         cross_check=args.cross_check,
-        **kwargs,
     )
     obj = jsonio.certificate_to_obj(cert)
     _emit(obj)
@@ -225,7 +222,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    guard = _guard_override()
+    guard = _guard_override(SUBSET_GUARD)
     if args.code is not None:
         code, _ = jsonio.load_code(args.code)
         ctx = code.ctx
@@ -249,8 +246,7 @@ def _cmd_check(args) -> int:
         r = args.r if args.r is not None else 1
     delta = _parse_point(ctx, args.delta) if args.delta is not None else None
     spec = ConditionSpec(k=k, r=r, delta=delta)
-    kwargs = {"guard": guard} if guard is not None else {}
-    holds, witness = check_esym(ctx, points, spec, **kwargs)
+    holds, witness = check_esym(ctx, points, spec, guard)
     _emit(
         {
             "holds": holds,
@@ -280,8 +276,7 @@ def _cmd_search(args) -> int:
             "no monomial code file carries a nonzero delta; search without -o"
         )
     if args.strategy == "exhaustive":
-        guard = _guard_override()
-        strategy = ExhaustiveSearch() if guard is None else ExhaustiveSearch(guard=guard)
+        strategy = ExhaustiveSearch(_guard_override(SUBSET_GUARD))
     elif args.strategy == "random":
         strategy = RandomSearch(seed=args.seed, max_attempts=args.max_attempts)
     else:

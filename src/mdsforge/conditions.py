@@ -34,8 +34,8 @@ stack, :func:`_sum_stack`, whose rows hold delta minus the sums that the
 subsets of the points pushed reach.  The searches push in colex order and
 test a candidate by one bit of the top row; :func:`check_esym` pushes its
 points last first and reads the walk's witness from the kept rows.  Off
-that route, the stack walks the (k-1)-subsets of the points taken from
-each candidate.
+that route, a search walks block 0 of :func:`check_esym`'s walk over the
+candidate followed by the points taken: the k-subsets through it.
 """
 
 from __future__ import annotations
@@ -138,21 +138,19 @@ def first_failing_subset(
 
 
 def _esym_step(
-    ctx: FieldContext,
-    points: Sequence[FieldElement],
-    r: int,
-    delta: FieldElement,
-    leaf: int,
-) -> Callable:
-    """The e_r step of :func:`first_failing_subset` over `points`.
+    ctx: FieldContext, points: Sequence[FieldElement], spec: ConditionSpec
+) -> tuple[list, Callable]:
+    """(root, extend) of the e_r walk of :func:`first_failing_subset`.
 
-    A state is the vector (e_0, ..., e_r) of the points chosen so far.  A
-    step multiplies in one more point, O(r) field operations, skipping each
-    e_j whose e_{j-1} is zero (so the entries past the number of points
-    chosen cost nothing), and at depth `leaf` computes only e_r and rejects
-    when it equals delta.
+    A state is the vector (e_0, ..., e_r) of the `points` chosen so far, and
+    the root is that of the empty set.  A step multiplies in one more
+    point, O(r) field operations, skipping each e_j whose e_{j-1} is zero
+    (so the entries past the number of points chosen cost nothing), and at
+    the leaf, depth k - 1, computes only e_r and rejects when it equals
+    delta.
     """
     add, mul = ctx.add, ctx.mul
+    r, leaf, delta = spec.r, spec.k - 1, _target(ctx, spec)
 
     def extend(e: list, depth: int, i: int) -> Optional[list]:
         a = points[i]
@@ -164,7 +162,7 @@ def _esym_step(
                 nxt[j] = add(nxt[j], mul(a, nxt[j - 1]))
         return nxt
 
-    return extend
+    return [1] + [0] * r, extend
 
 
 def check_esym(
@@ -180,14 +178,12 @@ def check_esym(
     the point sequence.  With fewer than k points there is nothing to test
     and the condition holds vacuously.
     """
-    n, k, r = len(points), spec.k, spec.r
-    _require_subset_count(n, k, guard)
-    delta = _target(ctx, spec)
+    n = len(points)
+    _require_subset_count(n, spec.k, guard)
     if _by_sums(ctx, n, spec):
         witness = _first_sum_subset(ctx, points, spec)
     else:
-        step = _esym_step(ctx, list(points), r, delta, k - 1)
-        witness = first_failing_subset(n, k, [1] + [0] * r, step)
+        witness = first_failing_subset(n, spec.k, *_esym_step(ctx, points, spec))
     return (witness is None, witness)
 
 
@@ -357,25 +353,23 @@ def _candidate_stack(ctx: FieldContext, n: int, spec: ConditionSpec) -> tuple[Ca
 
 
 def _walk_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Callable, ...]:
-    """(next_free, push, pop) by one walk per candidate over the
-    (k-1)-subsets of the points pushed, from the e-vector of {candidate};
-    with k = 1 that walk is empty and {candidate} is the subset."""
-    k, r, delta = spec.k, spec.r, _target(ctx, spec)
-    chosen: list[FieldElement] = []
-    step = _esym_step(ctx, chosen, r, delta, k - 2)
+    """(next_free, push, pop) by one e_r walk per candidate.  The candidate
+    sits at index 0 of the point list, the points pushed follow it, and the
+    k-subsets through the candidate are block 0 of :func:`check_esym`'s
+    walk over that list."""
+    points: list[FieldElement] = [0]
+    root, step = _esym_step(ctx, points, spec)
 
     def conflicts(cand: FieldElement) -> bool:
-        root = [1, cand] + [0] * (r - 1)
-        if k == 1:
-            return root[r] == delta
-        return first_failing_subset(len(chosen), k - 1, root, step) is not None
+        points[0] = cand
+        return first_failing_subset(len(points), spec.k, root, step, 0) is not None
 
     def next_free(v: int, limit: int) -> int:
         while v < limit and conflicts(v):
             v += 1
         return v
 
-    return next_free, chosen.append, chosen.pop
+    return next_free, points.append, points.pop
 
 
 def _sum_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Any, ...]:

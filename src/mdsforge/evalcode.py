@@ -87,15 +87,11 @@ def generator_matrix(code: EvalCode) -> MatrixFq:
 
 def encode(code: EvalCode, message: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
     """Evaluate the message polynomial sum(m_j * x^{E[j]}) at every point."""
-    ctx = code.ctx
     if len(message) != code.k:
         raise InvalidParamsError(f"message must have length {code.k}")
-    out = []
-    for t in code.points.points:
-        acc = 0
-        for coeff, e in zip(message, code.exponents.exps):
-            acc = ctx.add(acc, ctx.mul(coeff, ctx.pow(t, e)))
-        out.append(acc)
+    out = [0] * code.n
+    for coeff, row in zip(message, generator_matrix(code).entries):
+        out = code.ctx.add_multiple(out, coeff, row)
     return tuple(out)
 
 

@@ -131,9 +131,9 @@ def thm412(p: int, m: int, k: int, n: int) -> EvalCode:
     if k % p == 0:
         raise InvalidParamsError(f"characteristic {p} must not divide k={k}")
     _require_shape(k, n)
+    ctx = make_field(p, m)
     if n > p ** (m - 1):
         raise InvalidParamsError(f"n = {n} exceeds p^(m-1) = {p ** (m - 1)}")
-    ctx = make_field(p, m)
     return _gap_code("thm412", ctx, _digit_points(ctx, n, 1), 1, p=p, m=m, k=k, n=n)
 
 
@@ -152,6 +152,7 @@ def thm415(p: int, m: int, k: int, n: int) -> EvalCode:
         raise InvalidParamsError("need 3 <= k <= p - 1")
     if 2 * k > n:
         raise InvalidParamsError("need 2k <= n")
+    ctx = make_field(p, m)
     u = p // k
     tail_space = p ** (m - 1)
     main_cap = u * tail_space
@@ -160,7 +161,6 @@ def thm415(p: int, m: int, k: int, n: int) -> EvalCode:
         raise InvalidParamsError(
             f"n = {n} exceeds u*p^(m-1) + extras = {main_cap} + {extras_cap}"
         )
-    ctx = make_field(p, m)
     extras = _digit_points(ctx, max(0, n - main_cap), 1, first=u + 1)
     pts = _digit_points(ctx, min(n, main_cap), u) + extras
     return _gap_code("thm415", ctx, pts, 1, p=p, m=m, k=k, n=n)
@@ -181,9 +181,9 @@ def thm63(p: int, m: int, k: int, r: int, n: int) -> EvalCode:
     t = (m - 1) // r
     if t < 1:
         raise InvalidParamsError(f"floor((m-1)/r) = {t} < 1: extension too small for r={r}")
+    ctx = make_field(p, m)
     if n > p**t:
         raise InvalidParamsError(f"n = {n} exceeds p^t = {p ** t}")
-    ctx = make_field(p, m)
     return _gap_code("thm63", ctx, _digit_points(ctx, n, 1), r, p=p, m=m, k=k, n=n, r=r)
 
 
@@ -205,9 +205,9 @@ def thm64(p: int, m: int, k: int, r: int, n: int) -> EvalCode:
     if w < 1:
         raise InvalidParamsError(f"floor((r!p)^(1/r))/k < 1 for p={p}, k={k}, r={r}")
     t = (m - 1) // r
+    ctx = make_field(p, m)
     if n > w * p**t:
         raise InvalidParamsError(f"n = {n} exceeds w*p^t = {w * p ** t}")
-    ctx = make_field(p, m)
     return _gap_code("thm64", ctx, _digit_points(ctx, n, w), r, p=p, m=m, k=k, n=n, r=r)
 
 

@@ -85,7 +85,7 @@ def field_from_obj(obj: Any) -> FieldContext:
         raise FormatError("field block has wrong types")
     try:
         ctx = make_field(p, m)
-    except (ValueError, InvalidParamsError) as exc:
+    except InvalidParamsError as exc:
         raise FormatError(f"invalid field block: {exc}") from exc
     modulus = obj.get("modulus")
     if modulus is not None:

@@ -563,6 +563,26 @@ def test_guard_env_caps_the_subsets_of_an_exhaustive_search(capsys, monkeypatch)
     assert "C(13,6) = 1716 exceeds subset guard 1000" in err
 
 
+@pytest.mark.parametrize("args, field", [
+    (["thm412", "--p", "3", "--m", "3000000", "--k", "4", "--n", "10"], "GF(3^3000000)"),
+    (["thm415", "--p", "7", "--m", "2000000", "--k", "3", "--n", "6"], "GF(7^2000000)"),
+    (["thm63", "--p", "5", "--m", "4000000", "--k", "3", "--r", "2", "--n", "6"],
+     "GF(5^4000000)"),
+    (["thm64", "--p", "5", "--m", "6000000", "--k", "3", "--r", "1", "--n", "6"],
+     "GF(5^6000000)"),
+], ids=["thm412", "thm415", "thm63", "thm64"])
+def test_huge_extension_degree_is_refused_before_the_length_bound(capsys, args, field):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "construct", *args)
+    assert time.perf_counter() - start < 0.05
+    assert (rc, out, err) == (2, "", f"error: field {field} exceeds the size limit 4294967296\n")
+
+
+def test_zero_extension_degree_is_a_usage_error(capsys):
+    rc, out, err = run(capsys, "check", "--field", "13,0", "--points", "1", "--k", "1")
+    assert (rc, out, err) == (2, "", "error: extension degree must be >= 1\n")
+
+
 @pytest.mark.parametrize("field", ["2,200", "2,1000000000", "2305843009213693951"])
 def test_huge_field_is_a_usage_error(capsys, field):
     start = time.monotonic()
@@ -613,6 +633,8 @@ def test_code_file_with_a_huge_field_is_a_usage_error(capsys, tmp_path):
 #: refusal message) of usage errors: each exits 2 with one error line
 USAGE_REFUSALS = {
     "guard-zero": (["verify", "{code}"], "0", None, "MDSFORGE_GUARD must be positive"),
+    "check-guard": (["check", "--field", "13", "--points", *map(str, range(10)), "--k", "3"],
+                    "100", None, "C(10,3) = 120 exceeds subset guard 100"),
     "check-without-points": (["check"], None, None,
                              "check needs a code file, or --field with --points"),
     "duplicate-points": (["check", "--field", "13", "--points", "1", "1", "--k", "1"], None,

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from mdsforge.certify import VERDICT_NON_RS, mds_exhaustive, non_rs_certificate
 from mdsforge.conditions import ConditionSpec, check_esym
-from mdsforge.errors import ConditionViolatedError, InvalidParamsError
+from mdsforge.errors import ConditionViolatedError, InvalidParamsError, TooLargeError
 from mdsforge.evalcode import generator_matrix
 from mdsforge.field import make_field
 from mdsforge.jsonio import canonical_dumps, code_to_obj
@@ -134,6 +134,12 @@ def test_thm412_validation():
         thm412(3, 1, 4, 9)  # m >= 2
     with pytest.raises(InvalidParamsError):
         thm412(3, 3, 4, 7)  # 2k > n
+
+
+def test_field_size_limit_comes_before_the_length_bound():
+    # n fails p^(m-1) as well, but GF(3^40) is refused without computing it
+    with pytest.raises(TooLargeError, match=r"^field GF\(3\^40\) exceeds the size limit"):
+        thm412(3, 40, 4, 3**39 + 1)
 
 
 def test_thm415_pinned():

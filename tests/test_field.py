@@ -124,6 +124,14 @@ def test_not_prime_rejected():
         make_field(91)  # 7 * 13
 
 
+@pytest.mark.parametrize("m", [0, -2])
+def test_extension_degree_below_one_rejected(m):
+    with pytest.raises(InvalidParamsError, match="^extension degree must be >= 1$"):
+        make_field(13, m)
+    with pytest.raises(InvalidParamsError, match="^extension degree must be >= 1$"):
+        FieldContext(13, m, (0, 1))
+
+
 def test_field_size_limit():
     assert MAX_FIELD_SIZE == 1 << 32
     assert make_field(4294967291).q == 4294967291  # the largest prime below 2^32

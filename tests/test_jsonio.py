@@ -42,6 +42,8 @@ def test_field_from_obj_rejects_garbage():
         field_from_obj({"p": 13})
     with pytest.raises(FormatError):
         field_from_obj("GF(13)")
+    with pytest.raises(FormatError, match="^invalid field block: extension degree must be >= 1$"):
+        field_from_obj({"p": 13, "m": 0})
 
 
 def test_element_forms():
