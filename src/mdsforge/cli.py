@@ -29,11 +29,16 @@ subsets stay serial, since a pool costs more than it saves there.
 ``verify --cross-check`` derives the MDS answer a second time, on every
 route, from a from-scratch rank of every k-subset of columns, and fails
 loudly if the two differ.
+
+``main`` builds its argument parser once per process, on its first call,
+and reuses it: each call parses into a fresh namespace and writes help and
+usage errors to the ``sys.stdout``/``sys.stderr`` in force at that call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Optional, Sequence
@@ -70,6 +75,7 @@ USAGE_ERROR = 2
 NEGATIVE = 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mdsforge",

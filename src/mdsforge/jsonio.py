@@ -101,10 +101,12 @@ def element_to_obj(ctx: FieldContext, a: FieldElement) -> list[int]:
 
 
 def element_from_obj(ctx: FieldContext, obj: Any) -> FieldElement:
-    """Accept a digit array, or a bare int meaning a prime-subfield value."""
+    """Accept a digit array, or a bare int in [0, p) meaning a prime-subfield value."""
     if isinstance(obj, bool):
         raise FormatError("booleans are not field elements")
     if isinstance(obj, int):
+        if not 0 <= obj < ctx.p:
+            raise FormatError(f"a bare integer must lie in [0, {ctx.p}): {obj!r}")
         return ctx.scalar(obj)
     if isinstance(obj, list) and all(isinstance(d, int) and not isinstance(d, bool) for d in obj):
         if len(obj) != ctx.m:

@@ -2,9 +2,13 @@
 
 import concurrent.futures
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -277,12 +281,21 @@ def test_check_rejects_bad_point_digits(capsys, extra, message):
     assert message in err
 
 
-def test_check_bare_integer_point_is_taken_mod_p(capsys):
-    rc, out, _ = run(
+def test_check_bare_integer_point_outside_prime_field_is_refused(capsys):
+    rc, out, err = run(
         capsys, "check", "--field", "2,4", "--points", "3", "0,0,0,0", "--k", "2",
-        "--delta", "5",
     )
-    assert rc == 1  # 3 + 0 = 1 = 5 in GF(2)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: bad point '3': a bare integer must lie in [0, 2): 3\n"
+    rc, out, err = run(capsys, "check", "--field", "3,2", "--points", "4", "5", "--k", "1")
+    assert rc == 2
+    assert err.startswith("error: bad point '4'")
+    rc, out, _ = run(
+        capsys, "check", "--field", "2,4", "--points", "1", "0,0,0,0", "--k", "2",
+        "--delta", "1",
+    )
+    assert rc == 1  # 1 + 0 = 1 in GF(2): a bare int below p is a prime-subfield value
     assert parse(out)["witness"]["points"] == [[1, 0, 0, 0], [0, 0, 0, 0]]
 
 
@@ -694,6 +707,31 @@ def test_no_command_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_shared_parser_carries_no_state_between_calls(capsys, tmp_path, monkeypatch):
+    # One process reuses one parser; each call must still print and exit
+    # exactly as a fresh process given the same argv.
+    with capsys.disabled():  # the parser outlives the streams it was built under
+        assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setenv("COLUMNS", "80")  # the help layout follows the width
+    monkeypatch.delenv("MDSFORGE_GUARD", raising=False)
+    code, _ = construct_cor44(capsys, tmp_path)
+    calls = [
+        ["check", "--k", "x"],
+        ["--help"],
+        ["verify", str(code), "--jobs", "0"],
+        ["check", "--field", "101", "--points", "1", "2", "3", "4", "5", "--k", "3"],
+        ["search", "--field", "13", "--n", "6", "--k", "3"],
+        ["construct", "cor44", "--p", "13", "--k", "3", "--n", "6"],
+    ]
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "mdsforge", *argv],
+                               capture_output=True, text=True, env=env, timeout=60)
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 NEGATIVE_ERRORS = (errors.ConditionViolatedError, errors.InconsistentError,
