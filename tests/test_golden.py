@@ -8,7 +8,10 @@ the `check` case while every r = 1 condition still went through the e_r
 walk, and the `search` cases while the exhaustive search (or, for the
 greedy cases, the greedy search) still tested every r = 1 candidate by
 walking the subsets of the points already chosen, so a faster route for
-any of these inputs must print exactly the same bytes.  The `construct`
+any of these inputs must print exactly the same bytes.  The r = 2 searches
+and the later r = 1 ones were recorded while the exhaustive search still
+cut a branch only at a conflict, never for want of free candidates below
+its lowest point.  The `construct`
 cases were recorded while every family builder still wrote out its own
 points and code, so a shared point pattern must print the same files and
 refuse the same parameters with the same messages.  The thm415 and thm64
@@ -111,7 +114,9 @@ CHECK_DIGEST = "26db6cedc1592a7545c5bd9bc605307837470f7969e3c486637710cef1bbfffb
 #: (field, n, extra search arguments, stdout sha256, exit code) of
 #: `search --strategy exhaustive --k 3`: the benchmark's two proofs of
 #: `none`, its two short searches that find a set, and a nonzero delta
-#: (re-pinned once the code file's params began to record delta)
+#: (re-pinned once the code file's params began to record delta); then
+#: r = 1 searches whose branches mostly run out of free candidates before
+#: they meet a conflict, and r = 2 searches on the walk route
 SEARCHES = [
     ("19", 8, [], "628e3d1a2fb49c08732f47557560e8353bd0dbbd0588b48a99559eac42227b87", 0),
     ("19", 9, [], "7be3ac796e3edfe5617677992d0a31914d7f76e1f1da55f9b243eb85e4ae3adf", 1),
@@ -119,6 +124,18 @@ SEARCHES = [
     ("2,4", 10, [], "c8a9366d709be662df4040566a0cfe99d943aba304c0f6785e86146d0991f662", 1),
     ("3,2", 6, ["--delta", "2,1"],
      "fa07fc0977af4c70af9a1e13905d6955bbf6095c2760b7f6f36e4cc96b64daee", 0),
+    ("13", 8, [], "e30c967d633671f64f8778dd8ae7454d5e9586108265e9e6d203afba2f17a9c7", 1),
+    ("17", 9, [], "7be3ac796e3edfe5617677992d0a31914d7f76e1f1da55f9b243eb85e4ae3adf", 1),
+    ("19", 10, [], "c8a9366d709be662df4040566a0cfe99d943aba304c0f6785e86146d0991f662", 1),
+    ("23", 10, [], "f7e505a57a4b309225eab757f145a9585cdb3dfebbaa632fc4def33f39b14ec0", 0),
+    ("11", 7, ["--r", "2"],
+     "3f8f69b504b72f36322b99ec6105f3934032c6653e286f38bb3911067d0a6350", 0),
+    ("11", 8, ["--r", "2"],
+     "8bd99c56595ea1b26e7f7c5e716d59770206651139351eeb9477618d9f434622", 1),
+    ("3,2", 6, ["--r", "2"],
+     "52d8102d27960e38c13e3f2d962888d26e40488fe3257c196e615df8a77bfbcc", 1),
+    ("13", 8, ["--r", "2"],
+     "8bd99c56595ea1b26e7f7c5e716d59770206651139351eeb9477618d9f434622", 1),
 ]
 
 #: (field, n, k, r, stdout sha256, exit code) of `search --strategy greedy`:
@@ -230,7 +247,8 @@ def test_check_stdout_is_pinned():
 
 
 @pytest.mark.parametrize(
-    "field,n,extra,digest,rc", SEARCHES, ids=[f"gf{s[0]}-n{s[1]}" for s in SEARCHES]
+    "field,n,extra,digest,rc", SEARCHES,
+    ids=[f"gf{s[0]}-n{s[1]}" + ("-r2" if "--r" in s[2] else "") for s in SEARCHES],
 )
 def test_search_stdout_is_pinned(field, n, extra, digest, rc):
     argv = ["search", "--field", field, "--n", str(n), "--k", "3", "--strategy", "exhaustive"]
