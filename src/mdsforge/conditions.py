@@ -16,15 +16,20 @@ function to extend it or reject it.  Here the step carries the vector
 extension costs O(r) field operations.  The certifier walks generator
 columns with an elimination step instead.
 
-Both searches grow a set on one candidate stack (``next_free``, ``push``,
-``pop``).  Greedy takes the lowest free candidate in counter order and
-never backtracks.  Exhaustive search backtracks through the colex tree of
-n-subsets of the field, largest point first, so each k-subset of a full
-set is tested once, when its lowest point joins.  The condition is
-hereditary (a set fails whenever a subset of it fails), so cutting a
-branch at its first conflict loses no passing set: the first full set
-reached is the first in colex order, and reaching none proves that no
-n-subset passes.
+Both searches grow a set on one candidate stack (``next_free``,
+``lowest``, ``push``, ``pop``).  Greedy takes the lowest free candidate in
+counter order and never backtracks.  Exhaustive search backtracks through
+the colex tree of n-subsets of the field, largest point first, so each
+k-subset of a full set is tested once, when its lowest point joins.  The
+condition is hereditary (a set fails whenever a subset of it fails), so
+cutting a branch at its first conflict loses no passing set.  Nor does
+the bound: a point that still needs j points below it starts at
+``lowest(limit, j)``, the lowest candidate with j free candidates under
+it, since every point that joins later must be free now and the free set
+only shrinks as points join.  So the first full set reached is the first
+in colex order, and reaching none proves that no n-subset passes.  The
+r = 1 stack reads the free set off its top row; the walk keeps none and
+its bound is the trivial one, j.
 
 One rule, :func:`_by_sums`, routes :func:`check_esym` and both searches,
 for the n points checked or sought: r = 1 goes by subset-sum bitsets over
@@ -206,7 +211,7 @@ def _first_sum_subset(
     taken, is set in the entry for the number of points still to take.
     """
     n, add = len(points), ctx.add
-    _, push, _, rows = _sum_stack(ctx, spec)
+    _, _, push, _, rows = _sum_stack(ctx, spec)
     start = None
     for i in range(n - 1, -1, -1):
         v = points[i]
@@ -343,20 +348,23 @@ SearchStrategy = Union[ExhaustiveSearch, RandomSearch, GreedySearch]
 
 
 def _candidate_stack(ctx: FieldContext, n: int, spec: ConditionSpec) -> tuple[Callable, ...]:
-    """(next_free, push, pop) of a search for n points, by :func:`_by_sums`:
-    ``next_free(v, limit)`` is the lowest candidate from v on that closes no
-    failing k-subset with the points pushed, or at least limit if none is
-    below it; ``push`` and ``pop`` add and drop a point."""
+    """(next_free, lowest, push, pop) of a search for n points, by
+    :func:`_by_sums`: ``next_free(v, limit)`` is the lowest candidate from v
+    on that closes no failing k-subset with the points pushed, or at least
+    limit if none is below it; no candidate below ``lowest(limit, j)``
+    has j free candidates under it; ``push`` and ``pop`` add and drop a
+    point."""
     if _by_sums(ctx, n, spec):
-        return _sum_stack(ctx, spec)[:3]
+        return _sum_stack(ctx, spec)[:4]
     return _walk_stack(ctx, spec)
 
 
 def _walk_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Callable, ...]:
-    """(next_free, push, pop) by one e_r walk per candidate.  The candidate
-    sits at index 0 of the point list, the points pushed follow it, and the
-    k-subsets through the candidate are block 0 of :func:`check_esym`'s
-    walk over that list."""
+    """(next_free, lowest, push, pop) by one e_r walk per candidate.  The
+    candidate sits at index 0 of the point list, the points pushed follow
+    it, and the k-subsets through the candidate are block 0 of
+    :func:`check_esym`'s walk over that list.  No free set is kept, so
+    ``lowest(limit, j)`` is j: the lowest candidate with j values below."""
     points: list[FieldElement] = [0]
     root, step = _esym_step(ctx, points, spec)
 
@@ -369,17 +377,23 @@ def _walk_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Callable, ...]:
             v += 1
         return v
 
-    return next_free, points.append, points.pop
+    def lowest(limit: int, j: int) -> int:
+        return j
+
+    return next_free, lowest, points.append, points.pop
 
 
 def _sum_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Any, ...]:
-    """(next_free, push, pop, rows) for r = 1 on a stack of subset-sum rows.
+    """(next_free, lowest, push, pop, rows) for r = 1 on a stack of
+    subset-sum rows.
 
     Entry j < k of row d is the bitset of delta - s over the sums s of the
     j-subsets of the first d points pushed (bit v is the element with
     counter index v).  A candidate closes a k-subset that sums to delta
     exactly when its bit is set in entry k - 1 of the top row (with k = 1
-    that entry is {delta}), so next_free is the lowest clear bit from v on.
+    that entry is {delta}), so next_free is the lowest clear bit from v on,
+    and lowest(limit, j) clears the j lowest clear bits below limit and
+    returns the next one.
     ``push(v)`` moves entry j - 1 by -v into entry j: adding -v turns digit
     i of every index by c = -v_i mod p, so each block of p^(i+1) bits
     rotates up by c * p^i bits.  The mask of a rotation holds the low
@@ -411,6 +425,14 @@ def _sum_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Any, ...]:
         free = ~rows[-1][-1] >> v
         return v + (free & -free).bit_length() - 1
 
+    def lowest(limit: int, j: int) -> int:
+        free = ~rows[-1][-1] & ((1 << limit) - 1)
+        if free.bit_count() <= j:
+            return limit
+        for _ in range(j):
+            free &= free - 1
+        return (free & -free).bit_length() - 1
+
     def push(v: int) -> None:
         rots = moves.get(v)
         if rots is None:
@@ -424,7 +446,7 @@ def _sum_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Any, ...]:
             new.append(old | bits)
         rows.append(new)
 
-    return next_free, push, rows.pop, rows
+    return next_free, lowest, push, rows.pop, rows
 
 
 def search_eval_set(
@@ -447,9 +469,9 @@ def search_eval_set(
     if isinstance(strategy, ExhaustiveSearch):
         _require_subset_count(q, n, strategy.guard)  # the sets searched
         _require_subset_count(n, spec.k, strategy.guard)
-        next_free, push, pop = _candidate_stack(ctx, n, spec)
+        next_free, lowest, push, pop = _candidate_stack(ctx, n, spec)
         values: list[int] = []  # the colex backtrack of the module docstring
-        v = n - 1  # the lowest value that leaves room for the points below it
+        v = lowest(q, n - 1)
         while True:
             limit = values[-1] if values else q
             v = next_free(v, limit)
@@ -458,7 +480,7 @@ def search_eval_set(
                 values.append(v)
                 if len(values) == n:
                     return tuple(reversed(values))
-                v = n - 1 - len(values)
+                v = lowest(v, n - 1 - len(values))
             elif values:
                 pop()
                 v = values.pop() + 1
@@ -475,7 +497,7 @@ def search_eval_set(
         return None
 
     if isinstance(strategy, GreedySearch):
-        next_free, push, _ = _candidate_stack(ctx, n, spec)
+        next_free, _, push, _ = _candidate_stack(ctx, n, spec)
         values = []
         while len(values) < n:
             values.append(next_free(values[-1] + 1 if values else 0, q))

@@ -447,6 +447,9 @@ def test_exhaustive_guard():
 @example((11, 1), 1, 1, 4, 5)  # k = 1 with a nonzero delta below the set
 @example((7, 1), 2, 1, 0, 4)  # k = 2: no point may sit next to its negative
 @example((2, 3), 4, 1, 0, 5)  # k = 4 in characteristic 2
+@example((2, 2), 4, 1, 1, 4)  # n = q: all of GF(4) sums to 0, not to delta
+@example((11, 1), 3, 1, 0, 7)  # one past the longest set, six points
+@example((7, 1), 1, 1, 2, 6)  # k = 1: the bound counts delta out of the free set
 def test_exhaustive_matches_colex_scan(field, k, r, delta, n):
     ctx = make_field(*field)
     assume(r <= k and n <= ctx.q)
@@ -463,6 +466,46 @@ def test_exhaustive_r1_search_takes_the_sum_stack(monkeypatch):
     found = search_eval_set(ctx, 9, ConditionSpec(k=3), ExhaustiveSearch())
     assert list(found) == [0, 4, 5, 6, 7, 8, 9, 10, 11]
     assert search_eval_set(ctx, 10, ConditionSpec(k=3), ExhaustiveSearch()) is None
+
+
+@pytest.mark.parametrize("field,n,most", [((19, 1), 9, 2700), ((2, 4), 10, 150)])
+def test_exhaustive_bound_cuts_pushes(monkeypatch, field, n, most):
+    # a branch whose lowest point has too few free candidates under it to
+    # finish the set is never entered; without the bound these proofs of
+    # `none` take 5 870 and 572 pushes
+    real, pushes = conditions._sum_stack, []
+
+    def counted(ctx, spec):
+        next_free, lowest, push, pop, rows = real(ctx, spec)
+
+        def counted_push(v):
+            pushes.append(v)
+            push(v)
+
+        return next_free, lowest, counted_push, pop, rows
+
+    monkeypatch.setattr(conditions, "_sum_stack", counted)
+    assert search_eval_set(make_field(*field), n, ConditionSpec(k=3), ExhaustiveSearch()) is None
+    assert 0 < len(pushes) <= most
+
+
+@pytest.mark.parametrize("field,n,found,tests", [
+    ((11, 1), 7, (0, 3, 4, 5, 6, 7, 8), 73),
+    ((13, 1), 8, None, 563),
+])
+def test_exhaustive_walk_keeps_the_trivial_bound(monkeypatch, field, n, found, tests):
+    # r = 2 keeps no free set, so it tests exactly the candidates it tested
+    # before the r = 1 bound existed
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return first_failing_subset(*args, **kwargs)
+
+    monkeypatch.setattr(conditions, "first_failing_subset", counted)
+    spec = ConditionSpec(k=3, r=2)
+    assert search_eval_set(make_field(*field), n, spec, ExhaustiveSearch()) == found
+    assert len(calls) == tests
 
 
 def test_walk_stays_for_r2_searches(monkeypatch):

@@ -59,6 +59,31 @@ def test_element_forms():
         element_from_obj(ctx, [3, 0])  # digit out of range
 
 
+def test_element_from_obj_reads_every_element_and_names_each_fault():
+    for p, m in [(13, 1), (3, 2), (2, 4)]:
+        ctx = make_field(p, m)
+        assert [element_from_obj(ctx, element_to_obj(ctx, a)) for a in ctx.elements()] == list(
+            ctx.elements()
+        )
+        assert [element_from_obj(ctx, c) for c in range(p)] == [ctx.scalar(c) for c in range(p)]
+    ctx = make_field(3, 2)
+    refusals = [
+        ([1, 3], "digits must lie in [0, 3): [1, 3]"),
+        ([-1, 0], "digits must lie in [0, 3): [-1, 0]"),
+        ([0, True], "not a field element: [0, True]"),
+        ([1.0, 0], "not a field element: [1.0, 0]"),
+        ([0, 5, 0], "element needs 2 digits, got 3"),  # the count before the range
+        (3, "a bare integer must lie in [0, 3): 3"),
+        (-1, "a bare integer must lie in [0, 3): -1"),
+        (False, "booleans are not field elements"),
+        (1.5, "not a field element: 1.5"),
+    ]
+    for obj, message in refusals:
+        with pytest.raises(FormatError) as exc:
+            element_from_obj(ctx, obj)
+        assert str(exc.value) == message
+
+
 def test_code_roundtrip_bytes_identical():
     code = cor44(13, 3, 6)
     obj = code_to_obj(code)
