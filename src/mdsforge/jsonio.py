@@ -28,7 +28,7 @@ from typing import Any, Optional
 from .certify import Certificate
 from .errors import FormatError, InvalidParamsError
 from .evalcode import EvalCode, EvalSet, ExponentSet
-from .field import FieldContext, FieldElement, make_field
+from .field import FieldContext, FieldElement, _index, make_field
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -101,33 +101,20 @@ def element_to_obj(ctx: FieldContext, a: FieldElement) -> list[int]:
 
 
 def element_from_obj(ctx: FieldContext, obj: Any) -> FieldElement:
-    """Accept a digit array, or a bare int in [0, p) meaning a prime-subfield value.
-
-    A well-formed input is read in one pass; anything else goes through the
-    checks below, which name what is wrong with it."""
+    """Accept a digit array, or a bare int in [0, p) meaning a prime-subfield value."""
     p = ctx.p
-    if type(obj) is int and 0 <= obj < p:
-        return obj  # the counter index of a prime-subfield element is its value
-    if type(obj) is list and len(obj) == ctx.m:
-        v = 0
-        for d in reversed(obj):  # little-endian digits, folded as in ctx.element
-            if type(d) is not int or not 0 <= d < p:
-                break
-            v = v * p + d
-        else:
-            return v
     if isinstance(obj, bool):
         raise FormatError("booleans are not field elements")
     if isinstance(obj, int):
         if not 0 <= obj < p:
             raise FormatError(f"a bare integer must lie in [0, {p}): {obj!r}")
-        return ctx.scalar(obj)
+        return obj  # the counter index of a prime-subfield element is its value
     if isinstance(obj, list) and all(isinstance(d, int) and not isinstance(d, bool) for d in obj):
         if len(obj) != ctx.m:
             raise FormatError(f"element needs {ctx.m} digits, got {len(obj)}")
         if not all(0 <= d < p for d in obj):
             raise FormatError(f"digits must lie in [0, {p}): {obj!r}")
-        return ctx.element(obj)
+        return _index(p, obj)
     raise FormatError(f"not a field element: {obj!r}")
 
 
