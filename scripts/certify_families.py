@@ -4,14 +4,19 @@
 Usage:
     python scripts/certify_families.py [--min-distance]
 
-With --min-distance, d is counted for every code with at most 2^22
-codewords and shown as '-' for the others.
+With --min-distance, d is counted for every code with at most as many
+codewords as the codeword guard allows (2^22, or MDSFORGE_GUARD when set)
+and shown as '-' for the others.  MDSFORGE_GUARD also replaces the subset
+guard; a row that a guard refuses prints the refusal on its line.
 """
 
 import argparse
+import sys
 import time
 
 from mdsforge.certify import CODEWORD_GUARD, non_rs_certificate
+from mdsforge.conditions import guard_in_force
+from mdsforge.errors import FormatError, TooLargeError
 from mdsforge.families import cor44, cor62, cor411, lift_parity_columns, thm412, thm415, thm63, thm64
 from mdsforge.families import extended_hamming_parity
 
@@ -35,6 +40,11 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--min-distance", action="store_true", help="also brute-force d")
     args = ap.parse_args()
+    try:
+        codeword_guard = guard_in_force(CODEWORD_GUARD)
+    except FormatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     header = f"{'instance':<22} {'[n,k]_q':<14} {'mds':<5} {'schur':<6} {'verdict':<14}"
     if args.min_distance:
@@ -50,8 +60,12 @@ def main() -> int:
         except Exception as exc:
             print(f"{label:<22} construction failed: {type(exc).__name__}: {exc}")
             continue
-        walk = args.min_distance and code.ctx.q**code.k <= CODEWORD_GUARD
-        cert = non_rs_certificate(code, with_min_distance=walk)
+        walk = args.min_distance and code.ctx.q**code.k <= codeword_guard
+        try:
+            cert = non_rs_certificate(code, with_min_distance=walk)
+        except TooLargeError as exc:
+            print(f"{label:<22} certificate refused: {exc}")
+            continue
         elapsed = time.perf_counter() - start
         shape = f"[{cert.n},{cert.k}]_{code.ctx.q}"
         line = f"{label:<22} {shape:<14} {str(cert.is_mds):<5} {cert.schur_dim:<6} {cert.verdict:<14}"

@@ -3,8 +3,10 @@
 condition, comparing search strategies.
 
 For each n from 2k upward, try to find n points whose k-subsets all avoid
-e_r = 0.  Greedy is backtrack-free (cheap, may stall early); random restarts
-are seeded; exhaustive only runs while C(q, n) stays under its guard.  A
+e_r = 0.  Greedy is backtrack-free (cheap, may stall early) and has no
+guard; random restarts are seeded; exhaustive only runs while C(q, n) and
+C(n, k), and random while C(n, k), stay under the subset guard (10^7, or
+MDSFORGE_GUARD when set); past it the cell reads `guard`.  A
 cell reads `none` only when the exhaustive search finds no set, which proves
 that no n points pass; greedy and random print `gave up` when they find
 none, which proves nothing.
@@ -19,10 +21,12 @@ import sys
 import time
 
 from mdsforge.conditions import (
+    SUBSET_GUARD,
     ConditionSpec,
     ExhaustiveSearch,
     GreedySearch,
     RandomSearch,
+    guard_in_force,
     search_eval_set,
 )
 from mdsforge.errors import MdsforgeError, TooLargeError
@@ -60,6 +64,7 @@ def main() -> int:
     try:
         ctx = parse_field(args.field)
         ctx.elements()  # every strategy draws from the whole field
+        guard_in_force(SUBSET_GUARD)  # a malformed MDSFORGE_GUARD, before any row
         spec = ConditionSpec(k=args.k, r=args.r)
         unknown = [name for name in wanted if name not in makers]
         if unknown:

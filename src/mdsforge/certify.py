@@ -25,7 +25,9 @@ across workers:
   more than it saves, the scan stays serial.
 
 Every route keeps the subset guard, so a code too long to scan is refused
-on all of them.  A witness is always confirmed by one rank of its k
+on all of them.  The subset and codeword guards are read when they are
+checked (:func:`conditions.guard_in_force`), so MDSFORGE_GUARD reaches every
+call in the process.  A witness is always confirmed by one rank of its k
 columns.  On request (``cross_check``) the answer is derived again on any
 route by :func:`_mds_by_minors`, which takes every k-subset from
 ``itertools.combinations`` and ranks its columns from scratch, and any
@@ -59,7 +61,7 @@ from operator import getitem
 from typing import Optional
 
 from . import conditions
-from .conditions import SUBSET_GUARD, ConditionSpec, _require_subset_count
+from .conditions import ConditionSpec, _require_subset_count, guard_in_force
 from .errors import InvalidParamsError, TooLargeError
 from .evalcode import EvalCode, gap_order, generator_matrix, sumset
 from .field import FieldContext, FieldElement
@@ -156,11 +158,7 @@ def _scan_first_index(first: int) -> Optional[tuple[int, ...]]:
     return _first_dependent_subset(*_worker_scan, first)
 
 
-def mds_exhaustive(
-    mat: MatrixFq,
-    guard: int = SUBSET_GUARD,
-    jobs: int = 1,
-) -> tuple[bool, Optional[tuple[int, ...]]]:
+def mds_exhaustive(mat: MatrixFq, jobs: int = 1) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Test every k-subset of columns for independence (k = row count).
 
     Returns (True, None) when the code generated by `mat` is MDS, otherwise
@@ -177,7 +175,7 @@ def mds_exhaustive(
     k, n = mat.rows, mat.cols
     if k > n:
         raise InvalidParamsError(f"k={k} exceeds n={n}")
-    total = _require_subset_count(n, k, guard)
+    total = _require_subset_count(n, k)
     ctx = mat.ctx
     cols = [mat.column(j) for j in range(n)]
     workers = min(jobs, os.cpu_count() or 1)
@@ -235,10 +233,7 @@ def schur_square_dim_from_exponents(code: EvalCode) -> int:
 # Brute-force minimum distance
 
 
-def min_distance_bruteforce(
-    code: EvalCode,
-    guard: int = CODEWORD_GUARD,
-) -> tuple[int, tuple[int, ...]]:
+def min_distance_bruteforce(code: EvalCode) -> tuple[int, tuple[int, ...]]:
     """Minimum nonzero weight and full weight distribution, by enumeration.
 
     Exact over all q^k codewords, but it walks only one partial codeword
@@ -269,11 +264,13 @@ def min_distance_bruteforce(
     row q times, so the table never holds more sums than the walk makes
     lookups.
     The degenerate all-zero code has no nonzero codeword; its distance
-    reads as 0.
+    reads as 0.  The walk refuses when q^k exceeds the codeword guard in
+    force.
     """
     ctx = code.ctx
     k, n, q = code.k, code.n, ctx.q
     total = q**k
+    guard = guard_in_force(CODEWORD_GUARD)
     if total > guard:
         raise TooLargeError(f"q^k = {total} exceeds codeword guard {guard}")
     gen = generator_matrix(code)
@@ -341,14 +338,14 @@ def mds_weight_distribution(n: int, k: int, q: int) -> tuple[int, ...]:
 # Certificate assembly
 
 
-def _mds_by_minors(mat: MatrixFq, guard: int) -> tuple[bool, Optional[tuple[int, ...]]]:
+def _mds_by_minors(mat: MatrixFq) -> tuple[bool, Optional[tuple[int, ...]]]:
     """The slow second derivation: rank every k-subset's columns from scratch.
 
     It shares no walk and no prefix state with either route; only the
     elimination step inside :func:`rank` is common to all three.
     """
     k, n = mat.rows, mat.cols
-    _require_subset_count(n, k, guard)
+    _require_subset_count(n, k)
     cols = [mat.column(j) for j in range(n)]
     for combo in combinations(range(n), k):
         if rank(matrix_from_rows(mat.ctx, [cols[j] for j in combo])) < k:
@@ -357,7 +354,7 @@ def _mds_by_minors(mat: MatrixFq, guard: int) -> tuple[bool, Optional[tuple[int,
 
 
 def _mds_decision(
-    code: EvalCode, gen: MatrixFq, guard: int, jobs: int, cross_check: bool
+    code: EvalCode, gen: MatrixFq, jobs: int, cross_check: bool
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
     """(is_mds, lex-first dependent subset) by the route lambda_1 selects."""
     k, n = code.k, code.n
@@ -367,13 +364,13 @@ def _mds_decision(
     if lambda_1 == 0:
         # every minor is a Vandermonde determinant, and EvalSet keeps the
         # points distinct
-        _require_subset_count(n, k, guard)
+        _require_subset_count(n, k)
         answer = (True, None)
     elif lambda_1 == 1:
         spec = ConditionSpec(k, gap_order(code.exponents))
-        answer = conditions.check_esym(code.ctx, code.points.points, spec, guard=guard)
+        answer = conditions.check_esym(code.ctx, code.points.points, spec)
     else:
-        answer = mds_exhaustive(gen, guard=guard, jobs=jobs)
+        answer = mds_exhaustive(gen, jobs=jobs)
     witness = answer[1]
     if witness is not None:
         sub = matrix_from_rows(code.ctx, [gen.column(j) for j in witness])
@@ -382,7 +379,7 @@ def _mds_decision(
                 f"internal disagreement: witness {list(witness)} has independent columns"
             )
     if cross_check:
-        oracle = _mds_by_minors(gen, guard)
+        oracle = _mds_by_minors(gen)
         if oracle != answer:
             raise AssertionError(
                 f"internal disagreement: MDS scan {answer} != cross-check {oracle}"
@@ -391,12 +388,7 @@ def _mds_decision(
 
 
 def non_rs_certificate(
-    code: EvalCode,
-    guard: int = SUBSET_GUARD,
-    jobs: int = 1,
-    with_min_distance: bool = False,
-    codeword_guard: int = CODEWORD_GUARD,
-    cross_check: bool = False,
+    code: EvalCode, jobs: int = 1, with_min_distance: bool = False, cross_check: bool = False
 ) -> Certificate:
     """Run the full certification pipeline on one evaluation code.
 
@@ -418,7 +410,7 @@ def non_rs_certificate(
     """
     k, n = code.k, code.n
     gen = generator_matrix(code)
-    is_mds, witness = _mds_decision(code, gen, guard, jobs, cross_check)
+    is_mds, witness = _mds_decision(code, gen, jobs, cross_check)
     schur = schur_square_dim(gen)
     schur_alt = schur_square_dim_from_exponents(code)
     if schur != schur_alt:
@@ -435,7 +427,7 @@ def non_rs_certificate(
         verdict = VERDICT_INDETERMINATE
     min_d: Optional[int] = None
     if with_min_distance:
-        min_d, dist = min_distance_bruteforce(code, guard=codeword_guard)
+        min_d, dist = min_distance_bruteforce(code)
         if is_mds:
             closed = mds_weight_distribution(n, k, code.ctx.q)
             if dist != closed:

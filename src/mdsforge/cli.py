@@ -6,10 +6,13 @@ status: 0 for success / condition verified, 1 for a mathematically negative
 outcome (not MDS, condition fails, bound false, nothing found, undecodable
 word), 2 for usage or input-format errors.
 
-The environment variable MDSFORGE_GUARD (an integer) replaces the subset
-guard of ``verify``, ``check`` and exhaustive ``search`` and the codeword
-guard of ``verify``; random and greedy search stop on their own and have no
-guard.  Exceeding a guard is always a loud error.
+The environment variable MDSFORGE_GUARD (a positive integer) replaces every
+subset and codeword guard, read where the guard is checked
+(:func:`conditions.guard_in_force`): ``verify``, ``check``, exhaustive and
+random ``search`` (each random attempt is a ``check``) and the lift check of
+``construct hamming-lift`` and ``cor411``.  Greedy search has no guard.  A
+malformed value is reported by the first guard that reads it; a command
+that checks no guard ignores it.  Exceeding a guard is always a loud error.
 
 ``verify`` decides MDS by one of three routes: none for Reed-Solomon
 exponents {0..k-1} (every minor is a Vandermonde determinant), the serial
@@ -39,15 +42,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from typing import Optional, Sequence
 
 from . import families, jsonio
-from .certify import CODEWORD_GUARD, non_rs_certificate
+from .certify import non_rs_certificate
 from .codec import decode_erasures
 from .conditions import (
-    SUBSET_GUARD,
     BoundQuery,
     ConditionSpec,
     ExhaustiveSearch,
@@ -138,19 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _guard_override(default: int) -> int:
-    raw = os.environ.get("MDSFORGE_GUARD")
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise FormatError(f"MDSFORGE_GUARD must be an integer, got {raw!r}")
-    if value < 1:
-        raise FormatError("MDSFORGE_GUARD must be positive")
-    return value
-
-
 def _parse_field(text: str) -> FieldContext:
     parts = text.split(",")
     try:
@@ -212,12 +200,7 @@ def _cmd_verify(args) -> int:
         embedded is not None and embedded.get("min_distance") is not None
     )
     cert = non_rs_certificate(
-        code,
-        guard=_guard_override(SUBSET_GUARD),
-        jobs=args.jobs,
-        with_min_distance=want_dist,
-        codeword_guard=_guard_override(CODEWORD_GUARD),
-        cross_check=args.cross_check,
+        code, jobs=args.jobs, with_min_distance=want_dist, cross_check=args.cross_check
     )
     obj = jsonio.certificate_to_obj(cert)
     _emit(obj)
@@ -228,7 +211,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    guard = _guard_override(SUBSET_GUARD)
     if args.code is not None:
         code, _ = jsonio.load_code(args.code)
         ctx = code.ctx
@@ -252,7 +234,7 @@ def _cmd_check(args) -> int:
         r = args.r if args.r is not None else 1
     delta = _parse_point(ctx, args.delta) if args.delta is not None else None
     spec = ConditionSpec(k=k, r=r, delta=delta)
-    holds, witness = check_esym(ctx, points, spec, guard)
+    holds, witness = check_esym(ctx, points, spec)
     _emit(
         {
             "holds": holds,
@@ -282,7 +264,7 @@ def _cmd_search(args) -> int:
             "no monomial code file carries a nonzero delta; search without -o"
         )
     if args.strategy == "exhaustive":
-        strategy = ExhaustiveSearch(_guard_override(SUBSET_GUARD))
+        strategy = ExhaustiveSearch()
     elif args.strategy == "random":
         strategy = RandomSearch(seed=args.seed, max_attempts=args.max_attempts)
     else:

@@ -41,19 +41,41 @@ test a candidate by one bit of the top row; :func:`check_esym` pushes its
 points last first and reads the walk's witness from the kept rows.  Off
 that route, a search walks block 0 of :func:`check_esym`'s walk over the
 candidate followed by the points taken: the k-subsets through it.
+
+Every scan refuses past the subset guard: C(n, k) for the k-subsets of n
+points, and C(q, n) for the sets an exhaustive search tries.  Random search
+meets it in each :func:`check_esym`; greedy has none.  A guard reads
+MDSFORGE_GUARD, through :func:`guard_in_force`, when it is checked.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from math import comb, inf, log10
 from typing import Any, Callable, Optional, Sequence, Union
 
-from .errors import InvalidParamsError, TooLargeError
+from .errors import FormatError, InvalidParamsError, TooLargeError
 from .field import FieldContext, FieldElement
 
 SUBSET_GUARD = 10**7
+
+
+def guard_in_force(default: int) -> int:
+    """MDSFORGE_GUARD when it is set, else `default`: the one place the
+    package reads the environment, at the moment a guard is checked."""
+    raw = os.environ.get("MDSFORGE_GUARD")
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        raise FormatError(f"MDSFORGE_GUARD must be an integer, got {raw!r}")
+    if value < 1:
+        raise FormatError("MDSFORGE_GUARD must be positive")
+    return value
+
 
 #: :func:`_by_sums` takes the bitsets only when C(n, k) >= SUM_TABLE_RATIO *
 #: n*k*m*ceil(q/64), their word operations.  On passing sets (medians of 7,
@@ -171,10 +193,7 @@ def _esym_step(
 
 
 def check_esym(
-    ctx: FieldContext,
-    points: Sequence[FieldElement],
-    spec: ConditionSpec,
-    guard: int = SUBSET_GUARD,
+    ctx: FieldContext, points: Sequence[FieldElement], spec: ConditionSpec
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Test e_r(S) != delta for every k-subset S of the points.
 
@@ -184,7 +203,7 @@ def check_esym(
     and the condition holds vacuously.
     """
     n = len(points)
-    _require_subset_count(n, spec.k, guard)
+    _require_subset_count(n, spec.k)
     if _by_sums(ctx, n, spec):
         witness = _first_sum_subset(ctx, points, spec)
     else:
@@ -230,9 +249,10 @@ def _first_sum_subset(
     return tuple(witness)
 
 
-def _require_subset_count(n: int, k: int, guard: int) -> int:
-    """C(n, k), the number of k-subsets a scan visits; refuses past `guard`."""
+def _require_subset_count(n: int, k: int) -> int:
+    """C(n, k), the number of k-subsets a scan visits; refuses past the guard in force."""
     total = comb(n, k)
+    guard = guard_in_force(SUBSET_GUARD)
     if total > guard:
         raise TooLargeError(f"C({n},{k}) = {total} exceeds subset guard {guard}")
     return total
@@ -320,11 +340,9 @@ class ExhaustiveSearch:
     """Backtrack through the n-subsets of the field in colex order.
 
     Returns the first passing set in that order; None is a proof that no
-    n-subset of the field passes.  `guard` caps both C(q, n), the sets
-    searched, and C(n, k), the subsets of one set.
+    n-subset of the field passes.  The subset guard in force caps both
+    C(q, n), the sets searched, and C(n, k), the subsets of one set.
     """
-
-    guard: int = SUBSET_GUARD
 
 
 @dataclass(frozen=True)
@@ -467,8 +485,8 @@ def search_eval_set(
     ctx.elements()  # refuses a field past the enumeration guard
 
     if isinstance(strategy, ExhaustiveSearch):
-        _require_subset_count(q, n, strategy.guard)  # the sets searched
-        _require_subset_count(n, spec.k, strategy.guard)
+        _require_subset_count(q, n)  # the sets searched
+        _require_subset_count(n, spec.k)
         next_free, lowest, push, pop = _candidate_stack(ctx, n, spec)
         values: list[int] = []  # the colex backtrack of the module docstring
         v = lowest(q, n - 1)

@@ -266,7 +266,8 @@ def lift_parity_columns(h: MatrixFq, k: int) -> EvalCode:
     the counter index h_1 + h_2 p^mb + ... + h_rho p^(mb (rho-1))
     -- an F_p-linear bijection, so k columns sum to zero in the big field
     exactly when they sum to zero columnwise.  The all-k-subset-sums-nonzero
-    condition is re-checked at runtime rather than trusted.
+    condition is re-checked at runtime, under the subset guard in force,
+    rather than trusted.
     """
     base = h.ctx
     ncols = h.cols

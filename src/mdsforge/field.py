@@ -55,8 +55,7 @@ FieldElement = int
 #: uses elsewhere, GF(1000003), is far below it.
 MAX_FIELD_SIZE = 1 << 32
 
-#: Full-field enumeration refuses to run past this many elements unless the
-#: caller raises the guard explicitly.
+#: Full-field enumeration refuses to run past this many elements.
 ENUMERATION_GUARD = 1 << 24
 
 #: Extension fields with at most this many elements get exp/log tables,
@@ -406,9 +405,11 @@ class FieldContext:
 
     # -- misc ----------------------------------------------------------------
 
-    def elements(self, guard: int = ENUMERATION_GUARD) -> range:
-        if self.q > guard:
-            raise TooLargeError(f"field of size {self.q} exceeds enumeration guard {guard}")
+    def elements(self) -> range:
+        if self.q > ENUMERATION_GUARD:
+            raise TooLargeError(
+                f"field of size {self.q} exceeds enumeration guard {ENUMERATION_GUARD}"
+            )
         return range(self.q)
 
     def __eq__(self, other) -> bool:

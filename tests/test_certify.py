@@ -123,11 +123,12 @@ def test_k_greater_than_n_rejected():
         mds_exhaustive(g)
 
 
-def test_subset_guard_trips():
+def test_subset_guard_trips(monkeypatch):
     ctx = make_field(13)
     g = generator_matrix(make_code(ctx, range(6), (0, 1, 3)))
+    monkeypatch.setenv("MDSFORGE_GUARD", "5")
     with pytest.raises(TooLargeError, match=r"C\(6,3\) = 20 exceeds subset guard 5"):
-        mds_exhaustive(g, guard=5)
+        mds_exhaustive(g)
 
 
 def test_schur_dim_two_paths_agree():
@@ -289,9 +290,10 @@ def test_mds_weight_distribution_closed_form():
 def test_weight_distribution_check_catches_a_moved_codeword(monkeypatch):
     code = make_code(make_field(13), range(6), (0, 1, 3))
     walk = certify.min_distance_bruteforce
+    monkeypatch.setenv("MDSFORGE_GUARD", str(certify.CODEWORD_GUARD))
 
-    def moved(code, guard=certify.CODEWORD_GUARD):
-        d, dist = walk(code, guard)
+    def moved(code):
+        d, dist = walk(code)
         return d, dist[:5] + (dist[5] - 1, dist[6] + 1)
 
     monkeypatch.setattr(certify, "min_distance_bruteforce", moved)
@@ -306,9 +308,10 @@ def test_min_distance_check_catches_a_lost_light_codeword(monkeypatch):
     code = make_code(make_field(13), [1, 12, 2, 3, 4, 5, 6, 7], (0, 2, 4))
     n, k = code.n, code.k
     walk = certify.min_distance_bruteforce
+    monkeypatch.setenv("MDSFORGE_GUARD", str(certify.CODEWORD_GUARD))
 
-    def heavier(code, guard=certify.CODEWORD_GUARD):
-        _, dist = walk(code, guard)
+    def heavier(code):
+        _, dist = walk(code)
         light = sum(dist[1 : n - k + 1])
         dist = (dist[0],) + (0,) * (n - k) + (dist[n - k + 1] + light,) + dist[n - k + 2 :]
         return n - k + 1, dist
@@ -575,9 +578,10 @@ def codes_near_rs(draw):
 @example(counter_code(make_field(7), [0, 1, 2], (1, 2, 3)))  # lambda_1 = 1 with r = k
 def test_every_route_matches_minors(code):
     gen = generator_matrix(code)
-    guard = conditions.SUBSET_GUARD
-    decision = certify._mds_decision(code, gen, guard, 1, False)
-    assert decision == certify._mds_by_minors(gen, guard)
+    with pytest.MonkeyPatch.context() as mp:  # hypothesis runs the body many times
+        mp.setenv("MDSFORGE_GUARD", str(conditions.SUBSET_GUARD))
+        decision = certify._mds_decision(code, gen, 1, False)
+        assert decision == certify._mds_by_minors(gen)
 
 
 def refuse(*args, **kwargs):
@@ -593,20 +597,24 @@ def test_reed_solomon_route_scans_nothing(monkeypatch):
         (conditions, "first_failing_subset"),
     ]:
         monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setenv("MDSFORGE_GUARD", str(conditions.SUBSET_GUARD))
     gen = generator_matrix(code)
-    assert certify._mds_decision(code, gen, conditions.SUBSET_GUARD, 2, False) == (True, None)
+    assert certify._mds_decision(code, gen, 2, False) == (True, None)
     cert = non_rs_certificate(code, jobs=2)
     assert (cert.is_mds, cert.failing_columns, cert.verdict) == (True, None, VERDICT_RS_CONSISTENT)
 
 
 def test_reed_solomon_route_keeps_the_subset_guard(capsys, tmp_path, monkeypatch):
     code = make_code(make_field(13), range(12), range(4))  # C(12,4) = 495
+    monkeypatch.setenv("MDSFORGE_GUARD", "494")
     with pytest.raises(TooLargeError, match="C\\(12,4\\) = 495"):
-        non_rs_certificate(code, guard=494)
-    assert non_rs_certificate(code, guard=495).is_mds
+        non_rs_certificate(code)
+    monkeypatch.setenv("MDSFORGE_GUARD", "495")
+    assert non_rs_certificate(code).is_mds
     wide = make_code(make_field(13), range(2), range(3))
+    monkeypatch.setenv("MDSFORGE_GUARD", str(conditions.SUBSET_GUARD))
     with pytest.raises(InvalidParamsError):
-        certify._mds_decision(wide, generator_matrix(wide), conditions.SUBSET_GUARD, 1, False)
+        certify._mds_decision(wide, generator_matrix(wide), 1, False)
     path = tmp_path / "rs.json"
     path.write_text(canonical_dumps(code_to_obj(code)))
     monkeypatch.setenv("MDSFORGE_GUARD", "494")
@@ -616,10 +624,11 @@ def test_reed_solomon_route_keeps_the_subset_guard(capsys, tmp_path, monkeypatch
 
 def test_cross_check_runs_on_the_reed_solomon_route(monkeypatch):
     code = make_code(make_field(13), range(6), range(3))
+    monkeypatch.setenv("MDSFORGE_GUARD", str(conditions.SUBSET_GUARD))
     seen = []
 
-    def minors(mat, guard):
-        seen.append(guard)
+    def minors(mat):
+        seen.append(conditions.guard_in_force(conditions.SUBSET_GUARD))
         return (False, (0, 1, 2))
 
     monkeypatch.setattr(certify, "_mds_by_minors", minors)

@@ -576,6 +576,91 @@ def test_guard_env_caps_the_subsets_of_an_exhaustive_search(capsys, monkeypatch)
     assert "C(13,6) = 1716 exceeds subset guard 1000" in err
 
 
+def test_guard_env_lets_construct_lift_past_the_subset_guard(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "c67.json"
+    argv = ["construct", "cor411", "--r", "6", "--k", "7", "-o", str(path)]
+    monkeypatch.delenv("MDSFORGE_GUARD", raising=False)
+    assert run(capsys, *argv) == (
+        2, "", "error: C(64,7) = 621216192 exceeds subset guard 10000000\n")
+    monkeypatch.setenv("MDSFORGE_GUARD", "1000000000")
+    assert run(capsys, *argv)[0] == 0
+    assert run(capsys, "verify", str(path)) == (0, (
+        '{"k":7,"mds":true,"min_distance":null,"n":64,"schur_dim":14,'
+        '"verdict":"non_rs","witness":null}\n'), "")
+
+
+def test_guard_env_caps_each_random_attempt(capsys, monkeypatch):
+    monkeypatch.setenv("MDSFORGE_GUARD", "5")
+    assert run(capsys, "search", "--field", "13", "--n", "5", "--k", "3",
+               "--strategy", "random") == (2, "", "error: C(5,3) = 10 exceeds subset guard 5\n")
+
+
+#: guard site: (argv with {code} standing for a cor44(13, 3, 6) code file,
+#: the exponents written into that file or None to keep {0, 1, 3}, the count
+#: T the guard is checked against, and the refusal under MDSFORGE_GUARD = T - 1)
+GUARD_SITES = {
+    "check": (["check", "--field", "13", "--points", *map(str, range(10)), "--k", "3"], None,
+              120, "C(10,3) = 120 exceeds subset guard 119"),
+    "verify-reed-solomon": (["verify", "{code}"], [0, 1, 2],
+                            20, "C(6,3) = 20 exceeds subset guard 19"),
+    "verify-e_r": (["verify", "{code}"], None, 20, "C(6,3) = 20 exceeds subset guard 19"),
+    "verify-elimination": (["verify", "{code}"], [0, 1, 4],
+                           20, "C(6,3) = 20 exceeds subset guard 19"),
+    "cross-check": (["verify", "{code}", "--cross-check"], [0, 1, 4],
+                    20, "C(6,3) = 20 exceeds subset guard 19"),
+    "min-distance": (["verify", "{code}", "--min-distance"], None,
+                     2197, "q^k = 2197 exceeds codeword guard 2196"),
+    "search-sets": (["search", "--field", "13", "--n", "6", "--k", "3"], None,
+                    1716, "C(13,6) = 1716 exceeds subset guard 1715"),
+    "search-subsets": (["search", "--field", "11", "--n", "11", "--k", "5"], None,
+                       462, "C(11,5) = 462 exceeds subset guard 461"),
+    "search-random": (["search", "--field", "13", "--n", "5", "--k", "3", "--strategy", "random"],
+                      None, 10, "C(5,3) = 10 exceeds subset guard 9"),
+    "construct-hamming-lift": (["construct", "hamming-lift", "--r", "3", "--base-q", "2",
+                                "--k", "3"], None, 56, "C(8,3) = 56 exceeds subset guard 55"),
+}
+
+
+@pytest.mark.parametrize("argv, exponents, count, message", GUARD_SITES.values(),
+                         ids=GUARD_SITES.keys())
+def test_guard_env_passes_at_the_count_and_refuses_one_below(capsys, tmp_path, monkeypatch,
+                                                             argv, exponents, count, message):
+    path, doc = construct_cor44(capsys, tmp_path)
+    if exponents is not None:
+        path.write_text(canonical_dumps({**doc, "exponents": exponents}))
+    argv = [str(path) if a == "{code}" else a for a in argv]
+    monkeypatch.delenv("MDSFORGE_GUARD", raising=False)
+    unguarded = run(capsys, *argv)
+    assert unguarded[0] != 2 and unguarded[2] == ""
+    monkeypatch.setenv("MDSFORGE_GUARD", str(count))
+    assert run(capsys, *argv) == unguarded
+    monkeypatch.setenv("MDSFORGE_GUARD", str(count - 1))
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, reads_a_guard", [
+    (["construct", "hamming-lift", "--r", "3", "--base-q", "2", "--k", "3"], True),
+    (["construct", "cor411", "--r", "4", "--k", "5"], True),
+    (["search", "--field", "13", "--n", "5", "--k", "3", "--strategy", "random"], True),
+    (["construct", "cor44", "--p", "13", "--k", "3", "--n", "6"], False),
+    (["search", "--field", "13", "--n", "5", "--k", "3", "--strategy", "greedy"], False),
+    (["bound", "--q", "13", "--n", "6", "--k", "3"], False),
+    (["encode", "{code}", "--message", "[1,2,3]"], False),
+], ids=["hamming-lift", "cor411", "random", "cor44", "greedy", "bound", "encode"])
+def test_malformed_guard_env_is_reported_where_a_guard_reads_it(capsys, tmp_path, monkeypatch,
+                                                                argv, reads_a_guard):
+    path, _ = construct_cor44(capsys, tmp_path)
+    argv = [str(path) if a == "{code}" else a for a in argv]
+    monkeypatch.delenv("MDSFORGE_GUARD", raising=False)
+    unguarded = run(capsys, *argv)
+    monkeypatch.setenv("MDSFORGE_GUARD", "junk")
+    if reads_a_guard:
+        assert run(capsys, *argv) == (
+            2, "", "error: MDSFORGE_GUARD must be an integer, got 'junk'\n")
+    else:
+        assert run(capsys, *argv) == unguarded
+
+
 @pytest.mark.parametrize("args, field", [
     (["thm412", "--p", "3", "--m", "3000000", "--k", "4", "--n", "10"], "GF(3^3000000)"),
     (["thm415", "--p", "7", "--m", "2000000", "--k", "3", "--n", "6"], "GF(7^2000000)"),

@@ -118,10 +118,11 @@ def test_check_vacuous_when_too_few_points():
     assert ok and witness is None
 
 
-def test_check_guard():
+def test_check_guard(monkeypatch):
     ctx = make_field(163)
+    monkeypatch.setenv("MDSFORGE_GUARD", "10")
     with pytest.raises(TooLargeError, match=r"C\(30,10\) = 30045015 exceeds subset guard 10"):
-        check_esym(ctx, scalars(ctx, range(30)), ConditionSpec(k=10), guard=10)
+        check_esym(ctx, scalars(ctx, range(30)), ConditionSpec(k=10))
 
 
 def test_check_matches_brute_scan():
@@ -295,8 +296,9 @@ def test_route_follows_the_cost_ratio(monkeypatch):
         check_esym(ctx, points, ConditionSpec(k=5))
     # the subset guard comes first on the table route too
     monkeypatch.setattr(conditions, "SUM_TABLE_RATIO", 0)
+    monkeypatch.setenv("MDSFORGE_GUARD", "10")
     with pytest.raises(TooLargeError, match="exceeds subset guard 10"):
-        check_esym(ctx, points, ConditionSpec(k=5), guard=10)
+        check_esym(ctx, points, ConditionSpec(k=5))
 
 
 def test_shift_transform_example():
@@ -426,10 +428,11 @@ def test_exhaustive_search_result_satisfies_condition():
     assert ok
 
 
-def test_exhaustive_guard():
+def test_exhaustive_guard(monkeypatch):
     ctx = make_field(163)
+    monkeypatch.setenv("MDSFORGE_GUARD", "100")
     with pytest.raises(TooLargeError, match=r"C\(163,20\) = \d+ exceeds subset guard 100"):
-        search_eval_set(ctx, 20, ConditionSpec(k=3), ExhaustiveSearch(guard=100))
+        search_eval_set(ctx, 20, ConditionSpec(k=3), ExhaustiveSearch())
 
 
 @settings(max_examples=80, deadline=None)

@@ -174,10 +174,11 @@ def test_enumerate_field():
     assert len(set(elems)) == 9
 
 
-def test_enumerate_guard_trips():
+def test_enumerate_guard_trips(monkeypatch):
     ctx = make_field(2, 5)
+    monkeypatch.setattr(field, "ENUMERATION_GUARD", 16)
     with pytest.raises(TooLargeError):
-        ctx.elements(guard=16)
+        ctx.elements()
 
 
 def test_pow_conventions():

@@ -10,8 +10,11 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def run_script(name, *args, guard=None):
     env = dict(os.environ)
+    env.pop("MDSFORGE_GUARD", None)
+    if guard is not None:
+        env["MDSFORGE_GUARD"] = guard
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
@@ -32,6 +35,25 @@ def test_certify_families_certifies_the_whole_batch():
             assert int(d) == n - k + 1, shape
             walked += 1
     assert walked == 6
+
+
+def test_certify_families_prints_guard_refusals_under_the_env_guard():
+    done = run_script("certify_families.py", "--min-distance", guard="2000")
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    rows = {line.split()[0]: line for line in done.stdout.splitlines()[2:]}
+    assert len(rows) == 12
+    assert rows["cor44(13,3,6)"].split()[5] == "-"  # q^k = 2197 > 2000
+    assert rows["thm415(11,2,3,34)"].endswith("C(34,3) = 5984 exceeds subset guard 2000")
+    assert rows["cor411(4,5)"].endswith("C(16,5) = 4368 exceeds subset guard 2000")
+
+
+def test_scripts_refuse_a_malformed_env_guard():
+    for name, args in [("certify_families.py", []),
+                       ("length_probe.py", ["--field", "7", "--k", "3"])]:
+        done = run_script(name, *args, guard="junk")
+        assert (done.returncode, done.stdout) == (2, ""), name
+        assert done.stderr == "error: MDSFORGE_GUARD must be an integer, got 'junk'\n", name
 
 
 def test_length_probe_runs_greedy():
@@ -76,6 +98,15 @@ def test_length_probe_prints_guard_past_the_subset_guard():
     lines = done.stdout.splitlines()
     assert lines[3].split() == ["7", "guard"]
     assert lines[-1] == "exhaustive: longest set found n = 6"
+
+
+def test_length_probe_random_strategy_honors_the_env_guard():
+    # C(6, 3) = 20 random subsets pass a guard of 20; C(7, 3) = 35 do not
+    done = run_script("length_probe.py", "--field", "13", "--k", "3",
+                      "--strategies", "random", guard="20")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[2].split()[0] == "6" and lines[3].split() == ["7", "guard"]
 
 
 @pytest.mark.parametrize(
