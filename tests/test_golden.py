@@ -21,7 +21,11 @@ representation must print the same bytes at the boundary.  The
 `--min-distance` cases and the codeword-guard refusals were recorded while
 the codeword walk still visited every partial codeword, one for each scalar
 multiple, so a walk over one partial per scalar class must print the same
-bytes and refuse the same codes.
+bytes and refuse the same codes.  The three `--min-distance` cases past k = 3
+(RS[12,5] over GF(2^4), RS[9,6] over GF(3^2) and the GF(5) code with
+E = {0,1,2,4}) were recorded while that walk still counted every partial
+codeword of the last two rows one at a time, so counting a parent's
+codewords from where lines cross must print the same bytes.
 """
 
 import contextlib
@@ -51,6 +55,13 @@ RS_13 = counter_code(13, 1, [0, 12, 1, 11, 2, 10, 3, 9, 4, 8, 5, 7], range(4))
 FAILING = counter_code(13, 1, [1, 12, 2, 3, 4, 5, 6, 7], (0, 2, 4))
 # x^5 = x on GF(5): rank 1, and every nonzero codeword has weight 4 > n - k + 1
 RANK_ONE = counter_code(5, 1, [1, 2, 3, 4], (1, 5))
+# Reed-Solomon codes past k = 3: a field of characteristic 2 and one of odd
+# characteristic with m = 2
+RS_16 = counter_code(2, 4, range(12), range(5))
+RS_9 = counter_code(3, 2, range(9), range(6))
+# not MDS, d = 1: the columns of x and -x agree on x^0, x^2 and x^4, and x^4
+# vanishes only at the point 0
+E0124 = counter_code(5, 1, range(5), (0, 1, 2, 4))
 
 #: (id, code, extra verify arguments, stdout sha256, exit code)
 CASES = [
@@ -82,6 +93,12 @@ CASES = [
      "cefe22390232ed162aa91f3678f052cdc6aaa0b399968af33569f7c5c56a8e04", 1),
     ("rank-one-e15-gf5-min-distance", RANK_ONE, ["--min-distance"],
      "32c94b0ddc768a2e96fa95ffdc0fb5b80a45e06e07e5585e5491f49537bc41c2", 1),
+    ("rs-12-5-gf2^4-min-distance", RS_16, ["--min-distance"],
+     "753543f38c116805bae832d5811ae66ffa8cec2ce2940081da6135136609b0ae", 0),
+    ("rs-9-6-gf3^2-min-distance", RS_9, ["--min-distance"],
+     "f16f1dd596d7ff7cf101aeab8935cfa7eb043eac8f6aba5501ca876b7ff2a8ee", 0),
+    ("e0124-gf5-min-distance", E0124, ["--min-distance"],
+     "f4891cd2c345834cc0cb1fc378543abc91cecfe9ae78a838c363c3463eba32f0", 1),
 ]
 
 #: (id, code, MDSFORGE_GUARD or None, stderr) of `verify --min-distance` on
