@@ -43,22 +43,25 @@ rows, once from the exponent sumset E+E, whose size it is when
 max(E+E) < n -- and the two must agree.
 
 On request (``with_min_distance``) :func:`min_distance_bruteforce` counts
-the weights of all q^k codewords, walking one partial codeword per class
-of scalar multiples.  For an MDS code that weight distribution is fixed by
-n, k and q (:func:`mds_weight_distribution`), so the count is checked
-against the closed form.  For a code with a witness and a full-rank
-generator, the count must show a nonzero codeword of weight at most n - k.
-Any disagreement is an error.
+the weights of all q^k codewords.  It walks one message per class of
+scalar multiples and, for k >= 3, stops two rows short: the q^2 codewords
+of each such parent are counted at once from the points where the lines
+on which its coordinates vanish cross.  For an MDS code that weight
+distribution is fixed by n, k and q (:func:`mds_weight_distribution`), so
+the count is checked against the closed form.  For a code with a witness
+and a full-rank generator, the count must show a nonzero codeword of
+weight at most n - k.  Any disagreement is an error.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, isqrt
 from operator import getitem
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import conditions
 from .conditions import ConditionSpec, _require_subset_count, guard_in_force
@@ -236,28 +239,44 @@ def schur_square_dim_from_exponents(code: EvalCode) -> int:
 def min_distance_bruteforce(code: EvalCode) -> tuple[int, tuple[int, ...]]:
     """Minimum nonzero weight and full weight distribution, by enumeration.
 
-    Exact over all q^k codewords, but it walks only one partial codeword
-    per scalar class.  A partial codeword c is a combination of the first
-    k - 1 generator rows, and the q codewords c + s*g of the last row g are
-    counted together.  Scaling a message by a nonzero constant changes no
-    weight, so the partials whose first nonzero coefficient is 1 stand for
-    all others: each is counted q - 1 times, and the zero partial once.
-    That is (q^(k-1) - 1)/(q - 1) + 1 partials in place of q^(k-1).
+    Exact over all q^k codewords, though it visits few of them.  Scaling a
+    message by a nonzero constant changes no weight, so only the messages
+    whose first nonzero coefficient is 1 are counted, each for its q - 1
+    multiples, and the zero message once.  Scaling a column by a nonzero
+    constant changes no weight either, so every column with g_j != 0, g the
+    last generator row, is scaled by 1/g_j: g becomes 1 on those `hit`
+    coordinates and stays 0 on the rest.  For a partial codeword c, a
+    combination of the other rows, c + t*g then vanishes at a hit
+    coordinate j for t = -c_j alone, and at any other coordinate for every
+    t when c_j = 0, so the histogram of c's hit entries gives the weights
+    of all q codewords c + t*g.
 
-    Weights do not change when a column is scaled by a nonzero constant
-    either, so every column with g_j != 0 is scaled by 1/g_j: the last row
-    becomes 1 on those `hit` coordinates and stays 0 on the rest.  Then
-    c + s*g vanishes at a hit coordinate j for exactly one s, namely -c_j,
-    and at any other coordinate for every s when c_j = 0.  The histogram
-    of the partial's own hit entries therefore gives the weight of all q
-    codewords: a value v that occurs h times makes the codeword with
-    s = -v lighter by h, and the s whose -s occurs nowhere leave the base
-    weight.
+    For k >= 3 the walk stops one row earlier, at the parents P: the
+    combinations of rows 0..k-3 whose leading coefficient is 1.  With R
+    the row k-2, scaled alike, the q^2 codewords P + s*R + t*g are the
+    points (s, t) of GF(q)^2, and hit coordinate j vanishes exactly on the
+    line t = -(P_j + s*R_j).  A coordinate that is not hit is the point 0,
+    where R vanishes too (its exponent is at least 1), so it is zero at
+    every (s, t) when P_j = 0 and nowhere otherwise.  A point on m lines
+    thus has weight b - m, with b = n less the zeros of P off the hit
+    coordinates.  Lines a, b with R_a != R_b cross at one point,
+    s = (P_b - P_a)/(R_a - R_b) and P_a + s*R_a = -t, and a point on m >= 2
+    lines is reached by m(m-1)/2 such pairs, so one Counter over the
+    crossing points gives the number of points on each m >= 2.  Each line
+    has q points, which gives the points on one line, and the rest lie on
+    none.  Lines with R_a = R_b are parallel unless P_a = P_b, where they
+    coincide; a parent with a coinciding pair counts its q children
+    P + s*R by their histograms, as the class led by R and the zero
+    message always are.  s and P_a + s*R_a are linear in P, so rows 0..k-3
+    carry them for every crossing pair after their n entries (one inverse
+    per pair), and the walk forms them for each parent:
+    (q^(k-2) - 1)/(q - 1) parents of one Counter over at most n(n-1)/2
+    keys each, plus two single partials.
 
     A class whose leading 1 sits at row j is walked from row j itself,
-    adding every multiple of rows j+1..k-2 in turn.  Elements are counter
-    indices (zero is 0), so the walk does no field arithmetic: the
-    multiples of rows 1..k-2 are index lists (row 0 only ever leads, with
+    adding every multiple of the rows after it in turn.  Elements are
+    counter indices (zero is 0), so the walk does no field arithmetic: the
+    multiples of rows 1 and up are index lists (row 0 only ever leads, with
     coefficient 1), and a partial takes the next row through the rows of
     an addition table.  Row a of that table is built the first time a
     partial that has children holds a, and that partial alone reads the
@@ -282,10 +301,6 @@ def min_distance_bruteforce(code: EvalCode) -> tuple[int, tuple[int, ...]]:
     hit = n - last.count(0)
     scale = [ctx.inv(last[j]) for j in order[:hit]] + [1] * (n - hit)
     rows = [[mul(row[j], c) for j, c in zip(order, scale)] for row in gen.entries[:-1]]
-    # s * row as 0 + s*row: one comprehension per multiple, not n calls
-    zero = [0] * n
-    multiples = {i: [add_multiple(zero, s, rows[i]) for s in elements] for i in range(1, k - 1)}
-    plus: list[Optional[list[int]]] = [None] * q  # plus[a][b] is a + b
     dist = [0] * (n + 1)
 
     def count(partials: list[list[int]]) -> None:
@@ -298,21 +313,66 @@ def min_distance_bruteforce(code: EvalCode) -> tuple[int, tuple[int, ...]]:
             for h in hits.values():
                 dist[base - h] += 1
 
-    def walk(level: int, partials: list[list[int]]) -> None:
-        if level == k - 2:
-            count(partials)
+    if k < 3:
+        top, leaves = k - 2, count
+    else:
+        top, r = k - 3, rows[k - 2]
+        minus_one = ctx.neg(1)
+        cross = [(a, b) for a, b in combinations(range(hit), 2) if r[a] != r[b]]
+        lo, hi = [a for a, _ in cross], [b for _, b in cross]
+        r_lo = [r[a] for a in lo]
+        inverse = list(map(ctx.inv, add_multiple(r_lo, minus_one, [r[b] for b in hi])))
+        # each row i <= k-3 gains s, then P_a + s*R_a, over the crossing pairs
+        for i in range(top + 1):
+            row = rows[i]
+            p_lo = [row[a] for a in lo]
+            s_at = list(map(mul, add_multiple([row[b] for b in hi], minus_one, p_lo), inverse))
+            row += s_at
+            row += add_multiple(p_lo, 1, list(map(mul, s_at, r_lo)))
+        lines, mid = hit * q, n + len(cross)
+        parallel = len(cross) < hit * (hit - 1) // 2
+
+        def leaves(parents: Iterable[list[int]]) -> None:
+            for parent in parents:
+                if parallel and len(set(zip(parent[:hit], r))) < hit:  # a line twice
+                    head = parent[:n]
+                    count([add_multiple(head, s, r) for s in elements])
+                    continue
+                base = n - parent[hit:n].count(0)
+                crossings = zip(parent[n:mid], parent[mid:])
+                on_one, on_none = lines, q * q
+                for pairs, points in Counter(Counter(crossings).values()).items():
+                    m = (1 + isqrt(1 + 8 * pairs)) // 2
+                    dist[base - m] += points
+                    on_one -= m * points
+                    on_none -= points
+                dist[base - 1] += on_one
+                dist[base] += on_none - on_one
+
+        count([r])
+
+    # s * row as 0 + s*row: one comprehension per multiple, not n calls
+    multiples = {
+        i: [add_multiple([0] * len(rows[i]), s, rows[i]) for s in elements]
+        for i in range(1, top + 1)
+    }
+    plus: list[Optional[list[int]]] = [None] * q  # plus[a][b] is a + b
+
+    def walk(level: int, partials: Iterable[list[int]]) -> None:
+        if level == top:
+            leaves(partials)
             return
         for partial in partials:
             for a in set(partial):
                 if plus[a] is None:
                     plus[a] = add_multiple([a] * q, 1, elements)
             sums = [plus[a] for a in partial]
-            walk(level + 1, [list(map(getitem, sums, mult)) for mult in multiples[level + 1]])
+            walk(level + 1, (list(map(getitem, sums, mult)) for mult in multiples[level + 1]))
 
-    for lead in range(k - 1):
+    for lead in range(top + 1):
         walk(lead, [rows[lead]])
     dist[:] = [(q - 1) * a for a in dist]
-    count([zero])
+    count([[0] * n])
     min_w = next((w for w in range(1, n + 1) if dist[w]), 0)
     return min_w, tuple(dist)
 

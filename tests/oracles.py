@@ -7,10 +7,10 @@ subset expansion, binomials through factorial ratios.  When a production
 routine and its oracle disagree, the oracle wins the argument.
 
 The section "Test fixtures" at the end is the exception: generalized
-Reed-Solomon generators, duals, null spaces, e_r by recurrence and
-subset-sum counts.  Only tests need them, and they are built on the
-package's own arithmetic and elimination, so they are fixtures, not
-independent oracles.
+Reed-Solomon generators, duals, null spaces, e_r by recurrence, subset-sum
+counts and the scalar-class codeword walk.  Only tests need them, and they
+are built on the package's own arithmetic and elimination, so they are
+fixtures, not independent oracles.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import itertools
 from dataclasses import dataclass
 from functools import reduce
 from math import factorial
-from typing import Sequence
+from operator import getitem
+from typing import Optional, Sequence
 
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
@@ -29,7 +30,7 @@ from mdsforge.errors import (
     MdsforgeError,
     TooLargeError,
 )
-from mdsforge.evalcode import EvalSet
+from mdsforge.evalcode import EvalCode, EvalSet, generator_matrix
 from mdsforge.field import FieldContext, FieldElement
 from mdsforge.matrix import MatrixFq, extend_basis, matrix_from_rows, null_vectors, rank
 
@@ -340,3 +341,62 @@ def subset_sum_counts(
                 if cnt:
                     cur[add_index(s_idx, t)] += cnt
     return table
+
+
+def scalar_class_weight_distribution(code: EvalCode) -> tuple[int, tuple[int, ...]]:
+    """Minimum nonzero weight and weight distribution, one partial at a time.
+
+    The codeword walk that ``certify.min_distance_bruteforce`` used before
+    it counted a parent's q^2 codewords from crossing lines.  It walks one
+    partial codeword per scalar class: a partial c is a combination of the
+    first k - 1 generator rows whose first nonzero coefficient is 1, and
+    the q codewords c + s*g of the last row g are counted together from the
+    histogram of c's entries.  Each partial stands for q - 1 scalar
+    multiples, and the zero partial for itself.  Columns are scaled so that
+    g is 1 on its nonzero (`hit`) coordinates; c + s*g then vanishes at a
+    hit coordinate j for s = -c_j only, and at any other coordinate for
+    every s when c_j = 0.  A class led by row j is walked from row j,
+    adding every multiple of rows j+1..k-2 through the rows of a lazily
+    built addition table.  No codeword guard.
+    """
+    ctx = code.ctx
+    k, n, q = code.k, code.n, ctx.q
+    gen = generator_matrix(code)
+    elements, mul, add_multiple = ctx.elements(), ctx.mul, ctx.add_multiple
+    last = gen.entries[k - 1]
+    order = sorted(range(n), key=lambda j: last[j] == 0)
+    hit = n - last.count(0)
+    scale = [ctx.inv(last[j]) for j in order[:hit]] + [1] * (n - hit)
+    rows = [[mul(row[j], c) for j, c in zip(order, scale)] for row in gen.entries[:-1]]
+    zero = [0] * n
+    multiples = {i: [add_multiple(zero, s, rows[i]) for s in elements] for i in range(1, k - 1)}
+    plus: list[Optional[list[int]]] = [None] * q  # plus[a][b] is a + b
+    dist = [0] * (n + 1)
+
+    def count(partials: list[list[int]]) -> None:
+        for partial in partials:
+            base = n - partial[hit:].count(0)
+            hits: dict[int, int] = {}
+            for v in partial[:hit]:
+                hits[v] = hits.get(v, 0) + 1
+            dist[base] += q - len(hits)
+            for h in hits.values():
+                dist[base - h] += 1
+
+    def walk(level: int, partials: list[list[int]]) -> None:
+        if level == k - 2:
+            count(partials)
+            return
+        for partial in partials:
+            for a in set(partial):
+                if plus[a] is None:
+                    plus[a] = add_multiple([a] * q, 1, elements)
+            sums = [plus[a] for a in partial]
+            walk(level + 1, [list(map(getitem, sums, mult)) for mult in multiples[level + 1]])
+
+    for lead in range(k - 1):
+        walk(lead, [rows[lead]])
+    dist[:] = [(q - 1) * a for a in dist]
+    count([zero])
+    min_w = next((w for w in range(1, n + 1) if dist[w]), 0)
+    return min_w, tuple(dist)

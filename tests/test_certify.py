@@ -57,6 +57,7 @@ from oracles import (
     ext_rank,
     grs_generator,
     mat_vec,
+    scalar_class_weight_distribution,
 )
 
 
@@ -253,9 +254,45 @@ def counter_code(ctx, vals, exps):
 @example(code=counter_code(WD_FIELDS[0], [0, 1], (0, 1, 2, 3)))
 # every row zero: each class is the zero partial again
 @example(code=counter_code(WD_FIELDS[2], [0], (1, 2, 3, 4)))
+# the columns of x and -x agree on x^0 and x^2 over x^4, so their lines
+# coincide at the parent x^0, and x^4 misses the point 0
+@example(code=counter_code(WD_FIELDS[0], range(5), (0, 1, 2, 4)))
+# lines of the parent x^0 that meet three or more at one point
+@example(code=counter_code(WD_FIELDS[1], range(6), (0, 1, 3)))
+# k = n = 4, all of GF(5)^4: six parents, the point 0, and three lines with
+# distinct slopes that some parents send through one point
+@example(code=counter_code(WD_FIELDS[0], range(4), (0, 1, 2, 3)))
 def test_weight_distribution_matches_oracle(code):
     rows = [list(r) for r in generator_matrix(code).entries]
     assert min_distance_bruteforce(code)[1] == brute_weight_distribution(code.ctx, rows)
+
+
+#: Fields and the largest q^k of `pm_codes`: GF(5) is the one that reaches
+#: k = 6 under the ceiling, GF(2^4) has -x = x.
+PM_FIELDS = [make_field(5), make_field(7), make_field(11), make_field(13), make_field(2, 4),
+             make_field(3, 2)]
+PM_CODEWORDS = 1 << 16
+
+
+@st.composite
+def pm_codes(draw):
+    """Codes of k = 3..6 whose points come in pairs x, -x more often than not,
+    so that two columns often agree on every row but the odd exponents."""
+    ctx = draw(st.sampled_from(PM_FIELDS))
+    k = draw(st.integers(3, max(k for k in range(3, 7) if ctx.q**k <= PM_CODEWORDS)))
+    base = draw(st.lists(st.integers(0, ctx.q - 1), min_size=1, max_size=ctx.q, unique=True))
+    pairs = draw(st.lists(st.booleans(), min_size=len(base), max_size=len(base)))
+    vals = list(dict.fromkeys(
+        v for x, pair in zip(base, pairs) for v in ((x, ctx.neg(x)) if pair else (x,))
+    ))
+    exps = draw(st.lists(st.integers(0, 2 * ctx.q), min_size=k, max_size=k, unique=True))
+    return counter_code(ctx, vals, tuple(sorted(exps)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(code=pm_codes())
+def test_crossing_line_count_matches_the_scalar_class_walk(code):
+    assert min_distance_bruteforce(code) == scalar_class_weight_distribution(code)
 
 
 @pytest.mark.parametrize(
