@@ -21,6 +21,8 @@ across workers:
   affects: the walk is split by lowest index, first index 0 in this
   process and then one task per first index over at most one worker
   process per CPU, and the tasks after the first witness are cancelled.
+  Each task carries the field context and the columns, so no worker
+  rebuilds the field.
   Below :data:`PARALLEL_MIN_SUBSETS` (20 000) subsets, where a pool costs
   more than it saves, the scan stays serial.
 
@@ -58,6 +60,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from math import comb, isqrt
 from operator import getitem
@@ -148,18 +151,6 @@ def _first_dependent_subset(
 #: subsets 121 ms against 123 ms, 27 405 subsets 121 ms against 85 ms.
 PARALLEL_MIN_SUBSETS = 20_000
 
-#: The field, columns and k of the scan a worker process serves.
-_worker_scan: Optional[tuple] = None
-
-
-def _start_worker(p: int, m: int, modulus, cols, k: int) -> None:
-    global _worker_scan
-    _worker_scan = (FieldContext(p, m, modulus), cols, k)
-
-
-def _scan_first_index(first: int) -> Optional[tuple[int, ...]]:
-    return _first_dependent_subset(*_worker_scan, first)
-
 
 def mds_exhaustive(mat: MatrixFq, jobs: int = 1) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Test every k-subset of columns for independence (k = row count).
@@ -169,9 +160,11 @@ def mds_exhaustive(mat: MatrixFq, jobs: int = 1) -> tuple[bool, Optional[tuple[i
     Works for any matrix; it is the elimination route of the certificate.
     `jobs` > 1 splits the scan by lowest index: this process scans first
     index 0 itself, so a witness there starts no pool, and first indices
-    1..n-k go to at most one worker process per CPU, each of which builds
-    the field once.  Results are read in first-index order, so the first
-    witness read is the lex-first one; the tasks after it are cancelled.
+    1..n-k go to at most one worker process per CPU.  Each task carries the
+    field context and the columns, so no worker rebuilds the field or keeps
+    scan state of its own.  Results are read in first-index order, so the
+    first witness read is the lex-first one; the tasks after it are
+    cancelled.
     Scans of fewer than :data:`PARALLEL_MIN_SUBSETS` subsets stay serial.
     The answer is independent of the split.
     """
@@ -191,14 +184,9 @@ def mds_exhaustive(mat: MatrixFq, jobs: int = 1) -> tuple[bool, Optional[tuple[i
 
     from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
 
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_start_worker,
-        initargs=(ctx.p, ctx.m, ctx.modulus, cols, k),
-    ) as pool:
-        tasks = [pool.submit(_scan_first_index, f) for f in range(1, n - k + 1)]
-        for task in tasks:
-            witness = task.result()
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        scan = partial(_first_dependent_subset, ctx, cols, k)
+        for witness in pool.map(scan, range(1, n - k + 1)):
             if witness is not None:
                 pool.shutdown(cancel_futures=True)
                 return (False, witness)

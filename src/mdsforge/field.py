@@ -3,8 +3,8 @@
 A field element is its counter index: the int d0 + d1*p + ... +
 d_{m-1}*p^(m-1) stands for d0 + d1*z + ... + d_{m-1}*z^(m-1), where z is
 the residue class of x.  So 0 is zero, 1 is one, the prime-subfield value c
-is c itself, and equal elements are equal ints.  Digit tuples appear only
-at the boundary: :meth:`FieldContext.element` reads one and
+is c itself, and equal elements are equal ints.  Digit arrays appear only
+at the boundary: :func:`mdsforge.jsonio.element_from_obj` reads one and
 :meth:`FieldContext.digits` writes one.
 
 A :class:`FieldContext` does the arithmetic on indices in one of three ways:
@@ -43,7 +43,7 @@ z^(p^m) = z and z^(p^(m/d)) - z is a unit for every prime d dividing m.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import InvalidParamsError, TooLargeError
 
@@ -222,7 +222,8 @@ def prime_power(q: int) -> Optional[tuple[int, int]]:
     return (p, m) if q == 1 else None
 
 
-#: Kinds of arithmetic; see the module docstring.
+#: Kinds of arithmetic; see the module docstring.  They are compared by
+#: value: an unpickled context holds a copy of its tag, not the same object.
 _PRIME, _TABLE, _POLY = "prime", "table", "poly"
 
 
@@ -233,7 +234,7 @@ class FieldContext:
     arithmetic of the module docstring.  A table field builds its tables
     (``_exp``, ``_log`` and, for odd p, ``_zech``) on their first use, and
     nothing else in the context changes after construction, so instances
-    may be shared freely across threads.
+    may be shared freely across threads and pickled to worker processes.
     """
 
     __slots__ = ("p", "m", "q", "modulus", "_kind", "_exp", "_log", "_zech")
@@ -300,17 +301,6 @@ class FieldContext:
         """The m little-endian base-p digits of the element a."""
         return tuple(_digits(self.p, self.m, a))
 
-    def element(self, digits: Iterable[int]) -> FieldElement:
-        """The element with these m little-endian digits, each taken mod p."""
-        d = [int(x) % self.p for x in digits]
-        if len(d) != self.m:
-            raise ValueError(f"expected {self.m} digits, got {len(d)}")
-        return _index(self.p, d)
-
-    def scalar(self, c: int) -> FieldElement:
-        """The prime-subfield element c (an integer taken mod p)."""
-        return c % self.p
-
     def from_int(self, v: int) -> FieldElement:
         """The element with counter index v, which is v itself."""
         if not 0 <= v < self.q:
@@ -321,7 +311,7 @@ class FieldContext:
 
     def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
         kind = self._kind
-        if kind is _PRIME:
+        if kind == _PRIME:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
@@ -329,7 +319,7 @@ class FieldContext:
             return b
         if not b:
             return a
-        if kind is _TABLE:
+        if kind == _TABLE:
             log = self._log
             la = log[a]
             return self._exp[la + self._zech[log[b] - la]]
@@ -349,10 +339,10 @@ class FieldContext:
 
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
         kind = self._kind
-        if kind is _TABLE:
+        if kind == _TABLE:
             log = self._log
             return self._exp[log[a] + log[b]]
-        if kind is _PRIME:
+        if kind == _PRIME:
             return a * b % self.p
         return _poly_mul(self.p, self.modulus, a, b)
 
@@ -360,9 +350,9 @@ class FieldContext:
         if not a:
             raise ZeroDivisionError("inverse of zero")
         kind = self._kind
-        if kind is _TABLE:
+        if kind == _TABLE:
             return self._exp[self.q - 1 - self._log[a]]
-        if kind is _PRIME:
+        if kind == _PRIME:
             return pow(a, -1, self.p)
         p = self.p
         return _index(p, _poly_inverse(_digits(p, self.m, a), self.modulus, p))
@@ -375,11 +365,11 @@ class FieldContext:
         field of odd p, x + c*y is x * (1 + c*y/x) by one Zech lookup.
         """
         kind, p = self._kind, self.p
-        if kind is _PRIME:
+        if kind == _PRIME:
             return [(x + c * y) % p for x, y in zip(v, b)]
         if not c:
             return list(v)
-        if kind is _POLY:
+        if kind == _POLY:
             add, mul = self.add, self.mul
             return [add(x, mul(c, y)) if y else x for x, y in zip(v, b)]
         exp, log = self._exp, self._log

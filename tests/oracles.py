@@ -6,9 +6,9 @@ enumeration with naive arithmetic, symmetric functions through direct
 subset expansion, binomials through factorial ratios.  When a production
 routine and its oracle disagree, the oracle wins the argument.
 
-The section "Test fixtures" at the end is the exception: generalized
-Reed-Solomon generators, duals, null spaces, e_r by recurrence, subset-sum
-counts and the scalar-class codeword walk.  Only tests need them, and they
+The section "Test fixtures" at the end is the exception: element
+constructors, generalized Reed-Solomon generators, duals, null spaces, e_r
+by recurrence, subset-sum counts and the scalar-class codeword walk.  Only tests need them, and they
 are built on the package's own arithmetic and elimination, so they are
 fixtures, not independent oracles.
 """
@@ -47,7 +47,7 @@ def prime_rank(p: int, rows: list[list[int]]) -> int:
 def _mult_matrix(ctx: FieldContext, a: FieldElement) -> list[list[int]]:
     """m x m matrix over Z_p of multiplication by a, columns = a * z^j."""
     cols = []
-    z = ctx.element(1 if i == 1 else 0 for i in range(ctx.m)) if ctx.m > 1 else 1
+    z = element(ctx, [1 if i == 1 else 0 for i in range(ctx.m)]) if ctx.m > 1 else 1
     power = 1
     for _ in range(ctx.m):
         cols.append(ctx.digits(ctx.mul(a, power)))
@@ -181,7 +181,7 @@ def shift_transform(
     """
     if k % ctx.p == 0:
         raise ValueError(f"characteristic {ctx.p} divides k={k}")
-    shift = ctx.mul(delta, ctx.inv(ctx.scalar(k)))
+    shift = ctx.mul(delta, ctx.inv(scalar(ctx, k)))
     return tuple(ctx.sub(t, shift) for t in points)
 
 
@@ -217,6 +217,19 @@ def poly_from_roots(ctx: FieldContext, roots: list[FieldElement]) -> list[FieldE
 
 # ---------------------------------------------------------------------------
 # Test fixtures: helpers on the package's own arithmetic, not oracles
+
+
+def scalar(ctx: FieldContext, c: int) -> FieldElement:
+    """The prime-subfield element c (an integer taken mod p)."""
+    return c % ctx.p
+
+
+def element(ctx: FieldContext, digits) -> FieldElement:
+    """The element with these m little-endian digits, each taken mod p."""
+    d = [int(x) % ctx.p for x in digits]
+    if len(d) != ctx.m:
+        raise ValueError(f"expected {ctx.m} digits, got {len(d)}")
+    return sum(x * ctx.p**i for i, x in enumerate(d))
 
 
 class ZeroMultiplierError(MdsforgeError):

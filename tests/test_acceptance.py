@@ -52,6 +52,7 @@ from oracles import (
     esym_value,
     grs_generator,
     poly_from_roots,
+    scalar,
     subset_sum_counts,
 )
 
@@ -309,7 +310,7 @@ def test_criterion_11_erasure_codec():
         assert len(patterns) == 20
         for positions in patterns:
             for _ in range(100):
-                msg = tuple(ctx.scalar(rng.randrange(13)) for _ in range(3))
+                msg = tuple(scalar(ctx, rng.randrange(13)) for _ in range(3))
                 word = list(encode(code, msg))
                 for pos in positions:
                     word[pos] = ERASED

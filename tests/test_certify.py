@@ -7,6 +7,8 @@ import itertools
 import json
 import os
 import random
+import subprocess
+import sys
 import tempfile
 from math import comb
 
@@ -57,12 +59,13 @@ from oracles import (
     ext_rank,
     grs_generator,
     mat_vec,
+    scalar,
     scalar_class_weight_distribution,
 )
 
 
 def scalars(ctx, values):
-    return tuple(ctx.scalar(v) for v in values)
+    return tuple(scalar(ctx, v) for v in values)
 
 
 def make_code(ctx, point_vals, exps):
@@ -166,7 +169,7 @@ def test_column_scaling_invariance():
     ctx = make_field(13)
     code = make_code(ctx, range(6), (0, 1, 3))
     g = generator_matrix(code)
-    scales = [ctx.scalar(rng.randint(1, 12)) for _ in range(g.cols)]
+    scales = [scalar(ctx, rng.randint(1, 12)) for _ in range(g.cols)]
     scaled = matrix_from_rows(
         ctx,
         [[ctx.mul(g.entries[i][j], scales[j]) for j in range(g.cols)] for i in range(g.rows)],
@@ -516,7 +519,7 @@ def boundary_matrix(*witness_ranks):
     for witness_rank in witness_ranks:
         a, b, c = combos[witness_rank]
         for row in rows:
-            row[c] = ctx.add(ctx.mul(ctx.scalar(3), row[a]), ctx.mul(ctx.scalar(5), row[b]))
+            row[c] = ctx.add(ctx.mul(scalar(ctx, 3), row[a]), ctx.mul(scalar(ctx, 5), row[b]))
     return matrix_from_rows(ctx, rows), combos[witness_ranks[0]]
 
 
@@ -712,9 +715,8 @@ class RecordingPool:
 
     log: list = []
 
-    def __init__(self, max_workers, initializer, initargs):
+    def __init__(self, max_workers):
         self.log.append(max_workers)
-        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -722,15 +724,10 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, first):
-        log = self.log
-
-        class Task:
-            def result(self):
-                log.append(first)
-                return fn(first)
-
-        return Task()
+    def map(self, fn, firsts):
+        for first in firsts:
+            self.log.append(first)
+            yield fn(first)
 
     def shutdown(self, wait=True, cancel_futures=False):
         if cancel_futures:
@@ -744,7 +741,6 @@ def test_jobs_start_at_most_one_worker_per_cpu(monkeypatch, cpus, workers):
     serial = [mds_exhaustive(failing), mds_exhaustive(passing)]
     assert serial[0] == (False, target)
     monkeypatch.setattr(certify, "PARALLEL_MIN_SUBSETS", 0)
-    monkeypatch.setattr(certify, "_worker_scan", None)
     monkeypatch.setattr(RecordingPool, "log", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(certify.os, "cpu_count", lambda: cpus)
@@ -773,3 +769,44 @@ def test_jobs_find_a_witness_in_block_0_without_a_pool(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(certify.os, "cpu_count", lambda: 2)
     assert mds_exhaustive(gen, jobs=2) == serial
+
+
+#: Run in a fresh interpreter with the spawn start method, the default on
+#: macOS and Windows: a worker inherits nothing from the parent process, so
+#: it scans with the field context that each task carries through pickle.
+SPAWNED_SCAN = """
+import json, multiprocessing, sys
+from mdsforge import certify
+from mdsforge.evalcode import EvalCode, EvalSet, ExponentSet, generator_matrix
+from mdsforge.field import make_field
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    certify.os.cpu_count = lambda: 2
+    certify.PARALLEL_MIN_SUBSETS = 0
+    out = []
+    for (p, m), points in json.loads(sys.argv[1]):
+        code = EvalCode(make_field(p, m), EvalSet(tuple(points)), ExponentSet((0, 1, 4)))
+        gen = generator_matrix(code)
+        out.append([certify.mds_exhaustive(gen, jobs=j) for j in (1, 2)])
+    print(json.dumps(out))
+"""
+
+
+def test_jobs_through_a_spawned_pool():
+    codes = [
+        ((101, 1), list(range(8))),
+        ((101, 1), [0, 1, 3, 9, 27, 81, 41, 22]),
+        ((3, 3), [8, 23, 7, 18, 3, 10, 0]),
+        ((3, 3), [24, 14, 15, 20, 12, 6, 3]),
+    ]
+    src = os.path.dirname(os.path.dirname(certify.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", SPAWNED_SCAN, json.dumps(codes)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    answers = json.loads(run.stdout)
+    assert [serial for serial, _ in answers] == [
+        [True, None], [False, [1, 6, 7]], [True, None], [False, [3, 4, 5]]
+    ]
+    assert all(serial == split for serial, split in answers)

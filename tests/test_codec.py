@@ -12,12 +12,13 @@ from mdsforge.errors import (
 from mdsforge.evalcode import EvalCode, EvalSet, ExponentSet, encode
 from mdsforge.families import cor44
 from mdsforge.field import make_field
+from oracles import scalar
 
 
 def test_roundtrip_no_erasures():
     code = cor44(13, 3, 6)
     ctx = code.ctx
-    msg = (ctx.scalar(1), ctx.scalar(0), ctx.scalar(12))
+    msg = (scalar(ctx, 1), scalar(ctx, 0), scalar(ctx, 12))
     word = encode(code, msg)
     assert decode_erasures(code, list(word)) == msg
 
@@ -28,7 +29,7 @@ def test_roundtrip_every_erasure_pattern():
     rng = random.Random(77)
     for positions in itertools.combinations(range(6), 3):
         for _ in range(5):
-            msg = tuple(ctx.scalar(rng.randrange(13)) for _ in range(3))
+            msg = tuple(scalar(ctx, rng.randrange(13)) for _ in range(3))
             word = list(encode(code, msg))
             for pos in positions:
                 word[pos] = ERASED
@@ -66,7 +67,7 @@ def test_decode_uses_any_k_survivors():
     # erase a non-prefix pattern so the first k survivors are scattered
     code = cor44(13, 3, 6)
     ctx = code.ctx
-    msg = (ctx.scalar(7), ctx.scalar(2), ctx.scalar(9))
+    msg = (scalar(ctx, 7), scalar(ctx, 2), scalar(ctx, 9))
     word = list(encode(code, msg))
     word[0] = ERASED
     word[2] = ERASED

@@ -24,15 +24,17 @@ from mdsforge.errors import (
     InvalidParamsError,
     TooLargeError,
 )
-from mdsforge.field import make_field
+from mdsforge.field import MAX_FIELD_SIZE, make_field
 
 from oracles import (
     binom_exact,
     colex_scan,
+    element,
     esym_direct,
     esym_value,
     greedy_scan,
     poly_from_roots,
+    scalar,
     shift_transform,
     subset_scan,
     subset_sum_counts,
@@ -40,7 +42,7 @@ from oracles import (
 
 
 def scalars(ctx, values):
-    return tuple(ctx.scalar(v) for v in values)
+    return tuple(scalar(ctx, v) for v in values)
 
 
 def test_spec_validation():
@@ -68,7 +70,7 @@ def test_esym_value_small_cases():
 def test_esym_matches_direct_expansion(data):
     ctx = make_field(13)
     size = data.draw(st.integers(1, 5))
-    elems = [ctx.scalar(data.draw(st.integers(0, 12))) for _ in range(size)]
+    elems = [scalar(ctx, data.draw(st.integers(0, 12))) for _ in range(size)]
     r = data.draw(st.integers(0, size))
     assert esym_value(ctx, elems, r) == esym_direct(ctx, elems, r)
 
@@ -106,7 +108,7 @@ def test_check_order_two():
 
 def test_check_nonzero_delta():
     ctx = make_field(7)
-    spec = ConditionSpec(k=2, delta=ctx.element((3,)))
+    spec = ConditionSpec(k=2, delta=element(ctx, (3,)))
     ok, witness = check_esym(ctx, scalars(ctx, [0, 1, 2]), spec)
     assert not ok
     assert witness == (1, 2)  # 1 + 2 == 3
@@ -303,7 +305,7 @@ def test_route_follows_the_cost_ratio(monkeypatch):
 
 def test_shift_transform_example():
     ctx = make_field(7)
-    shifted = shift_transform(ctx, scalars(ctx, [0, 1, 2]), ctx.element((3,)), 3)
+    shifted = shift_transform(ctx, scalars(ctx, [0, 1, 2]), element(ctx, (3,)), 3)
     assert tuple(map(ctx.digits, shifted)) == ((6,), (0,), (1,))
 
 
@@ -316,7 +318,7 @@ def test_shift_transform_moves_target_to_zero():
         if k % 11 == 0:
             continue
         pts = scalars(ctx, rng.sample(range(11), n))
-        delta = ctx.scalar(rng.randrange(11))
+        delta = scalar(ctx, rng.randrange(11))
         shifted = shift_transform(ctx, pts, delta, k)
         before = subset_sum_counts(ctx, pts, k)[k][delta]
         after = subset_sum_counts(ctx, shifted, k)[k][0]
@@ -336,7 +338,7 @@ def test_vieta_coefficient_identity():
     ctx = make_field(13)
     for _ in range(30):
         k = rng.randint(2, 5)
-        roots = [ctx.scalar(v) for v in rng.sample(range(13), k)]
+        roots = [scalar(ctx, v) for v in rng.sample(range(13), k)]
         coeffs = poly_from_roots(ctx, roots)
         assert len(coeffs) == k + 1
         for r in range(k + 1):
@@ -566,7 +568,7 @@ def test_routes_agree_on_check_and_both_searches(field, k, delta, n, rng):
 
 def test_exhaustive_r1_search_past_the_bit_cap_walks(monkeypatch):
     ctx = make_field(13)
-    spec = ConditionSpec(k=3, delta=ctx.scalar(5))
+    spec = ConditionSpec(k=3, delta=scalar(ctx, 5))
     stacked = search_eval_set(ctx, 6, spec, ExhaustiveSearch())
     calls = []
 
@@ -584,6 +586,46 @@ def test_exhaustive_search_proves_gf16_length_10_impossible():
     # the benchmark's second proof: no 10 points of GF(16) avoid a zero 3-sum
     ctx = make_field(2, 4)
     assert search_eval_set(ctx, 10, ConditionSpec(k=3), ExhaustiveSearch()) is None
+
+
+@pytest.mark.parametrize("m,longest", [(4, (0, *range(4, 12))), (5, (0, *range(8, 24)))])
+def test_exhaustive_search_reaches_the_gf2m_frontier(monkeypatch, m, longest):
+    # distinct a, b, c with a + b + c = 0 means a + b = c lies in the set, so
+    # the set minus 0 is sum-free in F_2^m: it misses its own translate by
+    # any of its points, so it has at most 2^(m-1) of them, and 0 can always
+    # join (Green and Ruzsa, Israel J. Math. 147, 2005)
+    monkeypatch.setenv("MDSFORGE_GUARD", "1000000000")  # C(32,18) ~ 4.7e8 for m = 5
+    ctx, spec, n = make_field(2, m), ConditionSpec(k=3), 2 ** (m - 1) + 1
+    found = search_eval_set(ctx, n, spec, ExhaustiveSearch())
+    assert found == longest
+    assert subset_scan(ctx, found, 3, 1) is None
+    assert search_eval_set(ctx, n + 1, spec, ExhaustiveSearch()) is None
+
+
+def test_inputs_over_the_subset_guard_and_under_the_bit_cap_pass_the_ratio_test():
+    # r = 1 points under the bit cap have n*k <= SUM_TABLE_MAX_BITS // q.  If
+    # the ratio cost of every such input stays below SUBSET_GUARD, then any
+    # of them with C(n, k) over the guard takes the sum table; otherwise
+    # _by_sums would send it to a walk that refuses it.
+    ratio, bits = conditions.SUM_TABLE_RATIO, conditions.SUM_TABLE_MAX_BITS
+    guard = conditions.SUBSET_GUARD
+    small = 1 << 16
+    sieve = bytearray([1]) * small
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(small) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, small, i)))
+    worst = 0
+    for p in (i for i in range(small) if sieve[i]):
+        q, m = p, 1
+        while q <= MAX_FIELD_SIZE:
+            worst = max(worst, ratio * (bits // q) * m * -(-q // 64))
+            q, m = q * p, m + 1
+    assert worst < guard
+    # every larger prime is a field of its own (m = 1), and there
+    # floor(bits/p) * ceil(p/64) <= bits/64 + bits/p
+    assert small * small >= MAX_FIELD_SIZE
+    assert ratio * (bits / 64 + bits / small) < guard
 
 
 def test_exhaustive_subset_guard_comes_before_the_search():

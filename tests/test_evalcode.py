@@ -16,11 +16,17 @@ from mdsforge.evalcode import (
 )
 from mdsforge.field import make_field
 
-from oracles import GrsSpec, ZeroMultiplierError, grs_generator, is_arithmetic_progression
+from oracles import (
+    GrsSpec,
+    ZeroMultiplierError,
+    grs_generator,
+    is_arithmetic_progression,
+    scalar,
+)
 
 
 def scalars(ctx, values):
-    return tuple(ctx.scalar(v) for v in values)
+    return tuple(scalar(ctx, v) for v in values)
 
 
 def make_code(ctx, point_vals, exps):
@@ -86,7 +92,7 @@ def test_encode_is_linear(data):
     code = make_code(ctx, range(6), (0, 1, 3))
     draw = lambda: scalars(ctx, [data.draw(st.integers(0, 12)) for _ in range(3)])
     u, v = draw(), draw()
-    c = ctx.scalar(data.draw(st.integers(0, 12)))
+    c = scalar(ctx, data.draw(st.integers(0, 12)))
     left = encode(code, tuple(ctx.add(a, ctx.mul(c, b)) for a, b in zip(u, v)))
     right = tuple(
         ctx.add(a, ctx.mul(c, b)) for a, b in zip(encode(code, u), encode(code, v))

@@ -30,6 +30,7 @@ from mdsforge.families import (
     thm63,
     thm64,
 )
+from oracles import element
 
 
 def test_registry_names():
@@ -292,7 +293,7 @@ def test_lift_produces_field_elements_from_columns():
 
 def test_lift_rejects_duplicate_columns():
     ctx = make_field(2)
-    one, zero = ctx.element((1,)), ctx.element((0,))
+    one, zero = element(ctx, (1,)), element(ctx, (0,))
     h = matrix_from_rows(ctx, [[one, one], [zero, zero]])
     with pytest.raises(InvalidParamsError, match="two columns lift to the same field element"):
         lift_parity_columns(h, 1)

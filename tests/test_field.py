@@ -4,7 +4,9 @@ Irreducibility of moduli is checked against sympy's ``Poly.is_irreducible``.
 """
 
 import gc
+import pickle
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,8 @@ from mdsforge.field import (
     make_field,
     prime_power,
 )
+from mdsforge.matrix import matrix_from_rows, rank
+from oracles import element, scalar
 
 X = symbols("x")
 
@@ -183,7 +187,7 @@ def test_enumerate_guard_trips(monkeypatch):
 
 def test_pow_conventions():
     ctx = make_field(13)
-    e = ctx.element
+    e = partial(element, ctx)
     assert ctx.pow(e((2,)), 6) == e((12,))
     assert ctx.pow(e((0,)), 0) == e((1,))  # 0^0 = 1 by the evaluation convention
     assert ctx.pow(e((0,)), 5) == e((0,))
@@ -331,23 +335,57 @@ def test_inverse_of_zero_fails():
 
 def test_scalar_embedding():
     ctx = make_field(3, 2)
-    assert ctx.digits(ctx.scalar(0)) == (0, 0)
-    assert ctx.digits(ctx.scalar(4)) == (1, 0)  # reduced mod p
-    assert ctx.digits(ctx.scalar(-1)) == (2, 0)
+    assert ctx.digits(scalar(ctx, 0)) == (0, 0)
+    assert ctx.digits(scalar(ctx, 4)) == (1, 0)  # reduced mod p
+    assert ctx.digits(scalar(ctx, -1)) == (2, 0)
 
 
 def test_element_validation():
     ctx = make_field(3, 2)
     with pytest.raises(ValueError):
-        ctx.element((1,))  # wrong digit count
-    assert ctx.digits(ctx.element((3, 0))) == (0, 0)  # digits normalize mod p
-    assert ctx.digits(ctx.element((-1, 1))) == (2, 1)
+        element(ctx, (1,))  # wrong digit count
+    assert ctx.digits(element(ctx, (3, 0))) == (0, 0)  # digits normalize mod p
+    assert ctx.digits(element(ctx, (-1, 1))) == (2, 1)
 
 
 def test_context_equality_and_hash():
     assert make_field(3, 2) == make_field(3, 2)
     assert make_field(3, 2) != make_field(3, 3)
     assert hash(make_field(13)) == hash(make_field(13, 1))
+
+
+@pytest.mark.parametrize("p,m,build", [
+    (101, 1, False), (3, 3, True), (3, 3, False), (2, 6, True), (73, 3, False),
+])
+def test_context_survives_a_pickle_round_trip(monkeypatch, p, m, build):
+    # a --jobs worker receives its field this way; the copy must take the
+    # same arithmetic path, not only give equal answers
+    ctx = FieldContext(p, m, make_field(p, m).modulus)  # no tables yet
+    if build:
+        ctx.mul(2, 3)
+    copy = pickle.loads(pickle.dumps(ctx))
+    assert copy == ctx and copy is not ctx
+    rng = random.Random(p**m)
+    pairs = [(rng.randrange(ctx.q), rng.randrange(1, ctx.q)) for _ in range(40)]
+    v, w = [a for a, _ in pairs], [b for _, b in pairs]
+
+    def results(f):
+        return (
+            [(f.add(a, b), f.mul(a, b), f.inv(b), f.pow(b, a)) for a, b in pairs],
+            [f.add_multiple(v, c, w) for c in (0, 1, w[0], w[1])],
+        )
+
+    expected = results(ctx)
+    if ctx.q <= TABLE_CAP and m > 1:
+        monkeypatch.setattr(field, "_poly_mul", poly_refused)
+    assert results(copy) == expected
+    if m == 1:
+        rows = [[rng.randrange(p) for _ in range(6)] for _ in range(4)] * 2
+        assert rank(matrix_from_rows(copy, rows)) == rank(matrix_from_rows(ctx, rows)) == 4
+
+
+def poly_refused(*args):
+    raise AssertionError("a table field took the polynomial path")
 
 
 def test_prime_power_decomposition():
@@ -375,10 +413,10 @@ def poly_reference(ctx, a, b, e):
     power = 1 if e == 0 else 0 if a == 0 else _power(lambda x, y: _poly_mul(p, mod, x, y), a, e)
     return (
         _poly_mul(p, mod, a, b),
-        None if inv is None else ctx.element(inv + [0] * (m - len(inv))),
-        ctx.element(x + y for x, y in zip(da, db)),
-        ctx.element(x - y for x, y in zip(da, db)),
-        ctx.element(-x for x in da),
+        None if inv is None else element(ctx, inv + [0] * (m - len(inv))),
+        element(ctx, [x + y for x, y in zip(da, db)]),
+        element(ctx, [x - y for x, y in zip(da, db)]),
+        element(ctx, [-x for x in da]),
         power,
     )
 

@@ -13,11 +13,11 @@ from mdsforge.errors import InvalidParamsError
 from mdsforge.field import make_field
 from mdsforge.matrix import MatrixFq, matrix_from_rows, rank, solve_square
 
-from oracles import ext_rank, mat_vec, null_space, prime_rank
+from oracles import ext_rank, mat_vec, null_space, prime_rank, scalar
 
 
 def ints(ctx, rows):
-    return matrix_from_rows(ctx, [[ctx.scalar(v) for v in row] for row in rows])
+    return matrix_from_rows(ctx, [[scalar(ctx, v) for v in row] for row in rows])
 
 
 def test_vandermonde_rank():
@@ -62,7 +62,7 @@ def test_row_column_accessors():
 def test_solve_square_roundtrip():
     ctx = make_field(13)
     a = ints(ctx, [[1, 1, 1], [1, 2, 3], [1, 4, 9]])
-    b = [ctx.scalar(v) for v in (3, 1, 7)]
+    b = [scalar(ctx, v) for v in (3, 1, 7)]
     x = solve_square(a, b)
     assert mat_vec(a, x) == tuple(b)
 
@@ -131,7 +131,7 @@ def test_rank_plus_nullity(data):
     r = data.draw(st.integers(1, 4))
     c = data.draw(st.integers(1, 4))
     rows = [
-        [ctx.scalar(data.draw(st.integers(0, 4))) for _ in range(c)] for _ in range(r)
+        [scalar(ctx, data.draw(st.integers(0, 4))) for _ in range(c)] for _ in range(r)
     ]
     m = matrix_from_rows(ctx, rows)
     ns = null_space(m)
@@ -156,10 +156,10 @@ def test_solve_or_singular(data):
     ctx = make_field(7)
     nn = data.draw(st.integers(1, 4))
     rows = [
-        [ctx.scalar(data.draw(st.integers(0, 6))) for _ in range(nn)] for _ in range(nn)
+        [scalar(ctx, data.draw(st.integers(0, 6))) for _ in range(nn)] for _ in range(nn)
     ]
     a = matrix_from_rows(ctx, rows)
-    b = [ctx.scalar(data.draw(st.integers(0, 6))) for _ in range(nn)]
+    b = [scalar(ctx, data.draw(st.integers(0, 6))) for _ in range(nn)]
     if rank(a) == nn:
         assert mat_vec(a, solve_square(a, b)) == tuple(b)
     else:
