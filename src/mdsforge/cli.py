@@ -33,9 +33,15 @@ subsets stay serial, since a pool costs more than it saves there.
 route, from a from-scratch rank of every k-subset of columns, and fails
 loudly if the two differ.
 
+``check`` reads a code file or ``--field`` with ``--points``, and refuses
+both at once; ``--k``, ``--r`` and ``--delta`` override a code file's.
+
 ``main`` builds its argument parser once per process, on its first call,
 and reuses it: each call parses into a fresh namespace and writes help and
 usage errors to the ``sys.stdout``/``sys.stderr`` in force at that call.
+Each call is one parse: an argv that opens with a command name goes to that
+command's parser alone (:func:`_parse`), with the output, errors and exit
+codes of the top-level parser's two passes.
 """
 
 from __future__ import annotations
@@ -136,7 +142,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p_decode.add_argument("code")
     p_decode.add_argument("--received", required=True)
 
+    parser.commands = sub.choices  # name -> subparser, read by _parse
     return parser
+
+
+def _parse(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)`` in one argparse pass.
+
+    The top-level parser hands every token after a command name to that
+    command's parser unread, so an argv that opens with a command name goes
+    straight to the subparser; tokens it does not know are refused as the
+    top-level parser refuses them.  Any other argv goes through the
+    top-level parser.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def _parse_field(text: str) -> FieldContext:
@@ -212,6 +240,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_check(args) -> int:
     if args.code is not None:
+        if args.field is not None or args.points is not None:
+            raise FormatError("check takes a code file, or --field with --points, not both")
         code, _ = jsonio.load_code(args.code)
         ctx = code.ctx
         points = list(code.points.points)
@@ -338,9 +368,8 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:

@@ -57,7 +57,7 @@ from math import comb, inf, log10
 from typing import Any, Callable, Optional, Sequence, Union
 
 from .errors import FormatError, InvalidParamsError, TooLargeError
-from .field import FieldContext, FieldElement
+from .field import TABLE_CAP, FieldContext, FieldElement
 
 SUBSET_GUARD = 10**7
 
@@ -401,6 +401,10 @@ def _walk_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Callable, ...]:
     return next_free, lowest, points.append, points.pop
 
 
+#: q -> (masks, moves) of :func:`_sum_stack`, for fields of at most TABLE_CAP elements.
+_ROTATIONS: dict[int, tuple[dict, dict]] = {}
+
+
 def _sum_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Any, ...]:
     """(next_free, lowest, push, pop, rows) for r = 1 on a stack of
     subset-sum rows.
@@ -417,11 +421,14 @@ def _sum_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Any, ...]:
     rotates up by c * p^i bits.  The mask of a rotation holds the low
     block - c * p^i bits of every block; it is built by doubling, once per
     (block, shift).  The moves of v are kept, since the backtrack pushes
-    each value many times; pop drops the top row.
+    each value many times; pop drops the top row.  A rotation depends on
+    p, q and v alone, so for q <= TABLE_CAP masks and moves stay in
+    :data:`_ROTATIONS` for the life of the process, under 1 MB per field
+    (0.55 MB for GF(2^10) with every v pushed); a larger field keeps them
+    for one call.
     """
     p, q = ctx.p, ctx.q
-    masks: dict[tuple[int, int], int] = {}
-    moves: dict[int, list] = {}
+    masks, moves = _ROTATIONS.setdefault(q, ({}, {})) if q <= TABLE_CAP else ({}, {})
     rows = [[1 << _target(ctx, spec)] + [0] * (spec.k - 1)]
 
     def rotations(v: int) -> list:

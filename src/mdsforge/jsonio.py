@@ -31,8 +31,12 @@ from .evalcode import EvalCode, EvalSet, ExponentSet
 from .field import FieldContext, FieldElement, _index, make_field
 
 
+#: One encoder for every document: ``json.dumps`` would build a new one per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return _ENCODER.encode(obj) + "\n"
 
 
 def parse_json(text: str, source: str) -> Any:

@@ -1,5 +1,6 @@
 """Command-line surface, exercised in-process through main()."""
 
+import argparse
 import concurrent.futures
 import json
 import os
@@ -243,6 +244,16 @@ def test_check_code_file_with_explicit_r(capsys, tmp_path):
     assert out == (
         '{"delta":[0],"holds":false,"k":3,"r":1,'
         '"witness":{"indices":[2,5,6],"points":[[2],[5],[6]]}}\n'
+    )
+
+
+def test_check_code_file_takes_k_r_and_delta_overrides(capsys, tmp_path):
+    path = write_rs_code(tmp_path)
+    rc, out, _ = run(capsys, "check", str(path), "--k", "2", "--r", "1", "--delta", "5")
+    assert rc == 1
+    assert out == (
+        '{"delta":[5],"holds":false,"k":2,"r":1,'
+        '"witness":{"indices":[0,5],"points":[[0],[5]]}}\n'
     )
 
 
@@ -735,6 +746,11 @@ USAGE_REFUSALS = {
                     "100", None, "C(10,3) = 120 exceeds subset guard 100"),
     "check-without-points": (["check"], None, None,
                              "check needs a code file, or --field with --points"),
+    "code-file-with-points": (["check", "{code}", "--field", "101", "--points", "1", "2", "3",
+                               "--k", "2"], None, None,
+                              "check takes a code file, or --field with --points, not both"),
+    "code-file-with-field": (["check", "{code}", "--field", "13", "--k", "2"], None, None,
+                             "check takes a code file, or --field with --points, not both"),
     "duplicate-points": (["check", "--field", "13", "--points", "1", "1", "--k", "1"], None,
                          None, "points must be distinct"),
     "field-not-int": (["check", "--field", "13,x", "--points", "1", "--k", "1"], None, None,
@@ -809,6 +825,8 @@ def test_shared_parser_carries_no_state_between_calls(capsys, tmp_path, monkeypa
         ["check", "--field", "101", "--points", "1", "2", "3", "4", "5", "--k", "3"],
         ["search", "--field", "13", "--n", "6", "--k", "3"],
         ["construct", "cor44", "--p", "13", "--k", "3", "--n", "6"],
+        ["check", "--bogus"],
+        ["bogus"],
     ]
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -817,6 +835,66 @@ def test_shared_parser_carries_no_state_between_calls(capsys, tmp_path, monkeypa
         fresh = subprocess.run([sys.executable, "-m", "mdsforge", *argv],
                                capture_output=True, text=True, env=env, timeout=60)
         assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+#: argvs that parse: every command, an abbreviated option, a negative-number
+#: point and "--"
+PARSED_ARGVS = [
+    ["construct", "cor44", "--p", "13", "--k", "3", "--n", "6", "-o", "c.json"],
+    ["verify", "c.json", "--min-distance", "--jobs", "2", "--cross-check"],
+    ["check", "--fie", "13", "--points", "-1", "2", "--k", "2", "--delta", "3"],
+    ["check", "--k", "3", "--", "c.json"],
+    ["search", "--field", "13", "--n", "6", "--k", "3", "--strategy", "random", "--seed", "-3"],
+    ["bound", "--q", "13", "--n", "6", "--k", "3", "--mI", "4", "--variant", "vieta"],
+    ["encode", "c.json", "--message", "[1,2]"],
+    ["decode", "c.json", "--received", "[null,1]"],
+]
+
+#: argvs that end the parse: usage errors (exit 2) and help (exit 0)
+REFUSED_ARGVS = [
+    [],
+    [""],
+    ["-h"],
+    ["bogus"],
+    ["check", "--bogus"],
+    ["check", "a.json", "b.json"],
+    ["check", "-h"],
+    ["verify", "c.json", "--jobs"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSED_ARGVS, ids=" ".join)
+def test_one_pass_gives_the_namespace_of_two(argv):
+    args = cli._parse(argv)
+    assert args == cli._build_parser().parse_args(argv)
+    assert args.command == argv[0]
+
+
+def parse_outcome(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", REFUSED_ARGVS, ids=repr)
+def test_one_pass_exits_and_prints_as_two(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # the help layout follows the width
+    one = parse_outcome(capsys, cli._parse, argv)
+    assert one == parse_outcome(capsys, cli._build_parser().parse_args, argv)
+    assert one[0] == (0 if "-h" in argv else 2)
+
+
+def test_a_command_argv_skips_the_top_level_parse(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser ran")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    assert run(capsys, "bound", "--q", "67", "--n", "6", "--k", "3", "--variant", "vieta")[:2] == (
+        0, '{"holds":true,"lhs":99795696,"rhs":92119104,"variant":"vieta"}\n')
+    assert run(capsys, "check", "--bogus")[0] == 2
+    with pytest.raises(AssertionError, match="top-level"):
+        main(["--help"])
 
 
 NEGATIVE_ERRORS = (errors.ConditionViolatedError, errors.InconsistentError,

@@ -24,7 +24,7 @@ from mdsforge.errors import (
     InvalidParamsError,
     TooLargeError,
 )
-from mdsforge.field import MAX_FIELD_SIZE, make_field
+from mdsforge.field import MAX_FIELD_SIZE, TABLE_CAP, make_field
 
 from oracles import (
     binom_exact,
@@ -519,6 +519,35 @@ def test_walk_stays_for_r2_searches(monkeypatch):
     for strategy in (ExhaustiveSearch(), GreedySearch()):
         with pytest.raises(AssertionError, match="switched off"):
             search_eval_set(ctx, 5, ConditionSpec(k=3, r=2), strategy)
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
+def test_rotations_kept_across_fields_give_the_oracle_answer(monkeypatch, order):
+    # r = 1 checks over four fields in turn, each on the bitsets: every call
+    # after a field's first reads that field's rotations from the memo
+    monkeypatch.setattr(conditions, "_ROTATIONS", {})
+    fields = [make_field(p, m) for p, m in [(2, 6), (3, 4), (101, 1), (2, 4)]][::order]
+    rng = random.Random(7)
+    for _ in range(6):
+        for ctx in fields:
+            n, k = rng.randint(4, 10), rng.randint(1, 4)
+            points = tuple(rng.sample(range(ctx.q), n))
+            delta = rng.randrange(ctx.q)
+            spec = ConditionSpec(k=k, delta=delta)
+            witness = subset_scan(ctx, points, k, 1, delta)
+            assert on_route("table", check_esym, ctx, points, spec) == (witness is None, witness)
+    assert sorted(conditions._ROTATIONS) == [16, 64, 81, 101]
+
+
+def test_rotations_are_kept_only_for_fields_up_to_the_table_cap(monkeypatch):
+    monkeypatch.setattr(conditions, "_ROTATIONS", {})
+    for p, m in [(2, 10), (2, 11), (1009, 2)]:
+        ctx = make_field(p, m)
+        points = (1, 2, ctx.q - 1, ctx.q // 3, 5, 7)
+        spec = ConditionSpec(k=2)
+        witness = subset_scan(ctx, points, 2, 1)
+        assert on_route("table", check_esym, ctx, points, spec) == (witness is None, witness)
+    assert list(conditions._ROTATIONS) == [TABLE_CAP] == [2**10]
 
 
 def test_greedy_r1_search_follows_the_route_rule(monkeypatch):
