@@ -41,7 +41,7 @@ from .families import (
     thm415,
 )
 from .field import FieldContext, FieldElement, make_field
-from .matrix import MatrixFq, matrix_from_rows, rank, solve_square
+from .matrix import MatrixFq, matrix_from_rows, rank
 
 __version__ = "0.1.0"
 
@@ -79,7 +79,6 @@ __all__ = [
     "schur_square_dim",
     "schur_square_dim_from_exponents",
     "search_eval_set",
-    "solve_square",
     "sumset",
     "thm412",
     "thm415",

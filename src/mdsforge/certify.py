@@ -18,13 +18,15 @@ across workers:
 * lambda_1 >= 2: :func:`mds_exhaustive`, the subset walk
   :func:`conditions.first_failing_subset` with the elimination step
   :func:`matrix.extend_basis`.  It is the only route that ``jobs``
-  affects: the walk is split by lowest index, first index 0 in this
-  process and then one task per first index over at most one worker
-  process per CPU, and the tasks after the first witness are cancelled.
-  Each task carries the field context and the columns, so no worker
-  rebuilds the field.
-  Below :data:`PARALLEL_MIN_SUBSETS` (20 000) subsets, where a pool costs
-  more than it saves, the scan stays serial.
+  affects, and it has one loop whatever ``jobs`` says.  The subsets are
+  split into blocks by lowest index.  Block 0 is scanned in this process,
+  so a witness there starts no pool.  Blocks 1..n-k are then read in order
+  through one ``map`` until the first witness.  That ``map`` is a process
+  pool's, over min(jobs, CPUs) workers, when there are two or more workers
+  and at least :data:`PARALLEL_MIN_SUBSETS` subsets, and the builtin one
+  otherwise; a pool's tasks after the witness are cancelled.  Each task
+  carries the field context and the columns, so no worker rebuilds the
+  field.
 
 Every route keeps the subset guard, so a code too long to scan is refused
 on all of them.  The subset and codeword guards are read when they are
@@ -59,6 +61,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
@@ -99,22 +102,18 @@ class Certificate:
 
 
 def _first_dependent_subset(
-    ctx: FieldContext,
-    cols: list[tuple[FieldElement, ...]],
-    k: int,
-    first: Optional[int] = None,
+    ctx: FieldContext, cols: list[tuple[FieldElement, ...]], k: int, first: int
 ) -> Optional[tuple[int, ...]]:
-    """First k-subset of columns in lex order whose columns are dependent.
+    """First dependent k-subset of columns, in lex order, with lowest index `first`.
 
-    With `first` set, only the subsets whose lowest index is `first` are
-    scanned.  Returns None when every scanned subset is independent.  This
-    is the subset walk :func:`conditions.first_failing_subset` with an
-    elimination step: the state of a prefix of fewer than k - 1 columns is
-    its :func:`matrix.extend_basis` basis, and a dependent prefix is
-    rejected.  The state of a (k-1)-column prefix is the normal vector of
-    its span from :func:`matrix.null_vectors`, 1 at the one free
-    coordinate, so a leaf costs k - 1 multiply-adds: the last column is
-    dependent exactly when its dot product with the normal vanishes.
+    Returns None when every such subset is independent.  This is the subset
+    walk :func:`conditions.first_failing_subset` with an elimination step:
+    the state of a prefix of fewer than k - 1 columns is its
+    :func:`matrix.extend_basis` basis, and a dependent prefix is rejected.
+    The state of a (k-1)-column prefix is the normal vector of its span
+    from :func:`matrix.null_vectors`, 1 at the one free coordinate, so a
+    leaf costs k - 1 multiply-adds: the last column is dependent exactly
+    when its dot product with the normal vanishes.
     """
     mul, add = ctx.mul, ctx.add
     last = k - 1
@@ -158,37 +157,29 @@ def mds_exhaustive(mat: MatrixFq, jobs: int = 1) -> tuple[bool, Optional[tuple[i
     Returns (True, None) when the code generated by `mat` is MDS, otherwise
     (False, w) with w the lexicographically first dependent column subset.
     Works for any matrix; it is the elimination route of the certificate.
-    `jobs` > 1 splits the scan by lowest index: this process scans first
-    index 0 itself, so a witness there starts no pool, and first indices
-    1..n-k go to at most one worker process per CPU.  Each task carries the
-    field context and the columns, so no worker rebuilds the field or keeps
-    scan state of its own.  Results are read in first-index order, so the
-    first witness read is the lex-first one; the tasks after it are
-    cancelled.
-    Scans of fewer than :data:`PARALLEL_MIN_SUBSETS` subsets stay serial.
-    The answer is independent of the split.
+    `jobs` only chooses the ``map`` of the block loop described in the
+    module docstring, so the answer does not depend on it.
     """
     k, n = mat.rows, mat.cols
     if k > n:
         raise InvalidParamsError(f"k={k} exceeds n={n}")
     total = _require_subset_count(n, k)
-    ctx = mat.ctx
     cols = [mat.column(j) for j in range(n)]
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers <= 1 or total < PARALLEL_MIN_SUBSETS:
-        witness = _first_dependent_subset(ctx, cols, k)
-        return (witness is None, witness)
-    witness = _first_dependent_subset(ctx, cols, k, 0)
+    scan = partial(_first_dependent_subset, mat.ctx, cols, k)
+    witness = scan(0)
     if witness is not None:  # found before any worker starts
         return (False, witness)
+    workers = min(jobs, os.cpu_count() or 1)
+    pool = None
+    if workers > 1 and total >= PARALLEL_MIN_SUBSETS:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
 
-    from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        scan = partial(_first_dependent_subset, ctx, cols, k)
-        for witness in pool.map(scan, range(1, n - k + 1)):
+        pool = ProcessPoolExecutor(max_workers=workers)
+    with pool or nullcontext():
+        for witness in (pool.map if pool else map)(scan, range(1, n - k + 1)):
             if witness is not None:
-                pool.shutdown(cancel_futures=True)
+                if pool:
+                    pool.shutdown(cancel_futures=True)
                 return (False, witness)
     return (True, None)
 

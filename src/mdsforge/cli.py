@@ -4,7 +4,8 @@ Subcommands: construct, verify, check, search, bound, encode, decode.
 Results go to stdout as canonical JSON; diagnostics go to stderr.  Exit
 status: 0 for success / condition verified, 1 for a mathematically negative
 outcome (not MDS, condition fails, bound false, nothing found, undecodable
-word), 2 for usage or input-format errors.
+word), 2 for usage or input-format errors, 3 for a fault of the program
+(such as two derivations that disagree), with its traceback on stderr.
 
 The environment variable MDSFORGE_GUARD (a positive integer) replaces every
 subset and codeword guard, read where the guard is checked
@@ -24,11 +25,9 @@ both give the same witness and the same set.  ``search -o`` exits 2 on a
 nonzero ``--delta`` before searching: a code file's exponents
 {0..k} minus {k-r} stand for e_r != 0 only.  ``bound``
 exits 2 when no field has q elements, q > 2^32 or a side is too long to
-print.  ``--jobs N`` (N >= 1) affects only the elimination route: it
-splits the scan by the lowest index of a subset, scans index 0 itself and
-the rest over at most min(N, CPUs) worker processes, and stops at the
-first witness, without changing any result.  Scans of fewer than 20 000
-subsets stay serial, since a pool costs more than it saves there.
+print.  ``--jobs N`` (N >= 1) affects only the elimination route and
+changes no result; :mod:`mdsforge.certify` describes the one block loop it
+feeds.
 ``verify --cross-check`` derives the MDS answer a second time, on every
 route, from a from-scratch rank of every k-subset of columns, and fails
 loudly if the two differ.
@@ -80,6 +79,7 @@ from .jsonio import canonical_dumps, write_atomic
 
 USAGE_ERROR = 2
 NEGATIVE = 1
+INTERNAL_ERROR = 3
 
 
 @functools.cache
@@ -381,6 +381,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if isinstance(exc, (ConditionViolatedError, InconsistentError, TooManyErasuresError)):
             return NEGATIVE
         return USAGE_ERROR
+    except Exception:
+        # a bug, such as an internal disagreement: exit 1 would read as "not MDS"
+        import traceback  # loaded only for a bug
+
+        traceback.print_exc()
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -1,10 +1,13 @@
 """Erasure-only encoding and decoding for evaluation codes.
 
 A received word is the codeword with some positions replaced by None (the
-erasure marker).  Decoding solves the k x k system on the first k surviving
-coordinates -- any k suffice once the code is MDS -- then re-encodes and
-insists the result matches every surviving symbol, so symbol corruption is
-reported rather than silently absorbed.
+erasure marker).  Decoding does not assume the code is MDS.  It inserts the
+survivors' equations, in position order, into one echelon basis until k of
+them are independent, and takes the message from that basis's null vector.
+An equation that contradicts the ones before it, or fewer than k
+independent equations, is reported.  The message is then re-encoded and
+must match every surviving symbol, so symbol corruption is reported rather
+than silently absorbed.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Optional, Sequence
 from .errors import InconsistentError, InvalidParamsError, TooManyErasuresError
 from .evalcode import EvalCode, encode, generator_matrix
 from .field import FieldElement
-from .matrix import matrix_from_rows, solve_square
+from .matrix import extend_basis, null_vectors
 
 ERASED = None
 
@@ -24,8 +27,9 @@ ReceivedWord = Sequence[Optional[FieldElement]]
 def decode_erasures(code: EvalCode, received: ReceivedWord) -> tuple[FieldElement, ...]:
     """Recover the message from a partially erased codeword.
 
-    Raises TooManyErasuresError past n - k erasures and InconsistentError
-    when the survivors fit no codeword of the code.
+    Raises TooManyErasuresError past n - k erasures or when the survivors'
+    columns have rank below k, and InconsistentError when the survivors fit
+    no codeword of the code.
     """
     ctx = code.ctx
     n, k = code.n, code.k
@@ -35,10 +39,25 @@ def decode_erasures(code: EvalCode, received: ReceivedWord) -> tuple[FieldElemen
     erased = n - len(survivors)
     if erased > n - k:
         raise TooManyErasuresError(f"{erased} erasures exceed correctable limit {n - k}")
-    gen = generator_matrix(code)
-    use = survivors[:k]
-    system = matrix_from_rows(ctx, [tuple(gen.entries[i][j] for i in range(k)) for j in use])
-    message = solve_square(system, [received[j] for j in use])
+    gen = generator_matrix(code).entries
+    basis: list = []
+    for j in survivors:
+        # the equation column_j . message = r_j as the row [column_j | r_j]
+        grown = extend_basis(ctx, basis, [row[j] for row in gen] + [received[j]])
+        if grown and grown[-1][0] == k:  # reduced to 0 = c with c != 0
+            raise InconsistentError(
+                f"surviving symbol at position {j} fits no codeword with the symbols before it"
+            )
+        basis = grown or basis
+        if len(basis) == k:
+            break
+    if len(basis) < k:
+        raise TooManyErasuresError(
+            f"the surviving symbols have rank {len(basis)} < k = {k}: "
+            "the message is not determined"
+        )
+    (x,) = null_vectors(ctx, basis, k + 1)  # [A | b] (x, 1) = 0, so A (-x) = b
+    message = tuple(ctx.neg(v) for v in x[:k])
     reencoded = encode(code, message)
     for i in survivors:
         if reencoded[i] != received[i]:

@@ -6,13 +6,17 @@ prints ``error: <message>`` for each and exits with the status given:
 
 - :class:`InvalidParamsError` (exit 2): parameters outside the documented
   domain -- a composite p, a family's bound or divisibility condition,
-  mismatched shapes, a singular square system; the message names which.
+  mismatched shapes; the message names which.
 - :class:`TooLargeError` (exit 2): a field, enumeration or scan past its
   size guard.
 - :class:`FormatError` (exit 2): malformed input text or file.
 - :class:`ConditionViolatedError` (exit 1): a subset condition failed.
 - :class:`InconsistentError` (exit 1): a received word fits no codeword.
-- :class:`TooManyErasuresError` (exit 1): too many erasures to decode.
+- :class:`TooManyErasuresError` (exit 1): too many erasures to decode, or
+  survivors of rank below k.
+
+Any other exception a command raises is a bug: the CLI prints its traceback
+and exits 3.
 """
 
 

@@ -6,11 +6,11 @@ a zero entry is the int 0 and is skipped without a field operation.
 Everything here is built on one elimination step, :func:`extend_basis`,
 which inserts a row into an echelon basis (its pivot is its first nonzero
 entry once reduced), and on :func:`null_vectors`, which back-substitutes
-that basis.  Rank is the length of the basis of all rows, and a square
-solve the null vector of the augmented matrix.  The certifier's subset
-walk uses the same two functions, so there is one elimination routine in
-the package.  Ranks and null vectors come out identical on every run and
-under any worker partitioning upstream.
+that basis.  Rank is the length of the basis of all rows.  The
+certifier's subset walk and the erasure decoder use the same two
+functions, so there is one elimination routine in the package.  Ranks and
+null vectors come out identical on every run and under any worker
+partitioning upstream.
 """
 
 from __future__ import annotations
@@ -111,31 +111,8 @@ def null_vectors(ctx: FieldContext, basis: list, cols: int) -> list[tuple[FieldE
     return out
 
 
-def _basis(ctx: FieldContext, rows) -> list:
-    basis: list = []
-    for row in rows:
-        basis = extend_basis(ctx, basis, row) or basis
-    return basis
-
-
 def rank(mat: MatrixFq) -> int:
-    return len(_basis(mat.ctx, mat.entries))
-
-
-def solve_square(a: MatrixFq, b: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
-    """Unique solution x of A x = b for square A; InvalidParamsError otherwise.
-
-    x is the negated null vector of [A | b] at its last column: the system
-    is singular when that column is a pivot or A has fewer than n pivots.
-    """
-    ctx = a.ctx
-    n = a.rows
-    if a.cols != n:
-        raise InvalidParamsError("matrix is not square")
-    if len(b) != n:
-        raise InvalidParamsError("right-hand side has wrong length")
-    basis = _basis(ctx, [list(row) + [b[i]] for i, row in enumerate(a.entries)])
-    if len(basis) < n or any(p == n for p, _ in basis):
-        raise InvalidParamsError("coefficient matrix is singular")
-    (x,) = null_vectors(ctx, basis, n + 1)
-    return tuple(ctx.neg(v) for v in x[:n])
+    basis: list = []
+    for row in mat.entries:
+        basis = extend_basis(mat.ctx, basis, row) or basis
+    return len(basis)

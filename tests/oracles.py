@@ -7,10 +7,11 @@ subset expansion, binomials through factorial ratios.  When a production
 routine and its oracle disagree, the oracle wins the argument.
 
 The section "Test fixtures" at the end is the exception: element
-constructors, generalized Reed-Solomon generators, duals, null spaces, e_r
-by recurrence, subset-sum counts and the scalar-class codeword walk.  Only tests need them, and they
-are built on the package's own arithmetic and elimination, so they are
-fixtures, not independent oracles.
+constructors, generalized Reed-Solomon generators, duals, null spaces,
+square solves, e_r by recurrence, subset-sum counts and the scalar-class
+codeword walk.  Only tests need them, and they are built on the package's
+own arithmetic and elimination, so they are fixtures, not independent
+oracles.
 """
 
 from __future__ import annotations
@@ -284,6 +285,27 @@ def null_space(mat: MatrixFq) -> MatrixFq:
     for row in mat.entries:
         basis = extend_basis(mat.ctx, basis, row) or basis
     return MatrixFq(mat.ctx, tuple(null_vectors(mat.ctx, basis, mat.cols)))
+
+
+def solve_square(a: MatrixFq, b: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
+    """Unique solution x of A x = b for square A; InvalidParamsError otherwise.
+
+    x is the negated null vector of [A | b] at its last column: the system
+    is singular when that column is a pivot or A has fewer than n pivots.
+    """
+    ctx = a.ctx
+    n = a.rows
+    if a.cols != n:
+        raise InvalidParamsError("matrix is not square")
+    if len(b) != n:
+        raise InvalidParamsError("right-hand side has wrong length")
+    basis: list = []
+    for row, rhs in zip(a.entries, b):
+        basis = extend_basis(ctx, basis, [*row, rhs]) or basis
+    if len(basis) < n or any(p == n for p, _ in basis):
+        raise InvalidParamsError("coefficient matrix is singular")
+    (x,) = null_vectors(ctx, basis, n + 1)
+    return tuple(ctx.neg(v) for v in x[:n])
 
 
 def dual_code(mat: MatrixFq) -> MatrixFq:

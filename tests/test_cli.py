@@ -520,6 +520,28 @@ def test_decode_inconsistent_word(capsys, tmp_path):
     assert rc == 1
 
 
+#: a code that is not MDS: columns 0 and 1 are both (1, 1)
+NOT_MDS = {"field": {"p": 7, "m": 1}, "points": [[1], [2], [3]], "exponents": [0, 3]}
+
+#: (received word, exit status, stdout, stderr) of `decode` on NOT_MDS
+NOT_MDS_DECODES = {
+    "fits-one-message": ("[1,1,2]", 0, "[[5],[3]]\n", ""),
+    "rank-below-k": ("[1,1,null]", 1, "", "error: the surviving symbols have rank 1 < k = 2: "
+                     "the message is not determined\n"),
+    "contradiction": ("[1,2,null]", 1, "", "error: surviving symbol at position 1 fits no "
+                      "codeword with the symbols before it\n"),
+}
+
+
+@pytest.mark.parametrize("received, rc, out, err", NOT_MDS_DECODES.values(),
+                         ids=NOT_MDS_DECODES.keys())
+def test_decode_does_not_assume_mds(capsys, tmp_path, received, rc, out, err):
+    path = tmp_path / "not-mds.json"
+    path.write_text(canonical_dumps(NOT_MDS))
+    assert parse(run(capsys, "verify", str(path))[1])["witness"] == [0, 1]
+    assert run(capsys, "decode", str(path), "--received", received) == (rc, out, err)
+
+
 def test_encode_bad_message_json(capsys, tmp_path):
     path, _ = construct_cor44(capsys, tmp_path)
     rc, _, _ = run(capsys, "encode", str(path), "--message", "not json")
@@ -755,6 +777,8 @@ USAGE_REFUSALS = {
                          None, "points must be distinct"),
     "field-not-int": (["check", "--field", "13,x", "--points", "1", "--k", "1"], None, None,
                       "bad --field value '13,x'"),
+    "field-three-parts": (["check", "--field", "2,3,4", "--points", "1", "--k", "1"], None,
+                          None, "--field wants 'p' or 'p,m', got '2,3,4'"),
     "point-not-int": (["check", "--field", "13", "--points", "1,x", "--k", "1"], None, None,
                       "bad point '1,x'"),
     "message-object": (["encode", "{code}", "--message", '{"a":1}'], None, None,
@@ -911,3 +935,24 @@ def test_every_error_class_has_its_exit_status(capsys, monkeypatch, cls):
     monkeypatch.setitem(cli._COMMANDS, "bound", command)
     rc, out, err = run(capsys, "bound", "--q", "2", "--n", "1", "--k", "1")
     assert (rc, out, err) == (1 if cls in NEGATIVE_ERRORS else 2, "", "error: the message\n")
+
+
+def test_a_bug_exits_three_with_its_traceback(capsys, monkeypatch):
+    def command(args):
+        raise KeyError("the message")
+
+    monkeypatch.setitem(cli._COMMANDS, "bound", command)
+    rc, out, err = run(capsys, "bound", "--q", "2", "--n", "1", "--k", "1")
+    assert (rc, out) == (3, "")
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("KeyError: 'the message'\n")
+
+
+def test_an_internal_disagreement_exits_three(capsys, tmp_path, monkeypatch):
+    path, _ = construct_cor44(capsys, tmp_path)
+    # a sumset rank that no longer matches the product rank
+    monkeypatch.setattr(certify, "schur_square_dim_from_exponents", lambda code: -1)
+    rc, out, err = run(capsys, "verify", str(path))
+    assert (rc, out) == (3, "")
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert "AssertionError: internal disagreement: product-rank 6 != sumset-rank -1\n" in err

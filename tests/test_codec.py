@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdsforge.codec import ERASED, decode_erasures
 from mdsforge.errors import (
@@ -86,3 +87,48 @@ def test_extension_field_roundtrip():
         for pos in rng.sample(range(6), 3):
             word[pos] = ERASED
         assert decode_erasures(code, word) == msg
+
+
+#: fields for the decode oracle: prime and extension, odd and even characteristic
+ORACLE_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2)]
+
+
+@st.composite
+def erased_words(draw):
+    """(code with any exponent set, received word) with q^k <= 400: random
+    erasures, and one corrupted survivor in about 40% of the words."""
+    ctx = make_field(*draw(st.sampled_from(ORACLE_FIELDS)))
+    q = ctx.q
+    k = draw(st.integers(1, min(q, max(e for e in range(1, 9) if q**e <= 400))))
+    n = draw(st.integers(k, q))
+    points = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n, unique=True))
+    exponents = draw(st.lists(st.integers(0, 2 * q), min_size=k, max_size=k, unique=True))
+    code = EvalCode(ctx, EvalSet(tuple(points)), ExponentSet(tuple(sorted(exponents))))
+    message = draw(st.tuples(*[st.integers(0, q - 1)] * k))
+    word = list(encode(code, message))
+    for pos in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        word[pos] = ERASED
+    survivors = [i for i, s in enumerate(word) if s is not ERASED]
+    if survivors and draw(st.integers(0, 9)) < 4:
+        pos = draw(st.sampled_from(survivors))
+        word[pos] = ctx.add(word[pos], draw(st.integers(1, q - 1)))
+    return code, word
+
+
+@settings(max_examples=300, deadline=None)
+@given(erased_words())
+def test_decode_agrees_with_every_message(case):
+    # the oracle tries all q^k messages: past n - k erasures the word is
+    # refused, otherwise one fitting message is returned, none is an
+    # inconsistent word and several are too few independent survivors
+    code, word = case
+    fits = [m for m in itertools.product(range(code.ctx.q), repeat=code.k)
+            if all(s is ERASED or s == c for s, c in zip(word, encode(code, m)))]
+    if word.count(ERASED) > code.n - code.k or len(fits) > 1:
+        with pytest.raises(TooManyErasuresError):
+            decode_erasures(code, word)
+    elif not fits:
+        with pytest.raises(InconsistentError):
+            decode_erasures(code, word)
+    else:
+        assert decode_erasures(code, word) == fits[0]

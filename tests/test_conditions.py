@@ -54,6 +54,8 @@ def test_spec_validation():
         ConditionSpec(k=3, r=0)
     with pytest.raises(InvalidParamsError):
         ConditionSpec(k=3, r=4)
+    with pytest.raises(InvalidParamsError, match="^unknown search strategy 'exhaustive'$"):
+        search_eval_set(make_field(7), 3, ConditionSpec(2), "exhaustive")
 
 
 def test_esym_value_small_cases():

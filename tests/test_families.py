@@ -45,6 +45,8 @@ def test_int_root_exact():
     assert int_root(1, 5) == 1
     assert int_root(26, 3) == 2
     assert int_root(27, 3) == 3
+    with pytest.raises(InvalidParamsError, match="^need x >= 0 and r >= 1$"):
+        int_root(-1, 2)
     rng = random.Random(2)
     for _ in range(200):
         x = rng.randrange(10**12)

@@ -126,6 +126,8 @@ def test_not_prime_rejected():
         make_field(1, 2)
     with pytest.raises(InvalidParamsError, match="^91 is not prime$"):
         make_field(91)  # 7 * 13
+    with pytest.raises(InvalidParamsError, match="^4 is not prime$"):
+        FieldContext(4, 1, (0, 1))
 
 
 @pytest.mark.parametrize("m", [0, -2])
@@ -167,6 +169,8 @@ def test_counter_order_roundtrip():
     assert ctx.digits(seen[1]) == (1, 0)
     assert ctx.digits(seen[3]) == (0, 1)  # z comes after the prime subfield in counter order
     assert len(set(seen)) == 9
+    with pytest.raises(ValueError, match=r"^counter value 7 outside \[0, 7\)$"):
+        make_field(7).from_int(7)
 
 
 def test_enumerate_field():

@@ -209,8 +209,8 @@ CONSTRUCTS = [
      "5d8336a8a903e66fa56b6b0614e4c1308a561f8911b4a18c1e83d580db761908"),
 ]
 
-#: (construct arguments, stderr) of one refused call per builder: exit 2,
-#: nothing on stdout
+#: (construct arguments, stderr) of refused calls, at least one per builder:
+#: exit 2, nothing on stdout
 REFUSALS = [
     ("cor44 --p 13 --k 3 --n 20", "error: k*n - k(k+1)/2 = 54 exceeds p - 1 = 12\n"),
     ("cor62 --p 13 --k 3 --r 3 --n 6", "error: need 2 <= r <= k - 1\n"),
@@ -220,8 +220,13 @@ REFUSALS = [
     ("thm64 --p 5 --m 3 --k 4 --r 2 --n 8",
      "error: floor((r!p)^(1/r))/k < 1 for p=5, k=4, r=2\n"),
     ("thm64 --p 5 --m 0 --k 3 --r 1 --n 6", "error: need m >= 1\n"),
+    ("thm415 --p 7 --m 0 --k 3 --n 6", "error: need m >= 1\n"),
+    ("thm415 --p 7 --m 2 --k 3 --n 5", "error: need 2k <= n\n"),
+    ("thm63 --p 7 --m 3 --k 3 --r 3 --n 6", "error: need 1 <= r <= k - 1\n"),
+    ("thm64 --p 73 --m 3 --k 3 --r 0 --n 10", "error: need 1 <= r <= k - 1\n"),
     ("cor411 --r 4 --k 4", "error: k = 4 must be odd\n"),
     ("hamming-lift --r 2 --base-q 6 --k 3", "error: not a prime power\n"),
+    ("hamming-lift --r 21 --base-q 2 --k 3", "error: 2097152 columns exceeds guard 1048576\n"),
 ]
 
 

@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from mdsforge.errors import InvalidParamsError
 from mdsforge.field import make_field
-from mdsforge.matrix import MatrixFq, matrix_from_rows, rank, solve_square
+from mdsforge.matrix import MatrixFq, matrix_from_rows, rank
 
-from oracles import ext_rank, mat_vec, null_space, prime_rank, scalar
+from oracles import ext_rank, mat_vec, null_space, prime_rank, scalar, solve_square
 
 
 def ints(ctx, rows):
