@@ -42,9 +42,13 @@ code of dimension k <= n/2, a Schur-square dimension of at least 2k
 certifies that the code is not monomially equivalent to any Reed-Solomon
 code, because every generalized Reed-Solomon code of those parameters has
 Schur-square dimension exactly 2k - 1.  The square's dimension is computed
-twice, from independent inputs -- once from pairwise products of generator
-rows, once from the exponent sumset E+E, whose size it is when
-max(E+E) < n -- and the two must agree.
+twice, from independent inputs, and the two must agree.  The product side
+reads only the generator's entries: it reduces the rows to the reduced
+echelon basis of rank rho, whose squares are independent on the pivots and
+whose products r_i * r_j (i < j) vanish there, so the dimension is rho plus
+the rank of those C(rho, 2) products on the non-pivot columns
+(:func:`schur_square_dim`).  The sumset side reads only the exponents: the
+size of E+E when max(E+E) < n, else the rank of its evaluated monomials.
 
 On request (``with_min_distance``) :func:`min_distance_bruteforce` counts
 the weights of all q^k codewords.  It walks one message per class of
@@ -189,14 +193,32 @@ def mds_exhaustive(mat: MatrixFq, jobs: int = 1) -> tuple[bool, Optional[tuple[i
 
 
 def schur_square_dim(mat: MatrixFq) -> int:
-    """Dimension of the span of all component-wise products of row pairs."""
-    ctx = mat.ctx
-    rows = mat.entries
-    prods = []
-    for i in range(len(rows)):
-        for j in range(i, len(rows)):
-            prods.append(map(ctx.mul, rows[i], rows[j]))
-    return rank(matrix_from_rows(ctx, prods))
+    """Dimension of the span of all component-wise products of row pairs.
+
+    From the reduced echelon basis (see the module docstring): rho plus the
+    rank of the vectors (r_i[f] * r_j[f]) over the pairs i < j, one per
+    non-pivot column f, inserted until they span all C(rho, 2) coordinates.
+    """
+    ctx, mul = mat.ctx, mat.ctx.mul
+    basis: list = []
+    for row in mat.entries:
+        basis = extend_basis(ctx, basis, row) or basis
+    # back-substitution: clear from each row the pivots of the rows after it
+    reduced: list = []
+    for p, b in reversed(basis):
+        for c, r in reduced:
+            if b[c]:
+                b = ctx.add_multiple(b, ctx.neg(b[c]), r)
+        reduced.append((p, b))
+    pivots = {p for p, _ in reduced}
+    pairs = list(combinations([r for _, r in reduced], 2))
+    off: list = []
+    for f in range(mat.cols):
+        if len(off) == len(pairs):
+            break
+        if f not in pivots:
+            off = extend_basis(ctx, off, [mul(a[f], b[f]) for a, b in pairs]) or off
+    return len(reduced) + len(off)
 
 
 def schur_square_dim_from_exponents(code: EvalCode) -> int:

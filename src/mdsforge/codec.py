@@ -5,9 +5,9 @@ erasure marker).  Decoding does not assume the code is MDS.  It inserts the
 survivors' equations, in position order, into one echelon basis until k of
 them are independent, and takes the message from that basis's null vector.
 An equation that contradicts the ones before it, or fewer than k
-independent equations, is reported.  The message is then re-encoded and
-must match every surviving symbol, so symbol corruption is reported rather
-than silently absorbed.
+independent equations, is reported.  The message is then re-encoded from
+the same generator rows and must match every surviving symbol, so symbol
+corruption is reported rather than silently absorbed.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import InconsistentError, InvalidParamsError, TooManyErasuresError
-from .evalcode import EvalCode, encode, generator_matrix
+from .evalcode import EvalCode, combine_rows, generator_matrix
 from .field import FieldElement
 from .matrix import extend_basis, null_vectors
 
@@ -58,7 +58,7 @@ def decode_erasures(code: EvalCode, received: ReceivedWord) -> tuple[FieldElemen
         )
     (x,) = null_vectors(ctx, basis, k + 1)  # [A | b] (x, 1) = 0, so A (-x) = b
     message = tuple(ctx.neg(v) for v in x[:k])
-    reencoded = encode(code, message)
+    reencoded = combine_rows(ctx, gen, message)
     for i in survivors:
         if reencoded[i] != received[i]:
             raise InconsistentError(

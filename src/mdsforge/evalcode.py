@@ -77,22 +77,35 @@ class EvalCode:
 
 
 def generator_matrix(code: EvalCode) -> MatrixFq:
-    """k x n matrix whose row j evaluates the monomial x^{E[j]}."""
-    ctx = code.ctx
-    rows = []
-    for e in code.exponents.exps:
-        rows.append([ctx.pow(t, e) for t in code.points.points])
+    """k x n matrix whose row j evaluates the monomial x^{E[j]}.
+
+    Row 0 is the points to the power E[0] (0^0 = 1), and row j is row j - 1
+    times the points to the power E[j] - E[j-1], each distinct gap raised
+    once per point by ``ctx.pow``, so even a gap of 10^9 costs one ladder.
+    """
+    ctx, points, exps = code.ctx, code.points.points, code.exponents.exps
+    gaps = [b - a for a, b in zip((0,) + exps, exps)]
+    powers = {g: [ctx.pow(t, g) for t in points] for g in set(gaps)}
+    rows = [powers[gaps[0]]]
+    for e, g in zip(exps, gaps[1:]):
+        # the row after x^0, the all-ones row, is the power itself
+        rows.append(list(map(ctx.mul, rows[-1], powers[g])) if e else powers[g])
     return matrix_from_rows(ctx, rows)
+
+
+def combine_rows(ctx: FieldContext, rows: Sequence, message: Sequence) -> tuple:
+    """The codeword sum(m_j * rows[j]) of a message and generator rows."""
+    out = [0] * len(rows[0])
+    for coeff, row in zip(message, rows):
+        out = ctx.add_multiple(out, coeff, row)
+    return tuple(out)
 
 
 def encode(code: EvalCode, message: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
     """Evaluate the message polynomial sum(m_j * x^{E[j]}) at every point."""
     if len(message) != code.k:
         raise InvalidParamsError(f"message must have length {code.k}")
-    out = [0] * code.n
-    for coeff, row in zip(message, generator_matrix(code).entries):
-        out = code.ctx.add_multiple(out, coeff, row)
-    return tuple(out)
+    return combine_rows(code.ctx, generator_matrix(code).entries, message)
 
 
 def sumset(exponents: ExponentSet) -> ExponentSet:

@@ -8,10 +8,10 @@ routine and its oracle disagree, the oracle wins the argument.
 
 The section "Test fixtures" at the end is the exception: element
 constructors, generalized Reed-Solomon generators, duals, null spaces,
-square solves, e_r by recurrence, subset-sum counts and the scalar-class
-codeword walk.  Only tests need them, and they are built on the package's
-own arithmetic and elimination, so they are fixtures, not independent
-oracles.
+square solves, the all-products Schur-square rank, e_r by recurrence,
+subset-sum counts and the scalar-class codeword walk.  Only tests need
+them, and they are built on the package's own arithmetic and elimination,
+so they are fixtures, not independent oracles.
 """
 
 from __future__ import annotations
@@ -306,6 +306,16 @@ def solve_square(a: MatrixFq, b: Sequence[FieldElement]) -> tuple[FieldElement, 
         raise InvalidParamsError("coefficient matrix is singular")
     (x,) = null_vectors(ctx, basis, n + 1)
     return tuple(ctx.neg(v) for v in x[:n])
+
+
+def schur_square_dim_all_products(mat: MatrixFq) -> int:
+    """Rank of all k(k+1)/2 component-wise products of row pairs, at full length."""
+    ctx = mat.ctx
+    rows = mat.entries
+    prods = [
+        list(map(ctx.mul, rows[i], rows[j])) for i in range(len(rows)) for j in range(i, len(rows))
+    ]
+    return rank(matrix_from_rows(ctx, prods))
 
 
 def dual_code(mat: MatrixFq) -> MatrixFq:

@@ -61,6 +61,7 @@ from oracles import (
     mat_vec,
     scalar,
     scalar_class_weight_distribution,
+    schur_square_dim_all_products,
 )
 
 
@@ -153,6 +154,55 @@ def test_schur_closed_form_matches_oracle_rank(data):
     code = counter_code(ctx, values, sorted(exps))
     rows = [[ctx.pow(t, e) for t in code.points.points] for e in sumset(code.exponents).exps]
     assert schur_square_dim_from_exponents(code) == ext_rank(matrix_from_rows(ctx, rows))
+
+
+#: one field of each arithmetic kind: prime, table p = 2, table odd p, and
+#: the polynomial path past TABLE_CAP
+FIELD_KINDS = [(13, 1), (2, 4), (3, 2), (2, 11)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_schur_square_dim_matches_all_products(data):
+    # few distinct entries, copied, scaled and zero rows and zero columns
+    # give rank-deficient matrices; k ranges past n and down to 0 rows
+    ctx = make_field(*data.draw(st.sampled_from(FIELD_KINDS)))
+    k, n = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 8))
+    pool = [0] + data.draw(st.lists(st.integers(1, ctx.q - 1), min_size=1, max_size=4))
+    rows = []
+    for i in range(k):
+        row = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        how = data.draw(st.sampled_from(["own", "copy", "scale", "zero"] if i else ["own"]))
+        if how == "zero":
+            row = [0] * n
+        elif how != "own":
+            c = data.draw(st.sampled_from(pool[1:])) if how == "scale" else 1
+            row = [ctx.mul(c, x) for x in rows[data.draw(st.integers(0, i - 1))]]
+        rows.append(row)
+    for j in data.draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        for row in rows:
+            row[j] = 0
+    mat = matrix_from_rows(ctx, rows)
+    assert schur_square_dim(mat) == schur_square_dim_all_products(mat)
+
+
+@pytest.mark.parametrize("p, m", FIELD_KINDS)
+def test_schur_square_dim_edge_shapes(p, m):
+    ctx = make_field(p, m)
+    a, b = ctx.q - 1, ctx.q - 2
+    shapes = [
+        [],  # no rows
+        [[0, 0, 0]],  # rank 0
+        [[a, 0, b]],  # rank 1, no pairs
+        [[a, 0, b], [ctx.mul(b, a), 0, ctx.mul(b, b)], [0, 0, 0]],  # rank 1 again
+        [[1, a], [a, 1], [b, 1], [1, 1]],  # k > n
+        [[1, 1, 1, 1, 1], [0, 1, a, b, 1], [0, 1, a, b, 1]],  # a repeated row
+    ]
+    for rows in shapes:
+        mat = matrix_from_rows(ctx, rows)
+        assert schur_square_dim(mat) == schur_square_dim_all_products(mat)
+    assert schur_square_dim(matrix_from_rows(ctx, [])) == 0
+    assert schur_square_dim(matrix_from_rows(ctx, shapes[2])) == 1
 
 
 def test_schur_dim_bounds():

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mdsforge import codec, evalcode
 from mdsforge.codec import ERASED, decode_erasures
 from mdsforge.errors import (
     InconsistentError,
@@ -56,6 +57,30 @@ def test_corrupted_survivor_detected():
     word[5] = ctx.add(word[5], 1)
     with pytest.raises(InconsistentError):
         decode_erasures(code, word)
+
+
+def test_decode_builds_the_generator_once(monkeypatch):
+    # the re-encoding reads the rows the solver built; a corrupted survivor
+    # past the solving positions is still reported
+    built = []
+    build = evalcode.generator_matrix
+
+    def counting(code):
+        built.append(code)
+        return build(code)
+
+    monkeypatch.setattr(codec, "generator_matrix", counting)
+    monkeypatch.setattr(evalcode, "generator_matrix", counting)
+    code = cor44(13, 3, 6)
+    word = list(encode(code, (1, 0, 1)))
+    built.clear()
+    assert decode_erasures(code, word) == (1, 0, 1)
+    assert len(built) == 1
+    word[1] = ERASED
+    word[5] = code.ctx.add(word[5], 1)
+    with pytest.raises(InconsistentError, match="position 5 disagrees"):
+        decode_erasures(code, word)
+    assert len(built) == 2
 
 
 def test_wrong_received_length():

@@ -71,6 +71,26 @@ def test_zero_to_the_zero_is_one():
     assert g.entries[0][0] == 1
 
 
+@pytest.mark.parametrize("p, m", [(13, 1), (2, 4), (3, 2), (2, 11)])
+def test_generator_rows_are_powers_in_every_field_kind(p, m):
+    # gaps above 1, a first exponent above 0, 0^0 = 1 and exponents >= q
+    ctx = make_field(p, m)
+    points = (0, 1, 2, ctx.q - 1, ctx.q // 2 + 1)
+    for exps in [(0, 2, 5, 9), (1, 4, ctx.q, ctx.q + 3), (3, 2 * ctx.q + 1), (0,)]:
+        g = generator_matrix(EvalCode(ctx, EvalSet(points), ExponentSet(exps)))
+        assert [list(r) for r in g.entries] == [[ctx.pow(t, e) for t in points] for e in exps]
+
+
+def test_generator_ladder_takes_a_huge_gap_in_one_step():
+    # a unit-step ladder would need 10^9 products per point
+    ctx = make_field(101)
+    points = tuple(range(50))
+    g = generator_matrix(EvalCode(ctx, EvalSet(points), ExponentSet((0, 1, 10**9))))
+    assert [list(r) for r in g.entries] == [
+        [ctx.pow(t, e) for t in points] for e in (0, 1, 10**9)
+    ]
+
+
 def test_encode_known_value():
     ctx = make_field(13)
     code = make_code(ctx, range(6), (0, 1, 3))
