@@ -70,12 +70,11 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 from math import comb, isqrt
-from operator import getitem
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import conditions
 from .conditions import ConditionSpec, _require_subset_count, guard_in_force
-from .errors import InvalidParamsError, TooLargeError
+from .errors import SHOWN_BITS, InvalidParamsError, TooLargeError, shown
 from .evalcode import EvalCode, gap_order, generator_matrix, sumset
 from .field import FieldContext, FieldElement
 from .matrix import MatrixFq, extend_basis, matrix_from_rows, null_vectors, rank
@@ -274,25 +273,22 @@ def min_distance_bruteforce(code: EvalCode) -> tuple[int, tuple[int, ...]]:
     (q^(k-2) - 1)/(q - 1) parents of one Counter over at most n(n-1)/2
     keys each, plus two single partials.
 
-    A class whose leading 1 sits at row j is walked from row j itself,
-    adding every multiple of the rows after it in turn.  Elements are
-    counter indices (zero is 0), so the walk does no field arithmetic: the
-    multiples of rows 1 and up are index lists (row 0 only ever leads, with
-    coefficient 1), and a partial takes the next row through the rows of
-    an addition table.  Row a of that table is built the first time a
-    partial that has children holds a, and that partial alone reads the
-    row q times, so the table never holds more sums than the walk makes
-    lookups.
+    A class whose leading 1 sits at row j <= k-3 is walked from row j
+    itself: a partial at row i has the q children partial + s*row(i+1),
+    each made by one :meth:`FieldContext.add_multiple` over its entries and
+    its crossing entries alike, and the partials at row k-3 are the
+    parents.
     The degenerate all-zero code has no nonzero codeword; its distance
     reads as 0.  The walk refuses when q^k exceeds the codeword guard in
     force.
     """
     ctx = code.ctx
     k, n, q = code.k, code.n, ctx.q
-    total = q**k
     guard = guard_in_force(CODEWORD_GUARD)
-    if total > guard:
-        raise TooLargeError(f"q^k = {total} exceeds codeword guard {guard}")
+    # q^k >= 2^k: a long power past the guard's bits is not built
+    total = q**k if k < guard.bit_length() or k * q.bit_length() <= SHOWN_BITS else None
+    if total is None or total > guard:
+        raise TooLargeError(f"{shown('q^k', total)} exceeds codeword guard {guard}")
     gen = generator_matrix(code)
     elements, mul, add_multiple = ctx.elements(), ctx.mul, ctx.add_multiple
     # Weights do not depend on column order either: the hit columns go
@@ -304,28 +300,26 @@ def min_distance_bruteforce(code: EvalCode) -> tuple[int, tuple[int, ...]]:
     rows = [[mul(row[j], c) for j, c in zip(order, scale)] for row in gen.entries[:-1]]
     dist = [0] * (n + 1)
 
-    def count(partials: list[list[int]]) -> None:
-        for partial in partials:
-            base = n - partial[hit:].count(0)
-            hits: dict[int, int] = {}
-            for v in partial[:hit]:
-                hits[v] = hits.get(v, 0) + 1
-            dist[base] += q - len(hits)
-            for h in hits.values():
-                dist[base - h] += 1
+    def count(partial: list[int]) -> None:
+        base = n - partial[hit:].count(0)
+        hits: dict[int, int] = {}
+        for v in partial[:hit]:
+            hits[v] = hits.get(v, 0) + 1
+        dist[base] += q - len(hits)
+        for h in hits.values():
+            dist[base - h] += 1
 
-    if k < 3:
-        top, leaves = k - 2, count
-    else:
-        top, r = k - 3, rows[k - 2]
+    if k >= 2:
+        count(rows[k - 2])
+    if k >= 3:
+        r = rows[k - 2]
         minus_one = ctx.neg(1)
         cross = [(a, b) for a, b in combinations(range(hit), 2) if r[a] != r[b]]
         lo, hi = [a for a, _ in cross], [b for _, b in cross]
         r_lo = [r[a] for a in lo]
         inverse = list(map(ctx.inv, add_multiple(r_lo, minus_one, [r[b] for b in hi])))
         # each row i <= k-3 gains s, then P_a + s*R_a, over the crossing pairs
-        for i in range(top + 1):
-            row = rows[i]
+        for row in rows[: k - 2]:
             p_lo = [row[a] for a in lo]
             s_at = list(map(mul, add_multiple([row[b] for b in hi], minus_one, p_lo), inverse))
             row += s_at
@@ -333,47 +327,33 @@ def min_distance_bruteforce(code: EvalCode) -> tuple[int, tuple[int, ...]]:
         lines, mid = hit * q, n + len(cross)
         parallel = len(cross) < hit * (hit - 1) // 2
 
-        def leaves(parents: Iterable[list[int]]) -> None:
-            for parent in parents:
-                if parallel and len(set(zip(parent[:hit], r))) < hit:  # a line twice
-                    head = parent[:n]
-                    count([add_multiple(head, s, r) for s in elements])
-                    continue
-                base = n - parent[hit:n].count(0)
-                crossings = zip(parent[n:mid], parent[mid:])
-                on_one, on_none = lines, q * q
-                for pairs, points in Counter(Counter(crossings).values()).items():
-                    m = (1 + isqrt(1 + 8 * pairs)) // 2
-                    dist[base - m] += points
-                    on_one -= m * points
-                    on_none -= points
-                dist[base - 1] += on_one
-                dist[base] += on_none - on_one
+        def leaf(parent: list[int]) -> None:
+            if parallel and len(set(zip(parent[:hit], r))) < hit:  # a line twice
+                head = parent[:n]
+                for s in elements:
+                    count(add_multiple(head, s, r))
+                return
+            base = n - parent[hit:n].count(0)
+            crossings = zip(parent[n:mid], parent[mid:])
+            on_one, on_none = lines, q * q
+            for pairs, points in Counter(Counter(crossings).values()).items():
+                m = (1 + isqrt(1 + 8 * pairs)) // 2
+                dist[base - m] += points
+                on_one -= m * points
+                on_none -= points
+            dist[base - 1] += on_one
+            dist[base] += on_none - on_one
 
-        count([r])
+    def walk(level: int, partial: list[int]) -> None:
+        if level == k - 3:
+            return leaf(partial)
+        for s in elements:
+            walk(level + 1, add_multiple(partial, s, rows[level + 1]))
 
-    # s * row as 0 + s*row: one comprehension per multiple, not n calls
-    multiples = {
-        i: [add_multiple([0] * len(rows[i]), s, rows[i]) for s in elements]
-        for i in range(1, top + 1)
-    }
-    plus: list[Optional[list[int]]] = [None] * q  # plus[a][b] is a + b
-
-    def walk(level: int, partials: Iterable[list[int]]) -> None:
-        if level == top:
-            leaves(partials)
-            return
-        for partial in partials:
-            for a in set(partial):
-                if plus[a] is None:
-                    plus[a] = add_multiple([a] * q, 1, elements)
-            sums = [plus[a] for a in partial]
-            walk(level + 1, (list(map(getitem, sums, mult)) for mult in multiples[level + 1]))
-
-    for lead in range(top + 1):
-        walk(lead, [rows[lead]])
+    for lead in range(k - 2):
+        walk(lead, rows[lead])
     dist[:] = [(q - 1) * a for a in dist]
-    count([[0] * n])
+    count([0] * n)
     min_w = next((w for w in range(1, n + 1) if dist[w]), 0)
     return min_w, tuple(dist)
 

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from math import comb, inf, log10
 from typing import Any, Callable, Optional, Sequence, Union
 
-from .errors import FormatError, InvalidParamsError, TooLargeError
+from .errors import SHOWN_BITS, FormatError, InvalidParamsError, TooLargeError, shown
 from .field import TABLE_CAP, FieldContext, FieldElement
 
 SUBSET_GUARD = 10**7
@@ -251,10 +251,11 @@ def _first_sum_subset(
 
 def _require_subset_count(n: int, k: int) -> int:
     """C(n, k), the number of k-subsets a scan visits; refuses past the guard in force."""
-    total = comb(n, k)
     guard = guard_in_force(SUBSET_GUARD)
-    if total > guard:
-        raise TooLargeError(f"C({n},{k}) = {total} exceeds subset guard {guard}")
+    j = min(k, n - k)  # C(n, k) >= 2^j: a long count past the guard's bits is not built
+    total = comb(n, k) if j < guard.bit_length() or j * n.bit_length() <= SHOWN_BITS else None
+    if total is None or total > guard:
+        raise TooLargeError(f"{shown(f'C({n},{k})', total)} exceeds subset guard {guard}")
     return total
 
 

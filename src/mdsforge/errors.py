@@ -19,6 +19,14 @@ Any other exception a command raises is a bug: the CLI prints its traceback
 and exits 3.
 """
 
+#: Messages spell out integers of at most this many bits (77 digits).
+SHOWN_BITS = 256
+
+
+def shown(label: str, value: int | None) -> str:
+    """``label = value`` when `value` (None: never computed) fits on a line, else `label`."""
+    return label if value is None or value.bit_length() > SHOWN_BITS else f"{label} = {value}"
+
 
 class MdsforgeError(Exception):
     """Base class for every error raised deliberately by this package."""

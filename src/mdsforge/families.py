@@ -20,10 +20,10 @@ which is what makes every k-subset condition hold without any search.
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import factorial
 
 from .conditions import ConditionSpec, check_esym
-from .errors import ConditionViolatedError, InvalidParamsError, TooLargeError
+from .errors import SHOWN_BITS, ConditionViolatedError, InvalidParamsError, TooLargeError, shown
 from .evalcode import EvalCode, EvalSet, gap_exponents
 from .field import FieldContext, FieldElement, is_prime, make_field, prime_power
 from .matrix import MatrixFq, matrix_from_rows
@@ -110,8 +110,12 @@ def cor62(p: int, k: int, r: int, n: int) -> EvalCode:
     if not 2 <= r <= k - 1:
         raise InvalidParamsError("need 2 <= r <= k - 1")
     _require_shape(k, n)
-    if (n * k) ** r > factorial(r) * p:
-        raise InvalidParamsError(f"(n*k)^r = {(n * k) ** r} exceeds r!*p = {factorial(r) * p}")
+    # (n*k)^r / r! >= (n*k // r)^r: a p of at most r*(bits(n*k // r) - 1) bits fails unbuilt
+    nk = n * k
+    built = r * nk.bit_length() <= SHOWN_BITS or p.bit_length() > r * ((nk // r).bit_length() - 1)
+    lhs, rhs = (nk**r, factorial(r) * p) if built else (None, None)
+    if not built or lhs > rhs:
+        raise InvalidParamsError(f"{shown('(n*k)^r', lhs)} exceeds {shown('r!*p', rhs)}")
     return _gap_code("cor62", make_field(p, 1), range(n), r, p=p, k=k, n=n, r=r)
 
 
@@ -176,7 +180,8 @@ def thm63(p: int, m: int, k: int, r: int, n: int) -> EvalCode:
     if not 1 <= r <= k - 1:
         raise InvalidParamsError("need 1 <= r <= k - 1")
     _require_shape(k, n)
-    if comb(k, r) % p == 0:
+    # Lucas: p divides C(k, r) exactly when a base-p digit of r exceeds k's
+    if any(r // p**i % p > k // p**i % p for i in range(r.bit_length())):
         raise InvalidParamsError(f"characteristic {p} divides C({k},{r})")
     t = (m - 1) // r
     if t < 1:
@@ -201,7 +206,8 @@ def thm64(p: int, m: int, k: int, r: int, n: int) -> EvalCode:
     if not 1 <= r <= k - 1:
         raise InvalidParamsError("need 1 <= r <= k - 1")
     _require_shape(k, n)
-    w = int_root(factorial(r) * p, r) // k
+    # r! < (r/2)^r for r >= 6 and k > r, so r!*p < k^r (w = 0) when p < 2^r
+    w = 0 if r >= 6 and p.bit_length() <= r else int_root(factorial(r) * p, r) // k
     if w < 1:
         raise InvalidParamsError(f"floor((r!p)^(1/r))/k < 1 for p={p}, k={k}, r={r}")
     t = (m - 1) // r
@@ -227,7 +233,11 @@ def _hamming_shape(r: int, base_q: int) -> tuple[FieldContext, int]:
             f"{base_q} is not a prime power" if base_q < 2 else "not a prime power"
         )
     ctx = make_field(*pm)
-    ncols = (ctx.q**r - 1) // (ctx.q - 1) + 1
+    q = ctx.q
+    # ncols > q^(r-1) >= 2^((r-1)(bits(q)-1)): a long power is not built
+    if (r - 1) * (q.bit_length() - 1) >= HAMMING_COLUMN_GUARD.bit_length():
+        raise TooLargeError(f"over {q}^{r - 1} columns exceeds guard {HAMMING_COLUMN_GUARD}")
+    ncols = (q**r - 1) // (q - 1) + 1
     if ncols > HAMMING_COLUMN_GUARD:
         raise TooLargeError(f"{ncols} columns exceeds guard {HAMMING_COLUMN_GUARD}")
     return ctx, ncols
@@ -306,8 +316,8 @@ def cor411(r: int, k: int) -> EvalCode:
         raise InvalidParamsError("need r >= 3")
     if k % 2 == 0:
         raise InvalidParamsError(f"k = {k} must be odd")
-    if not 3 <= k <= 2 ** (r - 1):
-        raise InvalidParamsError(f"need 3 <= k <= 2^(r-1) = {2 ** (r - 1)}")
+    if k < 3 or (k - 1) >> (r - 1):  # k > 2^(r-1); a power past SHOWN_BITS is not printed
+        raise InvalidParamsError(f"need 3 <= k <= {shown('2^(r-1)', 1 << min(r - 1, SHOWN_BITS))}")
     code = hamming_lift(r, 2, k)
     return _gap_code("cor411", code.ctx, code.points.points, 1, p=2, m=r + 1, k=k, n=2**r, r=r)
 

@@ -136,6 +136,30 @@ def test_subset_guard_trips(monkeypatch):
         mds_exhaustive(g)
 
 
+def test_codeword_guard_refuses_a_huge_count_without_printing_it():
+    # q^k = 1000003^800 has 4 801 digits, past the interpreter's int -> str limit
+    code = make_code(make_field(1000003), range(1, 801), tuple(range(800)))
+    with pytest.raises(TooLargeError, match=r"^q\^k exceeds codeword guard 4194304$"):
+        min_distance_bruteforce(code)
+
+
+def test_codeword_guard_decides_every_count_exactly(monkeypatch):
+    class Walked(Exception):
+        pass
+
+    def generator(code):  # the walk starts here, once the guard has passed
+        raise Walked
+
+    monkeypatch.setattr(certify, "generator_matrix", generator)
+    for guard in (2196, 1 << 22, 1 << 200, 10**100):
+        monkeypatch.setenv("MDSFORGE_GUARD", str(guard))
+        for q in (2, 3, 13, 1000003):
+            for k in range(1, 300, 3):
+                code = make_code(make_field(q), [1], range(k))
+                with pytest.raises(Walked if q**k <= guard else TooLargeError):
+                    min_distance_bruteforce(code)
+
+
 def test_schur_dim_two_paths_agree():
     ctx = make_field(13)
     for exps in [(0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 1, 2, 4)]:
@@ -261,8 +285,8 @@ WD_FIELDS = [make_field(5), make_field(7), make_field(2, 2), make_field(2, 3), m
 
 
 #: Ceiling on q^k in `small_codes`, so the oracle's q^k * n * k products stay
-#: cheap: k = 3 on every field (the walk's addition table) and k = 4 on
-#: GF(5) and GF(2^2).
+#: cheap: k = 3 on every field (one parent) and k = 4 on GF(5) and GF(2^2)
+#: (the q parents under row 0 built by add_multiple).
 WD_CODEWORDS = 1024
 
 
@@ -292,12 +316,13 @@ def counter_code(ctx, vals, exps):
 @example(code=counter_code(WD_FIELDS[2], range(4), (1, 4)))  # x^4 = x: rank 1
 # 0^1 = 0: the all-zero code, no hit coordinate at all
 @example(code=counter_code(WD_FIELDS[0], [0], (1,)))
-# k = 2: the children of the zero partial are the multiples, no table
+# k = 2: the class led by row 0 is one histogram, no walk
 @example(code=counter_code(WD_FIELDS[1], [1, 2, 4, 6], (0, 2)))
-# k = 4 over GF(2^2) and k = 3 over GF(3^2): two table levels, one table level
+# k = 4 over GF(2^2) and k = 3 over GF(3^2): parents one and zero steps below a lead
 @example(code=counter_code(WD_FIELDS[2], range(4), (0, 1, 2, 5)))
 @example(code=counter_code(WD_FIELDS[4], [0, 1, 3, 5, 7, 8], (0, 2, 3)))
-# k = 4, so classes lead at rows 0, 1 and 2 and both table levels run, on
+# k = 4, so classes lead at rows 0, 1 and 2 and the parents of row 0 are
+# built by add_multiple, on
 # generators with repeated rows (x^q = x) and a zero column (the point 0):
 # x^5 = x and x^6 = x^2 on GF(5), rows 0 = 2 and 1 = 3
 @example(code=counter_code(WD_FIELDS[0], range(5), (1, 2, 5, 6)))
@@ -344,6 +369,8 @@ def pm_codes(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(code=pm_codes())
+# k = 5: the parents sit two add_multiple steps below a lead at row 0
+@example(code=counter_code(make_field(17), range(10), (0, 1, 2, 3, 5)))
 def test_crossing_line_count_matches_the_scalar_class_walk(code):
     assert min_distance_bruteforce(code) == scalar_class_weight_distribution(code)
 

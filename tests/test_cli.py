@@ -956,3 +956,42 @@ def test_an_internal_disagreement_exits_three(capsys, tmp_path, monkeypatch):
     assert (rc, out) == (3, "")
     assert err.startswith("Traceback (most recent call last):\n")
     assert "AssertionError: internal disagreement: product-rank 6 != sumset-rank -1\n" in err
+
+
+#: Refusals whose count or bound has thousands to millions of digits.  Each
+#: must be decided without building that number and reported on one short
+#: line; a fresh process with a timeout shows a stall as a failure.
+HUGE_COUNT_REFUSALS = {
+    "search-2-20": (["search", "--field", "2,20", "--n", "500000", "--k", "3"],
+                    "C(1048576,500000) exceeds subset guard 10000000"),
+    "search-2-24": (["search", "--field", "2,24", "--n", "8000000", "--k", "3"],
+                    "C(16777216,8000000) exceeds subset guard 10000000"),
+    "hamming-lift": (["construct", "hamming-lift", "--r", "20000", "--base-q", "2", "--k", "3"],
+                     "over 2^19999 columns exceeds guard 1048576"),
+    "cor411": (["construct", "cor411", "--r", "20000", "--k", "3"],
+               "over 2^19999 columns exceeds guard 1048576"),
+    "cor411-k": (["construct", "cor411", "--r", "20000", "--k", "1"],
+                 "need 3 <= k <= 2^(r-1)"),
+    "cor62": (["construct", "cor62", "--p", "7", "--k", "2001", "--r", "2000", "--n", "4002"],
+              "(n*k)^r exceeds r!*p"),
+    "cor62-r-1e6": (["construct", "cor62", "--p", "7", "--k", "1000001", "--r", "1000000",
+                     "--n", "2000002"], "(n*k)^r exceeds r!*p"),
+    "thm63": (["construct", "thm63", "--p", "3", "--m", "3", "--k", "1000000", "--r", "500000",
+               "--n", "2000000"], "characteristic 3 divides C(1000000,500000)"),
+    "thm64": (["construct", "thm64", "--p", "3", "--m", "2", "--k", "1000001", "--r", "1000000",
+               "--n", "2000002"], "floor((r!p)^(1/r))/k < 1 for p=3, k=1000001, r=1000000"),
+}
+
+
+@pytest.mark.parametrize("argv, message", HUGE_COUNT_REFUSALS.values(),
+                         ids=HUGE_COUNT_REFUSALS.keys())
+def test_a_huge_count_is_refused_at_once_on_one_line(argv, message):
+    env = dict(os.environ)
+    env.pop("MDSFORGE_GUARD", None)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    start = time.monotonic()
+    fresh = subprocess.run([sys.executable, "-m", "mdsforge", *argv],
+                           capture_output=True, text=True, env=env, timeout=5)
+    assert time.monotonic() - start < 5
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (2, "", f"error: {message}\n")

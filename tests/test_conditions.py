@@ -129,6 +129,25 @@ def test_check_guard(monkeypatch):
         check_esym(ctx, scalars(ctx, range(30)), ConditionSpec(k=10))
 
 
+def test_subset_guard_decides_every_count_exactly(monkeypatch):
+    # counts far past the guard are refused from a bit bound, not built
+    unbuilt = 0
+    for guard in (1, 5, 10**4, 10**7):
+        monkeypatch.setenv("MDSFORGE_GUARD", str(guard))
+        for n in range(0, 400, 7):
+            for k in range(0, n + 1, 3):
+                total = comb(n, k)
+                if total <= guard:
+                    assert conditions._require_subset_count(n, k) == total
+                    continue
+                with pytest.raises(TooLargeError) as exc:
+                    conditions._require_subset_count(n, k)
+                tail = f" exceeds subset guard {guard}"
+                assert str(exc.value) in (f"C({n},{k}) = {total}{tail}", f"C({n},{k}){tail}")
+                unbuilt += "=" not in str(exc.value)
+    assert unbuilt
+
+
 def test_check_matches_brute_scan():
     rng = random.Random(23)
     ctx = make_field(11)

@@ -6,10 +6,12 @@ heuristic.
 """
 
 import random
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mdsforge import families
 from mdsforge.certify import VERDICT_NON_RS, mds_exhaustive, non_rs_certificate
 from mdsforge.conditions import ConditionSpec, check_esym
 from mdsforge.errors import ConditionViolatedError, InvalidParamsError, TooLargeError
@@ -193,6 +195,51 @@ def test_thm63_validation():
         thm63(7, 2, 3, 2, 6)  # t = floor(1/2) = 0
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_thm63_divisibility_by_digits_matches_the_binomial(p):
+    # m = 1 leaves no z-tail, so a C(k, r) that p does not divide is refused next
+    for k in range(3, 80):
+        for r in range(1, k):
+            with pytest.raises(InvalidParamsError) as exc:
+                thm63(p, 1, k, r, 2 * k)
+            divides = str(exc.value) == f"characteristic {p} divides C({k},{r})"
+            assert divides == (comb(k, r) % p == 0), (k, r)
+
+
+def test_cor62_refuses_exactly_the_p_below_the_bound(monkeypatch):
+    # from r = 23 on the sides are long and p = 3 is refused from its bits;
+    # p need not be prime here, and make_field refuses what passes
+    monkeypatch.setattr(families, "_require_odd_prime", lambda p: None)
+    for r in range(2, 40, 3):
+        for k in (r + 1, 2 * r + 5):
+            n = 2 * k + 1
+            first = -(-(n * k) ** r // factorial(r))  # the smallest p that passes
+            for p in (3, first - 1, first):
+                try:
+                    cor62(p, k, r, n)
+                    refused = False
+                except (InvalidParamsError, TooLargeError) as exc:
+                    refused = "exceeds r!*p" in str(exc)
+                assert refused == (p < first), (r, k, p)
+
+
+def test_thm64_refuses_the_same_codes_with_and_without_the_root():
+    # r! < (r/2)^r for r >= 6: below p = 2^r no root is taken
+    primes = [p for p in range(3, 400) if all(p % d for d in range(2, p))]
+    for r in range(1, 10):
+        for p in primes:
+            for k in range(r + 1, r + 4):
+                refused = int_root(factorial(r) * p, r) // k < 1
+                try:
+                    thm64(p, 1, k, r, 2 * k)
+                except InvalidParamsError as exc:
+                    assert ("floor((r!p)^(1/r))/k < 1" in str(exc)) == refused, (p, k, r)
+                else:
+                    assert not refused, (p, k, r)
+    for r in range(6, 60):
+        assert int_root(factorial(r) * ((1 << r) - 1), r) < r + 1
+
+
 def test_thm64_pinned():
     code = thm64(73, 3, 3, 2, 10)
     # w = floor(sqrt(2*73))/3 = 12//3 = 4: constant digits cycle 1..4
@@ -326,6 +373,35 @@ def test_cor411_validation():
         cor411(3, 5)  # k > 2^(r-1)
     with pytest.raises(InvalidParamsError):
         cor411(2, 3)
+
+
+def test_cor411_range_check_matches_the_power_of_two(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def hamming_lift(r, base_q, k):
+        raise Built
+
+    monkeypatch.setattr(families, "hamming_lift", hamming_lift)
+    for r in range(3, 9):
+        message = rf"^need 3 <= k <= 2\^\(r-1\) = {2 ** (r - 1)}$"
+        for k in range(-3, 2 ** (r - 1) + 5, 2):
+            ok = 3 <= k <= 2 ** (r - 1)
+            with pytest.raises(Built if ok else InvalidParamsError, match=None if ok else message):
+                cor411(r, k)
+
+
+def test_hamming_column_guard_decides_every_count_exactly(monkeypatch):
+    for guard in (1 << 20, 100):
+        monkeypatch.setattr(families, "HAMMING_COLUMN_GUARD", guard)
+        for base_q in (2, 3, 4, 5, 7, 8, 9, 1 << 20):
+            for r in range(2, 30):
+                ncols = (base_q**r - 1) // (base_q - 1) + 1
+                if ncols <= guard:
+                    assert families._hamming_shape(r, base_q)[1] == ncols
+                    continue
+                with pytest.raises(TooLargeError, match=rf"columns exceeds guard {guard}$"):
+                    families._hamming_shape(r, base_q)
 
 
 def test_cor411_small_is_mds():
