@@ -41,14 +41,20 @@ It then sizes the component-wise (Schur) square of the code.  For an MDS
 code of dimension k <= n/2, a Schur-square dimension of at least 2k
 certifies that the code is not monomially equivalent to any Reed-Solomon
 code, because every generalized Reed-Solomon code of those parameters has
-Schur-square dimension exactly 2k - 1.  The square's dimension is computed
-twice, from independent inputs, and the two must agree.  The product side
-reads only the generator's entries: it reduces the rows to the reduced
-echelon basis of rank rho, whose squares are independent on the pivots and
-whose products r_i * r_j (i < j) vanish there, so the dimension is rho plus
-the rank of those C(rho, 2) products on the non-pivot columns
-(:func:`schur_square_dim`).  The sumset side reads only the exponents: the
-size of E+E when max(E+E) < n, else the rank of its evaluated monomials.
+Schur-square dimension exactly 2k - 1.  The square's dimension is proven
+by two one-sided bounds from independent inputs, which must meet.  The
+sumset side reads only the exponents (and the points): the square is
+spanned by the evaluated monomials x^e, e in E+E, since ev(f) * ev(g) =
+ev(fg), so its dimension is at most U, the size of E+E when max(E+E) < n,
+else the rank of those monomials (:func:`schur_square_dim_from_exponents`).
+The product side reads only the generator's entries: it reduces the rows to
+the reduced echelon basis of rank rho, whose squares are independent on the
+pivots and whose products r_i * r_j (i < j) vanish there, so the dimension
+is rho plus the rank of those C(rho, 2) products on the non-pivot columns.
+:func:`schur_square_dim` inserts them until rho plus their rank reaches U,
+which shows that the dimension is at least U; a product side that ends
+short of U is an error.  Under ``cross_check`` it walks every non-pivot
+column, and so also shows that the dimension is at most U.
 
 On request (``with_min_distance``) :func:`min_distance_bruteforce` counts
 the weights of all q^k codewords.  It walks one message per class of
@@ -191,12 +197,16 @@ def mds_exhaustive(mat: MatrixFq, jobs: int = 1) -> tuple[bool, Optional[tuple[i
 # Schur square
 
 
-def schur_square_dim(mat: MatrixFq) -> int:
+def schur_square_dim(mat: MatrixFq, upper: Optional[int] = None) -> int:
     """Dimension of the span of all component-wise products of row pairs.
 
     From the reduced echelon basis (see the module docstring): rho plus the
     rank of the vectors (r_i[f] * r_j[f]) over the pairs i < j, one per
     non-pivot column f, inserted until they span all C(rho, 2) coordinates.
+    With `upper`, a known upper bound on the dimension, the insertion stops
+    once rho plus the rank reaches it: the result then shows only that the
+    dimension is at least `upper`.  An `upper` below rho or above
+    rho + C(rho, 2) cannot be reached and gets the full walk.
     """
     ctx, mul = mat.ctx, mat.ctx.mul
     basis: list = []
@@ -211,9 +221,10 @@ def schur_square_dim(mat: MatrixFq) -> int:
         reduced.append((p, b))
     pivots = {p for p, _ in reduced}
     pairs = list(combinations([r for _, r in reduced], 2))
+    goal = len(pairs) if upper is None else upper - len(reduced)
     off: list = []
     for f in range(mat.cols):
-        if len(off) == len(pairs):
+        if len(off) == goal:
             break
         if f not in pivots:
             off = extend_basis(ctx, off, [mul(a[f], b[f]) for a, b in pairs]) or off
@@ -439,8 +450,8 @@ def non_rs_certificate(
     dimension equals 2k - 1 (what an RS code would show), `indeterminate`
     otherwise (k > n/2, or the code failed the MDS scan).  `jobs` only
     affects the elimination route (lambda_1 >= 2); `cross_check` derives
-    the MDS answer a second time and raises AssertionError if the two
-    differ.
+    the MDS answer a second time and ranks every Schur product, and raises
+    AssertionError if two answers differ.
     `with_min_distance` walks all codewords, and the MDS answer is checked
     against their weights, else AssertionError: for an MDS code the weight
     distribution must equal the closed form; for a code with a witness and
@@ -452,8 +463,8 @@ def non_rs_certificate(
     k, n = code.k, code.n
     gen = generator_matrix(code)
     is_mds, witness = _mds_decision(code, gen, jobs, cross_check)
-    schur = schur_square_dim(gen)
     schur_alt = schur_square_dim_from_exponents(code)
+    schur = schur_square_dim(gen, upper=None if cross_check else schur_alt)
     if schur != schur_alt:
         raise AssertionError(
             f"internal disagreement: product-rank {schur} != sumset-rank {schur_alt}"

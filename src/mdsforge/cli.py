@@ -29,8 +29,9 @@ print.  ``--jobs N`` (N >= 1) affects only the elimination route and
 changes no result; :mod:`mdsforge.certify` describes the one block loop it
 feeds.
 ``verify --cross-check`` derives the MDS answer a second time, on every
-route, from a from-scratch rank of every k-subset of columns, and fails
-loudly if the two differ.
+route, from a from-scratch rank of every k-subset of columns, and ranks
+every Schur product instead of stopping at the sumset's dimension; it fails
+loudly if two answers differ.
 
 ``check`` reads a code file or ``--field`` with ``--points``, and refuses
 both at once; ``--k``, ``--r`` and ``--delta`` override a code file's.

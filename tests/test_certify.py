@@ -48,7 +48,7 @@ from mdsforge.families import (
 )
 from mdsforge.field import make_field
 from mdsforge.jsonio import canonical_dumps, code_to_obj
-from mdsforge.matrix import matrix_from_rows, rank
+from mdsforge.matrix import extend_basis, matrix_from_rows, rank
 
 from oracles import (
     GrsSpec,
@@ -207,7 +207,34 @@ def test_schur_square_dim_matches_all_products(data):
         for row in rows:
             row[j] = 0
     mat = matrix_from_rows(ctx, rows)
-    assert schur_square_dim(mat) == schur_square_dim_all_products(mat)
+    true = schur_square_dim_all_products(mat)
+    assert schur_square_dim(mat) == true
+    # a bound the products reach stops the walk there; one they cannot
+    # reach, above the true rank or below rho, gets the full walk
+    assert schur_square_dim(mat, upper=true) == true
+    assert schur_square_dim(mat, upper=true + 1) == true
+    assert schur_square_dim(mat, upper=rank(mat) - 1) == true
+
+
+def test_schur_product_side_stops_at_the_sumset_bound(monkeypatch):
+    # RS[20,4] over GF(31): the off-diagonal products only reach rank
+    # 3 = k - 1 of C(4,2) = 6, so without a bound the walk inserts all 16
+    # non-pivot columns
+    k = 4
+    code = make_code(make_field(31), range(1, 21), range(k))
+    inserted = []
+
+    def spy(ctx, basis, v):
+        if len(v) == comb(k, 2):  # an off-diagonal column, not a generator row
+            inserted.append(v)
+        return extend_basis(ctx, basis, v)
+
+    monkeypatch.setattr(certify, "extend_basis", spy)
+    assert non_rs_certificate(code).schur_dim == 2 * k - 1
+    assert 0 < len(inserted) <= k - 1
+    inserted.clear()
+    assert non_rs_certificate(code, cross_check=True).schur_dim == 2 * k - 1
+    assert len(inserted) == 20 - k  # the full walk
 
 
 @pytest.mark.parametrize("p, m", FIELD_KINDS)
@@ -624,11 +651,21 @@ def test_jobs_report_the_witness_of_the_lowest_block(monkeypatch, last_of_block)
     assert mds_exhaustive(mat, jobs=2) == serial
 
 
+def prime_points(p, values):
+    ctx = make_field(p)
+    return ctx, scalars(ctx, values)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     point_sets(min_size=2, max_size=7),
     st.lists(st.integers(0, 8), min_size=1, max_size=4, unique=True),
 )
+@example(prime_points(31, range(1, 21)), [0, 1, 2, 3])  # Reed-Solomon route
+@example(prime_points(13, range(6)), [0, 1, 3])  # e_r route
+@example(prime_points(1000003, range(1, 11)), [0, 1, 3, 5])  # elimination, MDS
+@example(prime_points(13, [1, 12, 2, 3, 4]), [0, 2, 4])  # elimination, a witness
+@example(prime_points(5, range(1, 5)), [0, 4])  # rank 1: x^4 = 1 on every point
 def test_cross_check_prints_the_same_bytes(drawn, exps):
     ctx, pts = drawn
     exps = tuple(sorted(exps))

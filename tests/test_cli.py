@@ -958,6 +958,53 @@ def test_an_internal_disagreement_exits_three(capsys, tmp_path, monkeypatch):
     assert "AssertionError: internal disagreement: product-rank 6 != sumset-rank -1\n" in err
 
 
+def shift_sumset_side(monkeypatch, shift):
+    exact = certify.schur_square_dim_from_exponents
+    monkeypatch.setattr(certify, "schur_square_dim_from_exponents",
+                        lambda code: exact(code) + shift)
+
+
+@pytest.mark.parametrize("reachable", [False, True], ids=["past-all-products", "reachable"])
+def test_a_sumset_side_one_too_high_exits_three(capsys, tmp_path, monkeypatch, reachable):
+    # cor44(13,3,6) has rank 6 = 3 + C(3,2), so 7 gets the full walk; RS[20,4]
+    # over GF(31) has rank 7 < 4 + C(4,2), so the walk tries for 8 and ends short
+    if reachable:
+        path, true = tmp_path / "rs.json", 7
+        path.write_text(json.dumps({"field": {"p": 31, "m": 1}, "exponents": [0, 1, 2, 3],
+                                    "points": [[v] for v in range(1, 21)]}))
+    else:
+        path, true = construct_cor44(capsys, tmp_path)[0], 6
+    shift_sumset_side(monkeypatch, 1)
+    rc, out, err = run(capsys, "verify", str(path))
+    assert (rc, out) == (3, "")
+    assert f"internal disagreement: product-rank {true} != sumset-rank {true + 1}\n" in err
+
+
+def test_a_sumset_side_one_too_low_exits_three_under_cross_check(capsys, tmp_path, monkeypatch):
+    path, _ = construct_cor44(capsys, tmp_path)
+    shift_sumset_side(monkeypatch, -1)
+    # alone, the product side only shows that 5 products are independent
+    rc, out, _ = run(capsys, "verify", str(path))
+    assert (rc, parse(out)["schur_dim"]) == (0, 5)
+    rc, out, err = run(capsys, "verify", str(path), "--cross-check")
+    assert (rc, out) == (3, "")
+    assert "internal disagreement: product-rank 6 != sumset-rank 5\n" in err
+
+
+def test_cross_check_walks_every_schur_product(capsys, tmp_path, monkeypatch):
+    path, _ = construct_cor44(capsys, tmp_path)
+    exact, bounds = certify.schur_square_dim, []
+
+    def spy(mat, upper=None):
+        bounds.append(upper)
+        return exact(mat, upper=upper)
+
+    monkeypatch.setattr(certify, "schur_square_dim", spy)
+    assert run(capsys, "verify", str(path))[0] == 0
+    assert run(capsys, "verify", str(path), "--cross-check")[0] == 0
+    assert bounds == [6, None]
+
+
 #: Refusals whose count or bound has thousands to millions of digits.  Each
 #: must be decided without building that number and reported on one short
 #: line; a fresh process with a timeout shows a stall as a failure.
