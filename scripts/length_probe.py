@@ -69,10 +69,11 @@ def main() -> int:
         unknown = [name for name in wanted if name not in makers]
         if unknown:
             raise ValueError(f"unknown strategy {unknown[0]!r}; choose from {','.join(makers)}")
+        # a strategy is frozen and seeds each search afresh, so one serves every n
+        strategies = {name: make() for name, make in makers.items() if name in wanted}
     except (MdsforgeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    strategies = {name: make for name, make in makers.items() if name in wanted}
 
     print(f"field GF({ctx.p}^{ctx.m}) = GF({ctx.q}), k={args.k}, r={args.r}")
     print(f"{'n':>4} " + " ".join(f"{name:>12}" for name in strategies))
@@ -88,7 +89,7 @@ def main() -> int:
                 continue
             start = time.perf_counter()
             try:
-                found = search_eval_set(ctx, n, spec, strategies[name]())
+                found = search_eval_set(ctx, n, spec, strategies[name])
             except TooLargeError:
                 cells.append(f"{'guard':>12}")
                 alive.discard(name)

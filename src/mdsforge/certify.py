@@ -83,7 +83,7 @@ from .conditions import ConditionSpec, _require_subset_count, guard_in_force
 from .errors import SHOWN_BITS, InvalidParamsError, TooLargeError, shown
 from .evalcode import EvalCode, gap_order, generator_matrix, sumset
 from .field import FieldContext, FieldElement
-from .matrix import MatrixFq, extend_basis, matrix_from_rows, null_vectors, rank
+from .matrix import MatrixFq, extend_basis, matrix_from_rows, null_vector, rank
 
 #: Default ceiling on q^k for full codebook enumeration.
 CODEWORD_GUARD = 1 << 22
@@ -119,19 +119,13 @@ def _first_dependent_subset(
     walk :func:`conditions.first_failing_subset` with an elimination step:
     the state of a prefix of fewer than k - 1 columns is its
     :func:`matrix.extend_basis` basis, and a dependent prefix is rejected.
-    The state of a (k-1)-column prefix is the normal vector of its span
-    from :func:`matrix.null_vectors`, 1 at the one free coordinate, so a
-    leaf costs k - 1 multiply-adds: the last column is dependent exactly
-    when its dot product with the normal vanishes.
+    The state of a (k-1)-column prefix is the normal vector of its span,
+    as :func:`matrix.null_vector` lists it (1 at the free coordinate), so a
+    leaf costs k - 1 multiply-adds at most: the last column is dependent
+    exactly when its dot product with the normal vanishes.
     """
     mul, add = ctx.mul, ctx.add
     last = k - 1
-
-    def normal(basis: list) -> tuple[int, list]:
-        pivots = {p for p, _ in basis}
-        (w,) = null_vectors(ctx, basis, k)
-        free = next(i for i in range(k) if i not in pivots)
-        return free, [(p, w[p]) for p, _ in basis if w[p]]
 
     def extend(state, depth: int, j: int):
         v = cols[j]
@@ -146,9 +140,9 @@ def _first_dependent_subset(
         basis = extend_basis(ctx, state, v)
         if basis is None or depth < last - 1:
             return basis
-        return normal(basis)
+        return null_vector(ctx, basis, k)
 
-    root = normal([]) if k == 1 else []
+    root = null_vector(ctx, [], k) if k == 1 else []
     return conditions.first_failing_subset(len(cols), k, root, extend, first)
 
 
@@ -247,7 +241,9 @@ def schur_square_dim_from_exponents(code: EvalCode) -> int:
 # Brute-force minimum distance
 
 
-def min_distance_bruteforce(code: EvalCode) -> tuple[int, tuple[int, ...]]:
+def min_distance_bruteforce(
+    code: EvalCode, gen: Optional[MatrixFq] = None
+) -> tuple[int, tuple[int, ...]]:
     """Minimum nonzero weight and full weight distribution, by enumeration.
 
     Exact over all q^k codewords, though it visits few of them.  Scaling a
@@ -291,7 +287,7 @@ def min_distance_bruteforce(code: EvalCode) -> tuple[int, tuple[int, ...]]:
     parents.
     The degenerate all-zero code has no nonzero codeword; its distance
     reads as 0.  The walk refuses when q^k exceeds the codeword guard in
-    force.
+    force, before it builds the generator or reads `gen`, one built already.
     """
     ctx = code.ctx
     k, n, q = code.k, code.n, ctx.q
@@ -300,7 +296,7 @@ def min_distance_bruteforce(code: EvalCode) -> tuple[int, tuple[int, ...]]:
     total = q**k if k < guard.bit_length() or k * q.bit_length() <= SHOWN_BITS else None
     if total is None or total > guard:
         raise TooLargeError(f"{shown('q^k', total)} exceeds codeword guard {guard}")
-    gen = generator_matrix(code)
+    gen = gen or generator_matrix(code)
     elements, mul, add_multiple = ctx.elements(), ctx.mul, ctx.add_multiple
     # Weights do not depend on column order either: the hit columns go
     # first, so a partial codeword splits by slicing.
@@ -479,7 +475,7 @@ def non_rs_certificate(
         verdict = VERDICT_INDETERMINATE
     min_d: Optional[int] = None
     if with_min_distance:
-        min_d, dist = min_distance_bruteforce(code)
+        min_d, dist = min_distance_bruteforce(code, gen)
         if is_mds:
             closed = mds_weight_distribution(n, k, code.ctx.q)
             if dist != closed:

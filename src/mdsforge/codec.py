@@ -3,7 +3,8 @@
 A received word is the codeword with some positions replaced by None (the
 erasure marker).  Decoding does not assume the code is MDS.  It inserts the
 survivors' equations, in position order, into one echelon basis until k of
-them are independent, and takes the message from that basis's null vector.
+them are independent.  That basis's null vector (:func:`matrix.null_vector`)
+is 1 at the symbol column, and the message is its pivot entries, negated.
 An equation that contradicts the ones before it, or fewer than k
 independent equations, is reported.  The message is then re-encoded from
 the same generator rows and must match every surviving symbol, so symbol
@@ -17,7 +18,7 @@ from typing import Optional, Sequence
 from .errors import InconsistentError, InvalidParamsError, TooManyErasuresError
 from .evalcode import EvalCode, combine_rows, generator_matrix
 from .field import FieldElement
-from .matrix import extend_basis, null_vectors
+from .matrix import extend_basis, null_vector
 
 ERASED = None
 
@@ -56,8 +57,10 @@ def decode_erasures(code: EvalCode, received: ReceivedWord) -> tuple[FieldElemen
             f"the surviving symbols have rank {len(basis)} < k = {k}: "
             "the message is not determined"
         )
-    (x,) = null_vectors(ctx, basis, k + 1)  # [A | b] (x, 1) = 0, so A (-x) = b
-    message = tuple(ctx.neg(v) for v in x[:k])
+    # every column of A is a pivot, so the null vector of [A | b] is (x, 1)
+    # with A x = -b, and x is 0 off its listed pivot entries
+    x = dict(null_vector(ctx, basis, k + 1)[1])
+    message = tuple(ctx.neg(x.get(i, 0)) for i in range(k))
     reencoded = combine_rows(ctx, gen, message)
     for i in survivors:
         if reencoded[i] != received[i]:

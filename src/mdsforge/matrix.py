@@ -5,12 +5,12 @@ a zero entry is the int 0 and is skipped without a field operation.
 
 Everything here is built on one elimination step, :func:`extend_basis`,
 which inserts a row into an echelon basis (its pivot is its first nonzero
-entry once reduced), and on :func:`null_vectors`, which back-substitutes
-that basis.  Rank is the length of the basis of all rows.  The
-certifier's subset walk and the erasure decoder use the same two
-functions, so there is one elimination routine in the package.  Ranks and
-null vectors come out identical on every run and under any worker
-partitioning upstream.
+entry once reduced), and on :func:`null_vector`, which back-substitutes
+that basis for one null vector, listed sparsely.  Rank is the length of
+the basis of all rows.  The certifier's subset walk and the erasure
+decoder use the same two functions, so there is one elimination routine
+in the package.  Ranks and null vectors come out identical on every run
+and under any worker partitioning upstream.
 """
 
 from __future__ import annotations
@@ -80,35 +80,29 @@ def extend_basis(
     return basis + [(piv, ctx.add_multiple([0] * len(v), ctx.inv(v[piv]), v))]
 
 
-def null_vectors(ctx: FieldContext, basis: list, cols: int) -> list[tuple[FieldElement, ...]]:
-    """Right null space of an :func:`extend_basis` basis of width `cols`.
+def null_vector(ctx: FieldContext, basis: list, cols: int) -> tuple[int, list]:
+    """One right null vector of an :func:`extend_basis` basis of width `cols`.
 
-    One vector per non-pivot column f, in increasing f: 1 at f, 0 at the
-    other non-pivot columns, and the pivot entries found by back-substitution
-    in reverse insertion order.  That vector is unique, so the result depends
-    only on the row space, not on the order the rows were inserted.
+    Returns (f, pairs), f the lowest non-pivot column (the basis must leave
+    one), for the vector that is 1 at f and 0 at the other non-pivot
+    columns; `pairs` lists its nonzero pivot entries as (pivot, value),
+    found by back-substitution in reverse insertion order.  That vector is
+    unique, so it depends only on the row space, not on the insertion order.
     """
     mul, sub = ctx.mul, ctx.sub
     pivots = {p for p, _ in basis}
-    out = []
-    for f in range(cols):
-        if f in pivots:
-            continue
-        x = [0] * cols
-        x[f] = 1
-        solved = []
-        for p, b in reversed(basis):
-            # the row is 0 left of p and at earlier pivots, so only f and
-            # the nonzero pivot entries solved so far contribute
-            acc = ctx.neg(b[f])
-            for c, xc in solved:
-                if b[c]:
-                    acc = sub(acc, mul(b[c], xc))
-            if acc:
-                x[p] = acc
-                solved.append((p, acc))
-        out.append(tuple(x))
-    return out
+    f = next(c for c in range(cols) if c not in pivots)
+    pairs: list = []
+    for p, b in reversed(basis):
+        # the row is 0 left of p and at earlier pivots, so only f and the
+        # nonzero pivot entries solved so far contribute
+        acc = ctx.neg(b[f])
+        for c, xc in pairs:
+            if b[c]:
+                acc = sub(acc, mul(b[c], xc))
+        if acc:
+            pairs.append((p, acc))
+    return f, pairs
 
 
 def rank(mat: MatrixFq) -> int:

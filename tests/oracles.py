@@ -7,7 +7,7 @@ subset expansion, binomials through factorial ratios.  When a production
 routine and its oracle disagree, the oracle wins the argument.
 
 The section "Test fixtures" at the end is the exception: element
-constructors, generalized Reed-Solomon generators, duals, null spaces,
+constructors, generalized Reed-Solomon generators, duals, dense null spaces,
 square solves, the all-products Schur-square rank, e_r by recurrence,
 subset-sum counts and the scalar-class codeword walk.  Only tests need
 them, and they are built on the package's own arithmetic and elimination,
@@ -33,7 +33,7 @@ from mdsforge.errors import (
 )
 from mdsforge.evalcode import EvalCode, EvalSet, generator_matrix
 from mdsforge.field import FieldContext, FieldElement
-from mdsforge.matrix import MatrixFq, extend_basis, matrix_from_rows, null_vectors, rank
+from mdsforge.matrix import MatrixFq, extend_basis, matrix_from_rows, rank
 
 
 def prime_rank(p: int, rows: list[list[int]]) -> int:
@@ -272,6 +272,34 @@ def grs_generator(spec: GrsSpec) -> MatrixFq:
             )
         )
     return matrix_from_rows(ctx, rows)
+
+
+def null_vectors(ctx: FieldContext, basis: list, cols: int) -> list[tuple[FieldElement, ...]]:
+    """Right null space of an :func:`extend_basis` basis of width `cols`.
+
+    One dense vector per non-pivot column f, in increasing f: 1 at f, 0 at
+    the other non-pivot columns, and the pivot entries found by
+    back-substitution in reverse insertion order.  The first is the vector
+    :func:`matrix.null_vector` lists sparsely.
+    """
+    mul, sub = ctx.mul, ctx.sub
+    pivots = {p for p, _ in basis}
+    out = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        x = [0] * cols
+        x[f] = 1
+        for p, b in reversed(basis):
+            # the row is 0 left of p and at earlier pivots, so only f and
+            # the pivot entries solved so far contribute
+            acc = ctx.neg(b[f])
+            for c in pivots:
+                if b[c] and x[c]:
+                    acc = sub(acc, mul(b[c], x[c]))
+            x[p] = acc
+        out.append(tuple(x))
+    return out
 
 
 def null_space(mat: MatrixFq) -> MatrixFq:

@@ -436,8 +436,8 @@ def test_weight_distribution_check_catches_a_moved_codeword(monkeypatch):
     walk = certify.min_distance_bruteforce
     monkeypatch.setenv("MDSFORGE_GUARD", str(certify.CODEWORD_GUARD))
 
-    def moved(code):
-        d, dist = walk(code)
+    def moved(code, gen=None):
+        d, dist = walk(code, gen)
         return d, dist[:5] + (dist[5] - 1, dist[6] + 1)
 
     monkeypatch.setattr(certify, "min_distance_bruteforce", moved)
@@ -454,8 +454,8 @@ def test_min_distance_check_catches_a_lost_light_codeword(monkeypatch):
     walk = certify.min_distance_bruteforce
     monkeypatch.setenv("MDSFORGE_GUARD", str(certify.CODEWORD_GUARD))
 
-    def heavier(code):
-        _, dist = walk(code)
+    def heavier(code, gen=None):
+        _, dist = walk(code, gen)
         light = sum(dist[1 : n - k + 1])
         dist = (dist[0],) + (0,) * (n - k) + (dist[n - k + 1] + light,) + dist[n - k + 2 :]
         return n - k + 1, dist
@@ -466,6 +466,25 @@ def test_min_distance_check_catches_a_lost_light_codeword(monkeypatch):
     monkeypatch.setattr(certify, "min_distance_bruteforce", heavier)
     with pytest.raises(AssertionError, match="internal disagreement"):
         non_rs_certificate(code, with_min_distance=True)
+
+
+def test_min_distance_check_reuses_the_certificate_generator(monkeypatch):
+    # max(E+E) = 8 < n = 9, so the sumset side builds no generator either
+    build, calls = certify.generator_matrix, []
+
+    def counted(code):
+        calls.append(code)
+        return build(code)
+
+    monkeypatch.setattr(certify, "generator_matrix", counted)
+    cert = non_rs_certificate(thm412(3, 3, 4, 9), with_min_distance=True)
+    assert cert.min_distance == 6
+    assert len(calls) == 1
+    # a generator given to the walk does not get it past the codeword guard
+    code = make_code(make_field(13), range(6), (0, 1, 3))
+    monkeypatch.setenv("MDSFORGE_GUARD", "2196")  # 13^3 = 2197
+    with pytest.raises(TooLargeError, match="exceeds codeword guard 2196"):
+        min_distance_bruteforce(code, build(code))
 
 
 def test_weight_distribution_check_skips_codes_that_are_not_mds():

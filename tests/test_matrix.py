@@ -1,4 +1,4 @@
-"""Exact linear algebra: elimination, rank, solve, null space.
+"""Exact linear algebra: elimination, rank, null vector, solve, null space.
 
 Ranks are cross-checked against sympy over prime fields and against an
 F_p blow-up for extension fields (tests/oracles.py).
@@ -7,13 +7,24 @@ F_p blow-up for extension fields (tests/oracles.py).
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mdsforge.errors import InvalidParamsError
 from mdsforge.field import make_field
-from mdsforge.matrix import MatrixFq, matrix_from_rows, rank
+from mdsforge.matrix import MatrixFq, extend_basis, matrix_from_rows, null_vector, rank
 
-from oracles import ext_rank, mat_vec, null_space, prime_rank, scalar, solve_square
+from oracles import (
+    ext_rank,
+    mat_vec,
+    null_space,
+    null_vectors,
+    prime_rank,
+    scalar,
+    solve_square,
+)
+
+# GF(73^3) is past the table cap, on the polynomial path
+NULL_VECTOR_FIELDS = [make_field(5), make_field(2, 4), make_field(3, 3), make_field(73, 3)]
 
 
 def ints(ctx, rows):
@@ -122,6 +133,34 @@ def test_rank_against_blowup_extension_field():
             ctx, [[ctx.from_int(rng.randrange(16)) for _ in range(c)] for _ in range(r)]
         )
         assert rank(m) == ext_rank(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_null_vector_is_sparse_and_annihilates_every_row(data):
+    ctx = data.draw(st.sampled_from(NULL_VECTOR_FIELDS))
+    k = data.draw(st.integers(1, 5))
+    # the scan's (k-1) x k prefix, the decoder's k x (k+1) system, and a
+    # basis with three free columns
+    r, c = data.draw(st.sampled_from([(k - 1, k), (k, k + 1), (k - 1, k + 2)]))
+    entry = st.one_of(st.just(0), st.integers(0, ctx.q - 1))
+    rows = [[data.draw(entry) for _ in range(c)] for _ in range(r)]
+    basis: list = []
+    for row in rows:
+        basis = extend_basis(ctx, basis, row) or basis
+    assume(len(basis) == r)  # full row rank
+    f, pairs = null_vector(ctx, basis, c)
+    pivots = {p for p, _ in basis}
+    assert f == min(set(range(c)) - pivots)
+    assert all(v != 0 for _, v in pairs)
+    assert len({p for p, _ in pairs}) == len(pairs) and {p for p, _ in pairs} <= pivots
+    x = [0] * c
+    x[f] = 1
+    for p, v in pairs:
+        x[p] = v
+    for row in rows:
+        assert mat_vec(matrix_from_rows(ctx, [row]), x) == (0,)
+    assert tuple(x) == null_vectors(ctx, basis, c)[0]
 
 
 @settings(max_examples=40, deadline=None)

@@ -118,6 +118,10 @@ def test_length_probe_random_strategy_honors_the_env_guard():
         (["--field", "7", "--k", "0"], "k must be >= 1"),
         (["--field", "7", "--k", "3", "--strategies", "gredy"], "unknown strategy 'gredy'"),
         (["--field", "2,25", "--k", "3"], "exceeds enumeration guard 16777216"),
+        (["--field", "13", "--k", "3", "--max-attempts", "0", "--strategies", "random"],
+         "max_attempts must be >= 1"),
+        (["--field", "13", "--k", "3", "--max-attempts", "-3", "--strategies", "random"],
+         "max_attempts must be >= 1"),
     ],
 )
 def test_length_probe_rejects_bad_parameters(args, message):
@@ -125,4 +129,5 @@ def test_length_probe_rejects_bad_parameters(args, message):
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and message in done.stderr
+    assert done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr
