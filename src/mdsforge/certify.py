@@ -16,16 +16,19 @@ across workers:
   result): s_lambda = e_r, so :func:`conditions.check_esym` answers,
   serially, by its e_r walk or, for r = 1, its subset-sum table;
 * lambda_1 >= 2: :func:`mds_exhaustive`, the subset walk
-  :func:`conditions.first_failing_subset` with the elimination step
-  :func:`matrix.extend_basis`.  It is the only route that ``jobs``
+  :func:`conditions.first_failing_subset` over the (k-2)-column prefixes
+  with the elimination step :func:`matrix.extend_basis`.  Each independent
+  prefix decides its last two columns at once: two left null vectors of
+  its columns project every later column to GF(q)^2, where a dependent
+  pair is a zero or a repeated slope.  It is the only route that ``jobs``
   affects, and it has one loop whatever ``jobs`` says.  The subsets are
   split into blocks by lowest index.  Block 0 is scanned in this process,
   so a witness there starts no pool.  Blocks 1..n-k are then read in order
   through one ``map`` until the first witness.  That ``map`` is a process
   pool's, over min(jobs, CPUs) workers, when there are two or more workers
-  and at least :data:`PARALLEL_MIN_SUBSETS` subsets, and the builtin one
+  and at least :data:`PARALLEL_MIN_PREFIXES` prefixes, and the builtin one
   otherwise; a pool's tasks after the witness are cancelled.  Each task
-  carries the field context and the columns, so no worker rebuilds the
+  carries the field context and the matrix, so no worker rebuilds the
   field.
 
 Every route keeps the subset guard, so a code too long to scan is refused
@@ -111,47 +114,97 @@ class Certificate:
 
 
 def _first_dependent_subset(
-    ctx: FieldContext, cols: list[tuple[FieldElement, ...]], k: int, first: int
+    ctx: FieldContext,
+    rows: tuple[tuple[FieldElement, ...], ...],
+    cols: list[tuple[FieldElement, ...]],
+    first: int,
 ) -> Optional[tuple[int, ...]]:
     """First dependent k-subset of columns, in lex order, with lowest index `first`.
 
-    Returns None when every such subset is independent.  This is the subset
-    walk :func:`conditions.first_failing_subset` with an elimination step:
-    the state of a prefix of fewer than k - 1 columns is its
-    :func:`matrix.extend_basis` basis, and a dependent prefix is rejected.
-    The state of a (k-1)-column prefix is the normal vector of its span,
-    as :func:`matrix.null_vector` lists it (1 at the free coordinate), so a
-    leaf costs k - 1 multiply-adds at most: the last column is dependent
-    exactly when its dot product with the normal vanishes.
+    `rows` is the k x n matrix and `cols` its transpose.  Returns None when
+    every such subset is independent.  This is the subset walk
+    :func:`conditions.first_failing_subset` over the (k-2)-prefixes of
+    range(n - 2) with an elimination step: the state of a prefix is its
+    :func:`matrix.extend_basis` basis, and a dependent prefix is rejected
+    with the next two indices as the rest of its witness.  An independent
+    (k-2)-prefix is rejected when :func:`_first_closing_pair` finds a pair
+    after it, which completes the witness; so a prefix step decides all the
+    k-subsets that extend it.  k <= 2 is decided at the root.
     """
-    mul, add = ctx.mul, ctx.add
-    last = k - 1
+    k, n = len(rows), len(cols)
+    if k < 2:
+        return (first,) if k and not any(cols[first]) else None
+    if k == 2:
+        return _first_closing_pair(ctx, rows, [], first, first)
+    pair: tuple = ()
 
-    def extend(state, depth: int, j: int):
-        v = cols[j]
-        if depth == last:
-            free, tail = state
-            acc = v[free]
-            for p, w in tail:
-                f = v[p]
-                if f:
-                    acc = add(acc, mul(f, w))
-            return state if acc else None
-        basis = extend_basis(ctx, state, v)
-        if basis is None or depth < last - 1:
+    def extend(basis, depth: int, j: int):
+        nonlocal pair
+        basis = extend_basis(ctx, basis, cols[j])
+        if basis is None or depth < k - 3:
             return basis
-        return null_vector(ctx, basis, k)
+        pair = _first_closing_pair(ctx, rows, basis, j + 1, n - 2) or ()
+        return None if pair else basis
 
-    root = null_vector(ctx, [], k) if k == 1 else []
-    return conditions.first_failing_subset(len(cols), k, root, extend, first)
+    prefix = conditions.first_failing_subset(n - 2, k - 2, [], extend, first)
+    if prefix is None:
+        return None
+    return prefix + (pair or (prefix[-1] + 1, prefix[-1] + 2))
 
 
-#: Below this many k-subsets the scan runs serially whatever ``jobs`` asks,
-#: because starting a process pool costs more than the split saves.  Median
-#: of six passing [n,4] scans over GF(1000003) on a 2-CPU machine, one
-#: process against two workers: 12 650 subsets 55 ms against 74 ms, 20 475
-#: subsets 121 ms against 123 ms, 27 405 subsets 121 ms against 85 ms.
-PARALLEL_MIN_SUBSETS = 20_000
+def _first_closing_pair(
+    ctx: FieldContext, rows: tuple[tuple[FieldElement, ...], ...], basis: list, lo: int, jmax: int
+) -> Optional[tuple[int, int]]:
+    """Lex-first (j, c) with lo <= j <= jmax and j < c that closes a dependent k-subset.
+
+    `basis` is the :func:`matrix.extend_basis` basis of k - 2 independent
+    columns P.  Their left null space is spanned by y, the
+    :func:`matrix.null_vector` of `basis` at its lowest free coordinate f,
+    and z, that of `basis` with the unit row at f added.  The projection
+    pi(v) = (y.v, z.v) has kernel span(P), so P with columns j and c is
+    dependent exactly when pi(j) or pi(c) is zero or the two are
+    proportional.  y.v over the columns lo..n-1 is one row combination,
+    k - 2 :meth:`FieldContext.add_multiple` calls at most, and so is z.v.
+    A right-to-left pass keys each nonzero pi(c) by its slope z.c / y.c
+    (-1 when y.c = 0) and keeps the lowest index seen so far of each key
+    and of a zero projection: the earliest partner of j is the lower of its
+    key's and the zero's, or j + 1 when pi(j) = 0.  The last j with a
+    partner is the lowest.
+    """
+    k, n = len(rows), len(rows[0])
+    add_multiple, mul, inv = ctx.add_multiple, ctx.mul, ctx.inv
+    f, ys = null_vector(ctx, basis, k)
+    g, zs = null_vector(ctx, extend_basis(ctx, basis, [int(i == f) for i in range(k)]), k)
+    y, z = rows[f][lo:], rows[g][lo:]
+    for p, w in ys:
+        y = add_multiple(y, w, rows[p][lo:])
+    for p, w in zs:
+        z = add_multiple(z, w, rows[p][lo:])
+    found = None
+    zero = n
+    lowest: dict = {}
+    for c, a, b in zip(range(n - 1, lo - 1, -1), reversed(y), reversed(z)):
+        if a or b:
+            key = mul(b, inv(a)) if a else -1
+            partner = min(lowest.get(key, n), zero)
+            lowest[key] = c
+        else:
+            partner, zero = c + 1, c
+        if partner < n and c <= jmax:
+            found = (c, partner)
+    return found
+
+
+#: Below this many (k-2)-prefixes, C(n-2, k-2), the scan runs serially
+#: whatever ``jobs`` asks, because starting a process pool costs more than
+#: the split saves.  A prefix step costs O(n), so the subset count C(n, k)
+#: does not separate the two across k.  Median of seven passing scans over
+#: GF(1000003) on a 2-CPU machine, one process against two workers:
+#: [390,3] 388 prefixes (9 810 580 subsets) 195 ms against 259 ms; [45,4]
+#: 903 prefixes 50 against 51 ms, [50,4] 1 128 prefixes 66 against 63 ms,
+#: [60,4] 1 653 prefixes 116 against 95 ms; [22,5] 1 140 prefixes 56
+#: against 58 ms, [25,5] 1 771 prefixes 148 against 93 ms.
+PARALLEL_MIN_PREFIXES = 1_500
 
 
 def mds_exhaustive(mat: MatrixFq, jobs: int = 1) -> tuple[bool, Optional[tuple[int, ...]]]:
@@ -166,15 +219,14 @@ def mds_exhaustive(mat: MatrixFq, jobs: int = 1) -> tuple[bool, Optional[tuple[i
     k, n = mat.rows, mat.cols
     if k > n:
         raise InvalidParamsError(f"k={k} exceeds n={n}")
-    total = _require_subset_count(n, k)
-    cols = [mat.column(j) for j in range(n)]
-    scan = partial(_first_dependent_subset, mat.ctx, cols, k)
+    _require_subset_count(n, k)
+    scan = partial(_first_dependent_subset, mat.ctx, mat.entries, list(zip(*mat.entries)))
     witness = scan(0)
     if witness is not None:  # found before any worker starts
         return (False, witness)
     workers = min(jobs, os.cpu_count() or 1)
     pool = None
-    if workers > 1 and total >= PARALLEL_MIN_SUBSETS:
+    if workers > 1 and k >= 2 and comb(n - 2, k - 2) >= PARALLEL_MIN_PREFIXES:
         from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
 
         pool = ProcessPoolExecutor(max_workers=workers)
@@ -394,7 +446,7 @@ def _mds_by_minors(mat: MatrixFq) -> tuple[bool, Optional[tuple[int, ...]]]:
     """
     k, n = mat.rows, mat.cols
     _require_subset_count(n, k)
-    cols = [mat.column(j) for j in range(n)]
+    cols = list(zip(*mat.entries))
     for combo in combinations(range(n), k):
         if rank(matrix_from_rows(mat.ctx, [cols[j] for j in combo])) < k:
             return (False, combo)
@@ -421,7 +473,7 @@ def _mds_decision(
         answer = mds_exhaustive(gen, jobs=jobs)
     witness = answer[1]
     if witness is not None:
-        sub = matrix_from_rows(code.ctx, [gen.column(j) for j in witness])
+        sub = matrix_from_rows(code.ctx, [[row[j] for j in witness] for row in gen.entries])
         if rank(sub) == k:
             raise AssertionError(
                 f"internal disagreement: witness {list(witness)} has independent columns"

@@ -7,10 +7,11 @@ Everything here is built on one elimination step, :func:`extend_basis`,
 which inserts a row into an echelon basis (its pivot is its first nonzero
 entry once reduced), and on :func:`null_vector`, which back-substitutes
 that basis for one null vector, listed sparsely.  Rank is the length of
-the basis of all rows.  The certifier's subset walk and the erasure
-decoder use the same two functions, so there is one elimination routine
-in the package.  Ranks and null vectors come out identical on every run
-and under any worker partitioning upstream.
+the basis of all rows.  The certifier's subset walk, which takes two left
+null vectors of each (k-2)-column prefix, and the erasure decoder use the
+same two functions, so there is one elimination routine in the package.
+Ranks and null vectors come out identical on every run and under any
+worker partitioning upstream.
 """
 
 from __future__ import annotations
@@ -47,11 +48,6 @@ class MatrixFq:
     @property
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
-
-    def column(self, j: int) -> tuple[FieldElement, ...]:
-        if not 0 <= j < self.cols:
-            raise InvalidParamsError(f"column {j} out of range")
-        return tuple(r[j] for r in self.entries)
 
 
 def matrix_from_rows(ctx: FieldContext, rows: Sequence[Sequence[FieldElement]]) -> MatrixFq:

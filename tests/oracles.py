@@ -84,6 +84,13 @@ def mat_vec(mat: MatrixFq, x: list[FieldElement]) -> tuple[FieldElement, ...]:
     return tuple(out)
 
 
+def column(mat: MatrixFq, j: int) -> tuple[FieldElement, ...]:
+    """Column j of `mat`; an index outside the matrix is refused."""
+    if not 0 <= j < mat.cols:
+        raise InvalidParamsError(f"column {j} out of range")
+    return tuple(r[j] for r in mat.entries)
+
+
 def brute_weight_distribution(
     ctx: FieldContext, gen_rows: list[list[FieldElement]]
 ) -> tuple[int, ...]:

@@ -111,7 +111,7 @@ def test_witness_is_lex_first():
 
 
 def test_parallel_scan_matches_serial(monkeypatch):
-    monkeypatch.setattr(certify, "PARALLEL_MIN_SUBSETS", 0)
+    monkeypatch.setattr(certify, "PARALLEL_MIN_PREFIXES", 0)
     ctx = make_field(13)
     good = generator_matrix(make_code(ctx, range(6), (0, 1, 3)))
     bad = generator_matrix(make_code(ctx, [1, 5, 7, 2, 3, 4], (0, 1, 3)))
@@ -632,6 +632,66 @@ def test_elimination_route_matches_sympy(drawn, exps):
     assert mds_exhaustive(gen) == (witness is None, witness)
 
 
+@st.composite
+def arbitrary_matrices(draw):
+    """A k x n matrix, k <= 5 and k <= n <= 7, over GF(13), GF(2^4), GF(3^2)
+    or GF(2^11) (the polynomial path), whose columns are drawn fresh, zero,
+    as nonzero multiples of earlier ones (1 repeats them) or as sums of two
+    earlier ones; its last row may be a combination of the first two."""
+    p, m = draw(st.sampled_from([(13, 1), (2, 4), (3, 2), (2, 11)]))
+    ctx = make_field(p, m)
+    k = draw(st.integers(0, 5))
+    if k == 0:
+        return matrix_from_rows(ctx, [])
+    n = draw(st.integers(k, 7))
+    element, unit = st.integers(0, ctx.q - 1), st.integers(1, ctx.q - 1)
+    cols = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["fresh", "zero", "scaled", "sum"])) if cols else "fresh"
+        if kind == "fresh":
+            col = draw(st.lists(element, min_size=k, max_size=k))
+        elif kind == "zero":
+            col = [0] * k
+        elif kind == "scaled":
+            col = [ctx.mul(draw(unit), x) for x in draw(st.sampled_from(cols))]
+        else:
+            a, b = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
+            col = ctx.add_multiple(a, draw(unit), b)
+        cols.append(col)
+    rows = [list(r) for r in zip(*cols)]
+    if k >= 3 and draw(st.booleans()):
+        rows[-1] = ctx.add_multiple(rows[0], draw(element), rows[1])
+    return matrix_from_rows(ctx, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arbitrary_matrices())
+@example(matrix_from_rows(make_field(13), [[1, 1, 0], [1, 2, 0]]))  # a zero projection
+@example(matrix_from_rows(make_field(13), [[1, 2, 3], [1, 2, 3]]))  # two partners of 0
+@example(matrix_from_rows(make_field(13), [[1, 1, 1, 2], [0, 1, 2, 2]]))  # none in block 0
+@example(matrix_from_rows(make_field(13), [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]))  # MDS
+def test_elimination_scan_matches_sympy_on_arbitrary_matrices(mat):
+    k, n = mat.rows, mat.cols
+    if k == 0:
+        assert mds_exhaustive(mat) == (True, None)
+        return
+    dependent = [
+        combo
+        for combo in itertools.combinations(range(n), k)
+        if ext_rank(matrix_from_rows(mat.ctx, [[r[j] for j in combo] for r in mat.entries])) < k
+    ]
+    witness = dependent[0] if dependent else None
+    assert mds_exhaustive(mat) == (witness is None, witness)
+    # each block by lowest index on its own, and read in order, the whole walk
+    cols = list(zip(*mat.entries))
+    blocks = [
+        certify._first_dependent_subset(mat.ctx, mat.entries, cols, first)
+        for first in range(n - k + 1)
+    ]
+    assert blocks == [next((c for c in dependent if c[0] == f), None) for f in range(n - k + 1)]
+    assert next((b for b in blocks if b is not None), None) == witness
+
+
 def boundary_matrix(*witness_ranks):
     """[8,3] code over GF(10007), MDS except that each subset of the given
     lex ranks has its last column replaced by a sum of its other two."""
@@ -652,7 +712,7 @@ def boundary_matrix(*witness_ranks):
     "witness_rank", [18, 19, 20, 21, 27, 28, 29, 35, 36, 37, 38, 39, 45, 46, 55]
 )
 def test_jobs_split_at_chunk_boundaries(monkeypatch, witness_rank):
-    monkeypatch.setattr(certify, "PARALLEL_MIN_SUBSETS", 0)
+    monkeypatch.setattr(certify, "PARALLEL_MIN_PREFIXES", 0)
     mat, target = boundary_matrix(witness_rank)
     serial = mds_exhaustive(mat, jobs=1)
     assert serial == (False, target)
@@ -663,7 +723,7 @@ def test_jobs_split_at_chunk_boundaries(monkeypatch, witness_rank):
 @pytest.mark.parametrize("last_of_block", [20, 35, 45])
 def test_jobs_report_the_witness_of_the_lowest_block(monkeypatch, last_of_block):
     # witnesses on the last subset of one block and the first of the next
-    monkeypatch.setattr(certify, "PARALLEL_MIN_SUBSETS", 0)
+    monkeypatch.setattr(certify, "PARALLEL_MIN_PREFIXES", 0)
     mat, target = boundary_matrix(last_of_block, last_of_block + 1)
     serial = mds_exhaustive(mat, jobs=1)
     assert serial == (False, target)
@@ -873,7 +933,7 @@ def test_jobs_start_at_most_one_worker_per_cpu(monkeypatch, cpus, workers):
     passing = generator_matrix(make_code(make_field(10007), range(1, 9), (0, 1, 2)))
     serial = [mds_exhaustive(failing), mds_exhaustive(passing)]
     assert serial[0] == (False, target)
-    monkeypatch.setattr(certify, "PARALLEL_MIN_SUBSETS", 0)
+    monkeypatch.setattr(certify, "PARALLEL_MIN_PREFIXES", 0)
     monkeypatch.setattr(RecordingPool, "log", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(certify.os, "cpu_count", lambda: cpus)
@@ -887,14 +947,15 @@ def test_jobs_start_at_most_one_worker_per_cpu(monkeypatch, cpus, workers):
 
 
 def test_jobs_find_a_witness_in_block_0_without_a_pool(monkeypatch):
-    # E = {0, 1, 4}: the minor on points S is their Vandermonde determinant
-    # times h_2(S), and h_2(0, 1, c) = c^2 + c + 1 vanishes at the cube root
-    # of unity c = 499501 of GF(1000003), so (0, 1, 2) is the first subset
-    code = make_code(make_field(1000003), [0, 1, 499501, *range(2, 119)], (0, 1, 4))
+    # E = {0, 1, 2, 5}: the minor on points S is their Vandermonde determinant
+    # times h_2(S), and h_2(0, 1, w, w^2) = 0 for the cube root of unity
+    # w = 499501 of GF(1000003), w^2 = 500501, so (0, 1, 2, 3) is the first
+    # subset
+    code = make_code(make_field(1000003), [0, 1, 499501, 500501, *range(2, 56)], (0, 1, 2, 5))
     gen = generator_matrix(code)
     serial = mds_exhaustive(gen)
-    assert serial == (False, (0, 1, 2))
-    assert comb(gen.cols, gen.rows) >= certify.PARALLEL_MIN_SUBSETS
+    assert serial == (False, (0, 1, 2, 3))
+    assert comb(gen.cols - 2, gen.rows - 2) >= certify.PARALLEL_MIN_PREFIXES
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a witness in block 0 must not start a pool")
@@ -916,7 +977,7 @@ from mdsforge.field import make_field
 if __name__ == "__main__":
     multiprocessing.set_start_method("spawn")
     certify.os.cpu_count = lambda: 2
-    certify.PARALLEL_MIN_SUBSETS = 0
+    certify.PARALLEL_MIN_PREFIXES = 0
     out = []
     for (p, m), points in json.loads(sys.argv[1]):
         code = EvalCode(make_field(p, m), EvalSet(tuple(points)), ExponentSet((0, 1, 4)))

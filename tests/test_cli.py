@@ -116,16 +116,16 @@ def test_verify_rejects_jobs_below_one(capsys, tmp_path, jobs):
 
 
 def test_verify_jobs_through_a_real_pool(capsys, tmp_path, monkeypatch):
-    # E = {0,1,4} has Schur polynomial h_2, which vanishes on {b, bw, bw^2}
-    # for a cube root of unity w.  Planted at indices 1-3, the witness lies
+    # E = {0,1,2,5} has Schur polynomial h_2, which vanishes on {0, b, bw, bw^2}
+    # for a cube root of unity w.  Planted at indices 1-4, the witness lies
     # past the block of lowest index 0, in a scan long enough for a pool.
-    p, n = 1000003, 51
-    assert comb(n, 3) >= certify.PARALLEL_MIN_SUBSETS
+    p, n = 1000003, 58
+    assert comb(n - 2, 2) >= certify.PARALLEL_MIN_PREFIXES
     w = next(x for x in (pow(g, (p - 1) // 3, p) for g in range(2, p)) if x != 1)
-    planted = [5, 5 * w % p, 5 * w * w % p]
+    planted = [0, 5, 5 * w % p, 5 * w * w % p]
     others = [v for v in random.Random(7).sample(range(1, p), n) if v not in planted]
-    values = others[:1] + planted + others[1 : n - 3]
-    obj = {"field": {"p": p, "m": 1}, "points": [[v] for v in values], "exponents": [0, 1, 4]}
+    values = others[:1] + planted + others[1 : n - 4]
+    obj = {"field": {"p": p, "m": 1}, "points": [[v] for v in values], "exponents": [0, 1, 2, 5]}
     path = tmp_path / "h2.json"
     path.write_text(canonical_dumps(obj))
     pools = []
@@ -142,7 +142,7 @@ def test_verify_jobs_through_a_real_pool(capsys, tmp_path, monkeypatch):
     assert run(capsys, "verify", str(path), "--jobs", "2") == serial
     assert pools == [2]
     assert serial[0] == 1
-    assert parse(serial[1])["witness"] == [1, 2, 3]
+    assert parse(serial[1])["witness"] == [1, 2, 3, 4]
 
 
 def test_verify_non_mds_exits_one(capsys, tmp_path):

@@ -300,7 +300,7 @@ def test_extended_hamming_ternary():
     h = extended_hamming_parity(2, 3)
     assert (h.rows, h.cols) == (3, 5)
     # distinct and pairwise independent columns
-    cols = [h.column(j) for j in range(5)]
+    cols = list(zip(*h.entries))
     assert len(set(cols)) == 5
     for a in range(5):
         for b in range(a + 1, 5):
@@ -321,7 +321,7 @@ def test_extended_hamming_columns_are_the_normalized_vectors_in_counter_order(q,
     digits = [tuple(v // q**i % q for i in range(r)) for v in range(q**r)]
     expected = [d + (1,) for d in digits if next((x for x in d if x), None) == 1]
     h = extended_hamming_parity(r, q)
-    assert [h.column(j) for j in range(h.cols)] == expected + [(0,) * r + (1,)]
+    assert list(zip(*h.entries)) == expected + [(0,) * r + (1,)]
 
 
 def test_extended_hamming_validation():

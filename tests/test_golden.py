@@ -25,7 +25,11 @@ bytes and refuse the same codes.  The three `--min-distance` cases past k = 3
 (RS[12,5] over GF(2^4), RS[9,6] over GF(3^2) and the GF(5) code with
 E = {0,1,2,4}) were recorded while that walk still counted every partial
 codeword of the last two rows one at a time, so counting a parent's
-codewords from where lines cross must print the same bytes.
+codewords from where lines cross must print the same bytes.  The
+elimination cases with k = 2, k = 5 and the [45,4] code over GF(1000003)
+were recorded while the elimination scan still tested every k-subset
+one leaf at a time, so deciding the last two columns of a prefix at once
+must print the same bytes.
 """
 
 import contextlib
@@ -62,6 +66,11 @@ RS_9 = counter_code(3, 2, range(9), range(6))
 # not MDS, d = 1: the columns of x and -x agree on x^0, x^2 and x^4, and x^4
 # vanishes only at the point 0
 E0124 = counter_code(5, 1, range(5), (0, 1, 2, 4))
+# the elimination route (lambda_1 >= 2) at k = 2, where x^3 takes each
+# nonzero cube three times on GF(13), at k = 5, and a passing [45,4] scan
+E03 = counter_code(13, 1, [0, 1, 2, *range(4, 13)], (0, 3))
+E01236 = counter_code(31, 1, range(1, 16), (0, 1, 2, 3, 6))
+E0135 = counter_code(1000003, 1, range(1, 46), (0, 1, 3, 5))
 
 #: (id, code, extra verify arguments, stdout sha256, exit code)
 CASES = [
@@ -99,6 +108,14 @@ CASES = [
      "f16f1dd596d7ff7cf101aeab8935cfa7eb043eac8f6aba5501ca876b7ff2a8ee", 0),
     ("e0124-gf5-min-distance", E0124, ["--min-distance"],
      "f4891cd2c345834cc0cb1fc378543abc91cecfe9ae78a838c363c3463eba32f0", 1),
+    ("e03-gf13", E03, [],
+     "dc1e81de887c942511608ac5b84e759ee6895bd400f518150b686f9eccadf48a", 1),
+    ("e01236-gf31", E01236, [],
+     "f3b2f1f4a968431bcf3c7fe466d9084192733a48bd6dec7f1cd6d58dfdd2d03d", 1),
+    ("e0135-45-gf1000003", E0135, [],
+     "4d756c8283356a40003d3179c57d114251767bdc92d86e6a75a3eec1712ea341", 0),
+    ("e0135-45-gf1000003-jobs2", E0135, ["--jobs", "2"],
+     "4d756c8283356a40003d3179c57d114251767bdc92d86e6a75a3eec1712ea341", 0),
 ]
 
 #: (id, code, MDSFORGE_GUARD or None, stderr) of `verify --min-distance` on
