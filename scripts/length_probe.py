@@ -6,10 +6,11 @@ For each n from 2k upward, try to find n points whose k-subsets all avoid
 e_r = 0.  Greedy is backtrack-free (cheap, may stall early) and has no
 guard; random restarts are seeded; exhaustive only runs while C(q, n) and
 C(n, k), and random while C(n, k), stay under the subset guard (10^7, or
-MDSFORGE_GUARD when set); past it the cell reads `guard`.  A
-cell reads `none` only when the exhaustive search finds no set, which proves
-that no n points pass; greedy and random print `gave up` when they find
-none, which proves nothing.
+MDSFORGE_GUARD when set); past it the cell reads `guard`.  A found set's
+cell is the search's time.  A cell reads `none` only when the exhaustive
+search finds no set, which proves that no n points pass, and carries the
+proof's time (`none 0.011s`); greedy and random print `gave up` when they
+find none, which proves nothing.
 
 Usage:
     python scripts/length_probe.py --field 13 --k 3
@@ -96,7 +97,8 @@ def main() -> int:
                 continue
             elapsed = time.perf_counter() - start
             if found is None:
-                cells.append(f"{'none' if name == 'exhaustive' else 'gave up':>12}")
+                cell = f"none {elapsed:.3f}s" if name == "exhaustive" else "gave up"
+                cells.append(f"{cell:>12}")
                 alive.discard(name)
             else:
                 reached[name] = n

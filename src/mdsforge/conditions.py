@@ -31,6 +31,17 @@ in colex order, and reaching none proves that no n-subset passes.  The
 r = 1 stack reads the free set off its top row; the walk keeps none and
 its bound is the trivial one, j.
 
+With delta = 0 a second backtrack, :func:`_colex_search` through 1, runs
+beside it, one push each in turn: 1 is pushed first and never offered
+again, so it walks only the n-sets through 1.  That is enough for `none`:
+e_r(aS) = a^r e_r(S), so for any nonzero s of a passing n-set S, S/s is a
+passing set through 1.  If it ends empty, no n-set passes; if it finds a
+set, it stops and the colex search goes on alone, since only the colex
+search names the first set in colex order.  The pair makes at most
+twice the pushes of the cheaper search alone, plus one.  With
+delta != 0 the scaling moves e_r off delta, so a set through 1 stands for
+no other set and the colex search runs alone.
+
 One rule, :func:`_by_sums`, routes :func:`check_esym` and both searches,
 for the n points checked or sought: r = 1 goes by subset-sum bitsets over
 GF(q) when both SUM_TABLE_RATIO * n*k*m*ceil(q/64) <= C(n, k) and
@@ -54,7 +65,7 @@ import os
 import random
 from dataclasses import dataclass
 from math import comb, inf, log10
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Generator, Optional, Sequence, Union
 
 from .errors import SHOWN_BITS, FormatError, InvalidParamsError, TooLargeError, shown
 from .field import TABLE_CAP, FieldContext, FieldElement
@@ -341,8 +352,11 @@ class ExhaustiveSearch:
     """Backtrack through the n-subsets of the field in colex order.
 
     Returns the first passing set in that order; None is a proof that no
-    n-subset of the field passes.  The subset guard in force caps both
-    C(q, n), the sets searched, and C(n, k), the subsets of one set.
+    n-subset of the field passes.  With delta = 0 the proof may come from
+    the sets through 1 alone, since e_r(S/s) = s^-r e_r(S) maps every
+    passing set S onto one through 1; with delta != 0 it may not.  Only the
+    colex search names a set.  The subset guard in force caps both C(q, n),
+    the sets searched, and C(n, k), the subsets of one set.
     """
 
 
@@ -366,24 +380,29 @@ class GreedySearch:
 SearchStrategy = Union[ExhaustiveSearch, RandomSearch, GreedySearch]
 
 
-def _candidate_stack(ctx: FieldContext, n: int, spec: ConditionSpec) -> tuple[Callable, ...]:
+def _candidate_stack(
+    ctx: FieldContext, n: int, spec: ConditionSpec, skip: Optional[int] = None
+) -> tuple[Callable, ...]:
     """(next_free, lowest, push, pop) of a search for n points, by
     :func:`_by_sums`: ``next_free(v, limit)`` is the lowest candidate from v
     on that closes no failing k-subset with the points pushed, or at least
     limit if none is below it; no candidate below ``lowest(limit, j)``
     has j free candidates under it; ``push`` and ``pop`` add and drop a
-    point."""
+    point.  The value `skip` is never a candidate."""
     if _by_sums(ctx, n, spec):
-        return _sum_stack(ctx, spec)[:4]
-    return _walk_stack(ctx, spec)
+        return _sum_stack(ctx, spec, skip)[:4]
+    return _walk_stack(ctx, spec, skip)
 
 
-def _walk_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Callable, ...]:
+def _walk_stack(
+    ctx: FieldContext, spec: ConditionSpec, skip: Optional[int] = None
+) -> tuple[Callable, ...]:
     """(next_free, lowest, push, pop) by one e_r walk per candidate.  The
     candidate sits at index 0 of the point list, the points pushed follow
     it, and the k-subsets through the candidate are block 0 of
     :func:`check_esym`'s walk over that list.  No free set is kept, so
-    ``lowest(limit, j)`` is j: the lowest candidate with j values below."""
+    ``lowest(limit, j)`` is j, the lowest candidate with j values below,
+    or j + 1 once `skip` is among those values."""
     points: list[FieldElement] = [0]
     root, step = _esym_step(ctx, points, spec)
 
@@ -392,12 +411,12 @@ def _walk_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Callable, ...]:
         return first_failing_subset(len(points), spec.k, root, step, 0) is not None
 
     def next_free(v: int, limit: int) -> int:
-        while v < limit and conflicts(v):
+        while v < limit and (v == skip or conflicts(v)):
             v += 1
         return v
 
     def lowest(limit: int, j: int) -> int:
-        return j
+        return j if skip is None or j < skip else j + 1
 
     return next_free, lowest, points.append, points.pop
 
@@ -406,7 +425,9 @@ def _walk_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Callable, ...]:
 _ROTATIONS: dict[int, tuple[dict, dict]] = {}
 
 
-def _sum_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Any, ...]:
+def _sum_stack(
+    ctx: FieldContext, spec: ConditionSpec, skip: Optional[int] = None
+) -> tuple[Any, ...]:
     """(next_free, lowest, push, pop, rows) for r = 1 on a stack of
     subset-sum rows.
 
@@ -416,7 +437,8 @@ def _sum_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Any, ...]:
     exactly when its bit is set in entry k - 1 of the top row (with k = 1
     that entry is {delta}), so next_free is the lowest clear bit from v on,
     and lowest(limit, j) clears the j lowest clear bits below limit and
-    returns the next one.
+    returns the next one.  Entry k - 1 is never moved into another entry,
+    so a `skip` bit set in it at the bottom row stays set in every row.
     ``push(v)`` moves entry j - 1 by -v into entry j: adding -v turns digit
     i of every index by c = -v_i mod p, so each block of p^(i+1) bits
     rotates up by c * p^i bits.  The mask of a rotation holds the low
@@ -431,6 +453,8 @@ def _sum_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Any, ...]:
     p, q = ctx.p, ctx.q
     masks, moves = _ROTATIONS.setdefault(q, ({}, {})) if q <= TABLE_CAP else ({}, {})
     rows = [[1 << _target(ctx, spec)] + [0] * (spec.k - 1)]
+    if skip is not None:
+        rows[0][-1] |= 1 << skip
 
     def rotations(v: int) -> list:
         rots, size = [], 1
@@ -475,6 +499,43 @@ def _sum_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Any, ...]:
     return next_free, lowest, push, rows.pop, rows
 
 
+def _colex_search(
+    ctx: FieldContext, n: int, spec: ConditionSpec, through: Optional[int] = None
+) -> Generator[None, None, Optional[tuple[int, ...]]]:
+    """The colex backtrack of the module docstring, one push per step: a
+    generator that yields after each push but the last and returns the
+    first passing n-set in colex order, or None when no n-set passes.
+    With `through`, that point is pushed first, untested, and never offered
+    again, so the search covers the n-sets through it alone; it must pass
+    on its own, as 1 does when delta = 0."""
+    q = ctx.q
+    next_free, lowest, push, pop = _candidate_stack(ctx, n, spec, through)
+    base = () if through is None else (through,)
+    for v in base:
+        push(v)
+        yield
+    need = n - len(base)  # the points the backtrack takes
+    if need == 0:
+        return base
+    values: list[int] = []
+    v = lowest(q, need - 1)
+    while True:
+        limit = values[-1] if values else q
+        v = next_free(v, limit)
+        if v < limit:
+            push(v)
+            values.append(v)
+            if len(values) == need:
+                return tuple(sorted((*base, *values)))
+            yield
+            v = lowest(v, need - 1 - len(values))
+        elif values:
+            pop()
+            v = values.pop() + 1
+        else:
+            return None
+
+
 def search_eval_set(
     ctx: FieldContext,
     n: int,
@@ -495,23 +556,21 @@ def search_eval_set(
     if isinstance(strategy, ExhaustiveSearch):
         _require_subset_count(q, n)  # the sets searched
         _require_subset_count(n, spec.k)
-        next_free, lowest, push, pop = _candidate_stack(ctx, n, spec)
-        values: list[int] = []  # the colex backtrack of the module docstring
-        v = lowest(q, n - 1)
-        while True:
-            limit = values[-1] if values else q
-            v = next_free(v, limit)
-            if v < limit:
-                push(v)
-                values.append(v)
-                if len(values) == n:
-                    return tuple(reversed(values))
-                v = lowest(v, n - 1 - len(values))
-            elif values:
-                pop()
-                v = values.pop() + 1
-            else:
-                return None
+        colex, through_1 = _colex_search(ctx, n, spec), None
+        if _target(ctx, spec) == 0:  # the sets through 1 settle `none`
+            through_1 = _colex_search(ctx, n, spec, through=1)
+        while True:  # one push each, in turn
+            try:
+                next(colex)
+            except StopIteration as end:
+                return end.value
+            if through_1 is not None:
+                try:
+                    next(through_1)
+                except StopIteration as end:
+                    if end.value is None:
+                        return None
+                    through_1 = None  # only the colex search names the set
 
     if isinstance(strategy, RandomSearch):
         rng = random.Random(strategy.seed)

@@ -407,6 +407,20 @@ def test_search_records_a_nonzero_delta_in_the_code_file(capsys):
     assert rc == 0 and "delta" not in parse(out)["params"]
 
 
+# With delta != 0 no scaling maps a passing set to one through 1, so the
+# colex search alone decides: over GF(5), every 4-set through 1 fails both
+# conditions below, and {0, 2, 3, 4} passes them
+@pytest.mark.parametrize("k, delta", [("1", "1"), ("3", "3")])
+def test_search_with_a_nonzero_delta_finds_a_set_without_1(capsys, k, delta):
+    rc, out, _ = run(capsys, "search", "--field", "5", "--n", "4", "--k", k, "--delta", delta)
+    assert rc == 0
+    assert out == (
+        '{"exponents":[%s],"family":"search","field":{"m":1,"modulus":[0,1],"p":5},'
+        '"params":{"delta":[%s],"k":%s,"n":4,"r":1,"strategy":"exhaustive"},'
+        '"points":[[0],[2],[3],[4]]}\n' % ("1" if k == "1" else "0,1,3", delta, k)
+    )
+
+
 def refuse_search(*args):
     raise AssertionError("search must not start")
 

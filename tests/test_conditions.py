@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -476,6 +477,7 @@ def test_exhaustive_guard(monkeypatch):
 @example((2, 2), 4, 1, 1, 4)  # n = q: all of GF(4) sums to 0, not to delta
 @example((11, 1), 3, 1, 0, 7)  # one past the longest set, six points
 @example((7, 1), 1, 1, 2, 6)  # k = 1: the bound counts delta out of the free set
+@example((5, 1), 3, 1, 3, 4)  # {0, 2, 3, 4} passes, and no set through 1 does
 def test_exhaustive_matches_colex_scan(field, k, r, delta, n):
     ctx = make_field(*field)
     assume(r <= k and n <= ctx.q)
@@ -494,25 +496,57 @@ def test_exhaustive_r1_search_takes_the_sum_stack(monkeypatch):
     assert search_eval_set(ctx, 10, ConditionSpec(k=3), ExhaustiveSearch()) is None
 
 
+def count_pushes(monkeypatch):
+    """A counter of each exhaustive search's pushes, keyed by the point its
+    stack skips: None for the colex search, 1 for the search through 1."""
+    real, pushes = conditions._candidate_stack, Counter()
+
+    def counted(ctx, n, spec, skip=None):
+        next_free, lowest, push, pop = real(ctx, n, spec, skip)
+
+        def counted_push(v):
+            pushes[skip] += 1
+            push(v)
+
+        return next_free, lowest, counted_push, pop
+
+    monkeypatch.setattr(conditions, "_candidate_stack", counted)
+    return pushes
+
+
+def run_alone(search):
+    """Drive one search generator to its end and return its set or None."""
+    while True:
+        try:
+            next(search)
+        except StopIteration as end:
+            return end.value
+
+
 @pytest.mark.parametrize("field,n,most", [((19, 1), 9, 2700), ((2, 4), 10, 150)])
 def test_exhaustive_bound_cuts_pushes(monkeypatch, field, n, most):
     # a branch whose lowest point has too few free candidates under it to
-    # finish the set is never entered; without the bound these proofs of
-    # `none` take 5 870 and 572 pushes
-    real, pushes = conditions._sum_stack, []
+    # finish the set is never entered; without the bound these colex proofs
+    # of `none` take 5 870 and 572 pushes
+    pushes = count_pushes(monkeypatch)
+    search = conditions._colex_search(make_field(*field), n, ConditionSpec(k=3))
+    assert run_alone(search) is None
+    assert 0 < pushes[None] <= most and set(pushes) == {None}
 
-    def counted(ctx, spec):
-        next_free, lowest, push, pop, rows = real(ctx, spec)
 
-        def counted_push(v):
-            pushes.append(v)
-            push(v)
-
-        return next_free, lowest, counted_push, pop, rows
-
-    monkeypatch.setattr(conditions, "_sum_stack", counted)
-    assert search_eval_set(make_field(*field), n, ConditionSpec(k=3), ExhaustiveSearch()) is None
-    assert 0 < len(pushes) <= most
+def test_search_through_1_proves_gf19_length_9_in_fewer_pushes(monkeypatch):
+    # alone, the colex search makes 2 647 pushes and the search through 1
+    # makes 746, the push of 1 included; taken in turn, one push each, they
+    # stop at the first `none` and cost at most twice the smaller plus one
+    pushes = count_pushes(monkeypatch)
+    ctx, spec = make_field(19), ConditionSpec(k=3)
+    for through in (None, 1):
+        assert run_alone(conditions._colex_search(ctx, 9, spec, through)) is None
+    alone = dict(pushes)
+    assert alone == {None: 2647, 1: 746}
+    pushes.clear()
+    assert search_eval_set(ctx, 9, spec, ExhaustiveSearch()) is None
+    assert sum(pushes.values()) <= 2 * min(alone.values()) + 1
 
 
 @pytest.mark.parametrize("field,n,found,tests", [
@@ -520,8 +554,8 @@ def test_exhaustive_bound_cuts_pushes(monkeypatch, field, n, most):
     ((13, 1), 8, None, 563),
 ])
 def test_exhaustive_walk_keeps_the_trivial_bound(monkeypatch, field, n, found, tests):
-    # r = 2 keeps no free set, so it tests exactly the candidates it tested
-    # before the r = 1 bound existed
+    # r = 2 keeps no free set, so the colex search tests exactly the
+    # candidates it tested before the r = 1 bound existed
     calls = []
 
     def counted(*args, **kwargs):
@@ -529,9 +563,60 @@ def test_exhaustive_walk_keeps_the_trivial_bound(monkeypatch, field, n, found, t
         return first_failing_subset(*args, **kwargs)
 
     monkeypatch.setattr(conditions, "first_failing_subset", counted)
-    spec = ConditionSpec(k=3, r=2)
-    assert search_eval_set(make_field(*field), n, spec, ExhaustiveSearch()) == found
+    ctx, spec = make_field(*field), ConditionSpec(k=3, r=2)
+    assert run_alone(conditions._colex_search(ctx, n, spec)) == found
     assert len(calls) == tests
+    assert search_eval_set(ctx, n, spec, ExhaustiveSearch()) == found
+
+
+@pytest.mark.parametrize("delta,starts", [(0, [None, 1]), (3, [None])])
+def test_search_through_1_starts_only_for_a_zero_delta(monkeypatch, delta, starts):
+    # e_r(S/s) = s^-r e_r(S) keeps e_r = 0 and nothing else, so with delta
+    # != 0 a set through 1 stands for no other set: over GF(5) with k = 3
+    # and delta = 3, {0, 2, 3, 4} passes and no 4-set through 1 does
+    real, seen = conditions._colex_search, []
+
+    def spy(ctx, n, spec, through=None):
+        seen.append(through)
+        return real(ctx, n, spec, through)
+
+    monkeypatch.setattr(conditions, "_colex_search", spy)
+    ctx, spec = make_field(5), ConditionSpec(k=3, delta=delta)
+    found = search_eval_set(ctx, 4, spec, ExhaustiveSearch())
+    assert seen == starts
+    assert found == colex_scan(ctx, 4, 3, 1, delta)
+    if delta:
+        assert found == (0, 2, 3, 4)
+        assert run_alone(real(ctx, 4, spec, 1)) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([(5, 1), (7, 1), (11, 1), (2, 2), (2, 3), (3, 2)]),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(1, 11),
+)
+@example((5, 1), 3, 1, 5)  # no 5-subset of GF(5): both searches end empty
+@example((11, 1), 3, 1, 6)  # the longest r = 1 set: found through 1 as well
+@example((11, 1), 3, 1, 7)  # one past it: the search through 1 proves `none`
+@example((11, 1), 3, 2, 8)  # r = 2 on the walk stack: `none`
+@example((2, 3), 4, 1, 5)  # k = 4 in characteristic 2
+@example((3, 2), 2, 2, 5)  # r = k: e_k is the product, so 0 must stay out
+@example((7, 1), 1, 1, 6)  # k = 1: every nonzero point
+def test_search_through_1_agrees_with_the_colex_scan(field, k, r, n):
+    # delta = 0: the dovetailed search prints what the colex scan finds, and
+    # the search through 1 alone finds a set exactly when one exists
+    ctx = make_field(*field)
+    assume(r <= k and n <= ctx.q)
+    spec = ConditionSpec(k=k, r=r)
+    first = colex_scan(ctx, n, k, r)
+    assert search_eval_set(ctx, n, spec, ExhaustiveSearch()) == first
+    through = run_alone(conditions._colex_search(ctx, n, spec, 1))
+    assert (through is None) == (first is None)
+    if through is not None:
+        assert len(set(through)) == n and 1 in through
+        assert subset_scan(ctx, through, k, r) is None
 
 
 def test_walk_stays_for_r2_searches(monkeypatch):

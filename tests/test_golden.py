@@ -29,7 +29,10 @@ codewords from where lines cross must print the same bytes.  The
 elimination cases with k = 2, k = 5 and the [45,4] code over GF(1000003)
 were recorded while the elimination scan still tested every k-subset
 one leaf at a time, so deciding the last two columns of a prefix at once
-must print the same bytes.
+must print the same bytes.  The `search` proofs over GF(23) with n = 11
+and over GF(19) with n = 10 and r = 2 were recorded while the exhaustive
+search still walked the n-sets of the whole field alone, so a proof that
+ends on the sets through 1 must print the same bytes.
 """
 
 import contextlib
@@ -39,7 +42,9 @@ import json
 
 import pytest
 
+from mdsforge import conditions
 from mdsforge.cli import main
+from mdsforge.conditions import ConditionSpec
 from mdsforge.evalcode import EvalCode, EvalSet, ExponentSet
 from mdsforge.families import cor44, cor411, thm63, thm64, thm412, thm415
 from mdsforge.field import make_field
@@ -150,7 +155,8 @@ CHECK_DIGEST = "26db6cedc1592a7545c5bd9bc605307837470f7969e3c486637710cef1bbfffb
 #: `none`, its two short searches that find a set, and a nonzero delta
 #: (re-pinned once the code file's params began to record delta); then
 #: r = 1 searches whose branches mostly run out of free candidates before
-#: they meet a conflict, and r = 2 searches on the walk route
+#: they meet a conflict, r = 2 searches on the walk route, and two proofs
+#: that the search through 1 ends, one on each stack
 SEARCHES = [
     ("19", 8, [], "628e3d1a2fb49c08732f47557560e8353bd0dbbd0588b48a99559eac42227b87", 0),
     ("19", 9, [], "7be3ac796e3edfe5617677992d0a31914d7f76e1f1da55f9b243eb85e4ae3adf", 1),
@@ -170,7 +176,11 @@ SEARCHES = [
      "52d8102d27960e38c13e3f2d962888d26e40488fe3257c196e615df8a77bfbcc", 1),
     ("13", 8, ["--r", "2"],
      "8bd99c56595ea1b26e7f7c5e716d59770206651139351eeb9477618d9f434622", 1),
+    ("23", 11, [], "0f75661edd75fbb6e9e47b349780c26ae02defca625c66d8851445d6e2b3cf61", 1),
+    ("19", 10, ["--r", "2"],
+     "14c8c280a8b32b0f3888df8fad2a3763412dab90eaf5d6a0570b45ba51f434ce", 1),
 ]
+SEARCH_IDS = [f"gf{s[0]}-n{s[1]}" + ("-r2" if "--r" in s[2] else "") for s in SEARCHES]
 
 #: (field, n, k, r, stdout sha256, exit code) of `search --strategy greedy`:
 #: the benchmark's four greedy calls, a set that greedy cannot complete, a
@@ -287,11 +297,43 @@ def test_check_stdout_is_pinned():
 
 @pytest.mark.parametrize(
     "field,n,extra,digest,rc", SEARCHES,
-    ids=[f"gf{s[0]}-n{s[1]}" + ("-r2" if "--r" in s[2] else "") for s in SEARCHES],
+    ids=SEARCH_IDS,
 )
 def test_search_stdout_is_pinned(field, n, extra, digest, rc):
     argv = ["search", "--field", field, "--n", str(n), "--k", "3", "--strategy", "exhaustive"]
     assert stdout_digest([*argv, *extra]) == (digest, rc)
+
+
+@pytest.mark.parametrize(
+    "field,n,extra", [s[:3] for s in SEARCHES],
+    ids=SEARCH_IDS,
+)
+def test_search_makes_at_most_twice_the_colex_pushes_plus_one(monkeypatch, field, n, extra):
+    # the searches taken in turn, one push each, against the colex search alone
+    real, pushes = conditions._candidate_stack, []
+
+    def counted(*args):
+        next_free, lowest, push, pop = real(*args)
+
+        def counted_push(v):
+            pushes.append(v)
+            push(v)
+
+        return next_free, lowest, counted_push, pop
+
+    monkeypatch.setattr(conditions, "_candidate_stack", counted)
+    argv = ["search", "--field", field, "--n", str(n), "--k", "3", "--strategy", "exhaustive"]
+    stdout_digest([*argv, *extra])
+    both = len(pushes)
+    ctx = make_field(*(int(t) for t in field.split(",")))
+    options = dict(zip(extra[::2], extra[1::2]))
+    delta = [int(t) for t in options.get("--delta", "0").split(",")]
+    spec = ConditionSpec(k=3, r=int(options.get("--r", 1)),
+                         delta=sum(d * ctx.p**i for i, d in enumerate(delta)))
+    search, pushes[:] = conditions._colex_search(ctx, n, spec), []
+    while next(search, True) is None:
+        pass
+    assert 0 < both <= 2 * len(pushes) + 1
 
 
 @pytest.mark.parametrize(
