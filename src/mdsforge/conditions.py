@@ -18,7 +18,7 @@ columns with an elimination step instead.
 
 Both searches grow a set on one candidate stack (``next_free``,
 ``lowest``, ``push``, ``pop``).  Greedy takes the lowest free candidate in
-counter order and never backtracks.  Exhaustive search backtracks through
+counter order and never backtracks.  Exhaustive search backtracks over
 the colex tree of n-subsets of the field, largest point first, so each
 k-subset of a full set is tested once, when its lowest point joins.  The
 condition is hereditary (a set fails whenever a subset of it fails), so
@@ -31,16 +31,16 @@ in colex order, and reaching none proves that no n-subset passes.  The
 r = 1 stack reads the free set off its top row; the walk keeps none and
 its bound is the trivial one, j.
 
-With delta = 0 a second backtrack, :func:`_colex_search` through 1, runs
-beside it, one push each in turn: 1 is pushed first and never offered
-again, so it walks only the n-sets through 1.  That is enough for `none`:
-e_r(aS) = a^r e_r(S), so for any nonzero s of a passing n-set S, S/s is a
-passing set through 1.  If it ends empty, no n-set passes; if it finds a
-set, it stops and the colex search goes on alone, since only the colex
-search names the first set in colex order.  The pair makes at most
-twice the pushes of the cheaper search alone, plus one.  With
-delta != 0 the scaling moves e_r off delta, so a set through 1 stands for
-no other set and the colex search runs alone.
+With delta = 0 the search first walks only the top block of the colex
+tree: the n-sets whose largest point is z, the element of counter index
+q - 1, walked exactly as the colex search walks them.  That is enough for
+`none`: e_r(cS) = c^r e_r(S), so for any nonzero s of a passing n-set S,
+S*z/s is a passing set that holds z, and z is its largest point.  If the
+top block is empty, no n-set passes, in no more pushes than the colex
+search makes alone.  If it holds a set, the colex search runs from the
+start, since only it names the first set in colex order; a found set
+costs both.  With delta != 0 the scaling moves e_r off delta, so a set in
+the top block stands for no other set and the colex search runs alone.
 
 One rule, :func:`_by_sums`, routes :func:`check_esym` and both searches,
 for the n points checked or sought: r = 1 goes by subset-sum bitsets over
@@ -51,12 +51,12 @@ subsets of the points pushed reach.  The searches push in colex order and
 test a candidate by one bit of the top row; :func:`check_esym` pushes its
 points last first and reads the walk's witness from the kept rows.  Off
 that route, a search walks block 0 of :func:`check_esym`'s walk over the
-candidate followed by the points taken: the k-subsets through it.
+candidate followed by the points taken: the k-subsets that hold it.
 
 Every scan refuses past the subset guard: C(n, k) for the k-subsets of n
 points, and C(q, n) for the sets an exhaustive search tries.  Random search
 meets it in each :func:`check_esym`; greedy has none.  A guard reads
-MDSFORGE_GUARD, through :func:`guard_in_force`, when it is checked.
+MDSFORGE_GUARD, by :func:`guard_in_force`, when it is checked.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ import os
 import random
 from dataclasses import dataclass
 from math import comb, inf, log10
-from typing import Any, Callable, Generator, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from .errors import SHOWN_BITS, FormatError, InvalidParamsError, TooLargeError, shown
 from .field import TABLE_CAP, FieldContext, FieldElement
@@ -182,10 +182,10 @@ def _esym_step(
 
     A state is the vector (e_0, ..., e_r) of the `points` chosen so far, and
     the root is that of the empty set.  A step multiplies in one more
-    point, O(r) field operations, skipping each e_j whose e_{j-1} is zero
-    (so the entries past the number of points chosen cost nothing), and at
-    the leaf, depth k - 1, computes only e_r and rejects when it equals
-    delta.
+    point, O(r) field operations, leaving as it is each e_j whose e_{j-1}
+    is zero (so the entries past the number of points chosen cost
+    nothing), and at the leaf, depth k - 1, computes only e_r and rejects
+    when it equals delta.
     """
     add, mul = ctx.add, ctx.mul
     r, leaf, delta = spec.r, spec.k - 1, _target(ctx, spec)
@@ -349,14 +349,15 @@ def bound_log10(query: BoundQuery) -> float:
 
 @dataclass(frozen=True)
 class ExhaustiveSearch:
-    """Backtrack through the n-subsets of the field in colex order.
+    """Backtrack over the n-subsets of the field in colex order.
 
     Returns the first passing set in that order; None is a proof that no
     n-subset of the field passes.  With delta = 0 the proof may come from
-    the sets through 1 alone, since e_r(S/s) = s^-r e_r(S) maps every
-    passing set S onto one through 1; with delta != 0 it may not.  Only the
-    colex search names a set.  The subset guard in force caps both C(q, n),
-    the sets searched, and C(n, k), the subsets of one set.
+    the top block alone, the sets that hold the element z of counter index
+    q - 1, since e_r(S*z/s) = (z/s)^r e_r(S) maps every passing set S onto
+    one there; with delta != 0 it may not.  Only the full colex search
+    names a set.  The subset guard in force caps both C(q, n), the sets
+    searched, and C(n, k), the subsets of one set.
     """
 
 
@@ -374,35 +375,30 @@ class RandomSearch:
 
 @dataclass(frozen=True)
 class GreedySearch:
-    """Grow a set through the field in counter order, never backtracking."""
+    """Grow a set along the field in counter order, never backtracking."""
 
 
 SearchStrategy = Union[ExhaustiveSearch, RandomSearch, GreedySearch]
 
 
-def _candidate_stack(
-    ctx: FieldContext, n: int, spec: ConditionSpec, skip: Optional[int] = None
-) -> tuple[Callable, ...]:
+def _candidate_stack(ctx: FieldContext, n: int, spec: ConditionSpec) -> tuple[Callable, ...]:
     """(next_free, lowest, push, pop) of a search for n points, by
     :func:`_by_sums`: ``next_free(v, limit)`` is the lowest candidate from v
     on that closes no failing k-subset with the points pushed, or at least
     limit if none is below it; no candidate below ``lowest(limit, j)``
     has j free candidates under it; ``push`` and ``pop`` add and drop a
-    point.  The value `skip` is never a candidate."""
+    point."""
     if _by_sums(ctx, n, spec):
-        return _sum_stack(ctx, spec, skip)[:4]
-    return _walk_stack(ctx, spec, skip)
+        return _sum_stack(ctx, spec)[:4]
+    return _walk_stack(ctx, spec)
 
 
-def _walk_stack(
-    ctx: FieldContext, spec: ConditionSpec, skip: Optional[int] = None
-) -> tuple[Callable, ...]:
+def _walk_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Callable, ...]:
     """(next_free, lowest, push, pop) by one e_r walk per candidate.  The
     candidate sits at index 0 of the point list, the points pushed follow
-    it, and the k-subsets through the candidate are block 0 of
+    it, and the k-subsets that hold the candidate are block 0 of
     :func:`check_esym`'s walk over that list.  No free set is kept, so
-    ``lowest(limit, j)`` is j, the lowest candidate with j values below,
-    or j + 1 once `skip` is among those values."""
+    ``lowest(limit, j)`` is j: the lowest candidate with j values below."""
     points: list[FieldElement] = [0]
     root, step = _esym_step(ctx, points, spec)
 
@@ -411,12 +407,12 @@ def _walk_stack(
         return first_failing_subset(len(points), spec.k, root, step, 0) is not None
 
     def next_free(v: int, limit: int) -> int:
-        while v < limit and (v == skip or conflicts(v)):
+        while v < limit and conflicts(v):
             v += 1
         return v
 
     def lowest(limit: int, j: int) -> int:
-        return j if skip is None or j < skip else j + 1
+        return j
 
     return next_free, lowest, points.append, points.pop
 
@@ -425,9 +421,7 @@ def _walk_stack(
 _ROTATIONS: dict[int, tuple[dict, dict]] = {}
 
 
-def _sum_stack(
-    ctx: FieldContext, spec: ConditionSpec, skip: Optional[int] = None
-) -> tuple[Any, ...]:
+def _sum_stack(ctx: FieldContext, spec: ConditionSpec) -> tuple[Any, ...]:
     """(next_free, lowest, push, pop, rows) for r = 1 on a stack of
     subset-sum rows.
 
@@ -437,8 +431,7 @@ def _sum_stack(
     exactly when its bit is set in entry k - 1 of the top row (with k = 1
     that entry is {delta}), so next_free is the lowest clear bit from v on,
     and lowest(limit, j) clears the j lowest clear bits below limit and
-    returns the next one.  Entry k - 1 is never moved into another entry,
-    so a `skip` bit set in it at the bottom row stays set in every row.
+    returns the next one.
     ``push(v)`` moves entry j - 1 by -v into entry j: adding -v turns digit
     i of every index by c = -v_i mod p, so each block of p^(i+1) bits
     rotates up by c * p^i bits.  The mask of a rotation holds the low
@@ -453,8 +446,6 @@ def _sum_stack(
     p, q = ctx.p, ctx.q
     masks, moves = _ROTATIONS.setdefault(q, ({}, {})) if q <= TABLE_CAP else ({}, {})
     rows = [[1 << _target(ctx, spec)] + [0] * (spec.k - 1)]
-    if skip is not None:
-        rows[0][-1] |= 1 << skip
 
     def rotations(v: int) -> list:
         rots, size = [], 1
@@ -500,35 +491,27 @@ def _sum_stack(
 
 
 def _colex_search(
-    ctx: FieldContext, n: int, spec: ConditionSpec, through: Optional[int] = None
-) -> Generator[None, None, Optional[tuple[int, ...]]]:
-    """The colex backtrack of the module docstring, one push per step: a
-    generator that yields after each push but the last and returns the
-    first passing n-set in colex order, or None when no n-set passes.
-    With `through`, that point is pushed first, untested, and never offered
-    again, so the search covers the n-sets through it alone; it must pass
-    on its own, as 1 does when delta = 0."""
+    ctx: FieldContext, n: int, spec: ConditionSpec, top: bool = False
+) -> Optional[tuple[int, ...]]:
+    """The colex backtrack of the module docstring: the first passing n-set
+    in colex order, or None when no n-set passes.  With `top`, the largest
+    point starts at q - 1, so the search walks only the top block: the
+    n-sets that hold the element of counter index q - 1."""
     q = ctx.q
-    next_free, lowest, push, pop = _candidate_stack(ctx, n, spec, through)
-    base = () if through is None else (through,)
-    for v in base:
-        push(v)
-        yield
-    need = n - len(base)  # the points the backtrack takes
-    if need == 0:
-        return base
+    next_free, lowest, push, pop = _candidate_stack(ctx, n, spec)
     values: list[int] = []
-    v = lowest(q, need - 1)
+    v = lowest(q, n - 1)
+    if top:
+        v = max(v, q - 1)
     while True:
         limit = values[-1] if values else q
         v = next_free(v, limit)
         if v < limit:
             push(v)
             values.append(v)
-            if len(values) == need:
-                return tuple(sorted((*base, *values)))
-            yield
-            v = lowest(v, need - 1 - len(values))
+            if len(values) == n:
+                return tuple(reversed(values))
+            v = lowest(v, n - 1 - len(values))
         elif values:
             pop()
             v = values.pop() + 1
@@ -556,21 +539,9 @@ def search_eval_set(
     if isinstance(strategy, ExhaustiveSearch):
         _require_subset_count(q, n)  # the sets searched
         _require_subset_count(n, spec.k)
-        colex, through_1 = _colex_search(ctx, n, spec), None
-        if _target(ctx, spec) == 0:  # the sets through 1 settle `none`
-            through_1 = _colex_search(ctx, n, spec, through=1)
-        while True:  # one push each, in turn
-            try:
-                next(colex)
-            except StopIteration as end:
-                return end.value
-            if through_1 is not None:
-                try:
-                    next(through_1)
-                except StopIteration as end:
-                    if end.value is None:
-                        return None
-                    through_1 = None  # only the colex search names the set
+        if _target(ctx, spec) == 0 and _colex_search(ctx, n, spec, top=True) is None:
+            return None  # the top block settles `none`
+        return _colex_search(ctx, n, spec)
 
     if isinstance(strategy, RandomSearch):
         rng = random.Random(strategy.seed)

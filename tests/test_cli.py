@@ -407,9 +407,9 @@ def test_search_records_a_nonzero_delta_in_the_code_file(capsys):
     assert rc == 0 and "delta" not in parse(out)["params"]
 
 
-# With delta != 0 no scaling maps a passing set to one through 1, so the
-# colex search alone decides: over GF(5), every 4-set through 1 fails both
-# conditions below, and {0, 2, 3, 4} passes them
+# With delta != 0 the scaling e_r(cS) = c^r e_r(S) moves e_r off delta, so
+# the colex search alone decides: over GF(5), every 4-set through 1 fails
+# both conditions below, and {0, 2, 3, 4} passes them
 @pytest.mark.parametrize("k, delta", [("1", "1"), ("3", "3")])
 def test_search_with_a_nonzero_delta_finds_a_set_without_1(capsys, k, delta):
     rc, out, _ = run(capsys, "search", "--field", "5", "--n", "4", "--k", k, "--delta", delta)
@@ -418,6 +418,19 @@ def test_search_with_a_nonzero_delta_finds_a_set_without_1(capsys, k, delta):
         '{"exponents":[%s],"family":"search","field":{"m":1,"modulus":[0,1],"p":5},'
         '"params":{"delta":[%s],"k":%s,"n":4,"r":1,"strategy":"exhaustive"},'
         '"points":[[0],[2],[3],[4]]}\n' % ("1" if k == "1" else "0,1,3", delta, k)
+    )
+
+
+# Nor does a nonzero delta start the top block, the sets through the top
+# point 4: over GF(5) with k = 1 and delta = 4 every passing 4-set avoids 4,
+# so an empty top block would print a wrong `none`
+def test_search_with_a_nonzero_delta_finds_a_set_without_the_top_point(capsys):
+    rc, out, _ = run(capsys, "search", "--field", "5", "--n", "4", "--k", "1", "--delta", "4")
+    assert rc == 0
+    assert out == (
+        '{"exponents":[1],"family":"search","field":{"m":1,"modulus":[0,1],"p":5},'
+        '"params":{"delta":[4],"k":1,"n":4,"r":1,"strategy":"exhaustive"},'
+        '"points":[[0],[1],[2],[3]]}\n'
     )
 
 

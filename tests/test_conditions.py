@@ -2,7 +2,6 @@
 
 import math
 import random
-from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -477,7 +476,7 @@ def test_exhaustive_guard(monkeypatch):
 @example((2, 2), 4, 1, 1, 4)  # n = q: all of GF(4) sums to 0, not to delta
 @example((11, 1), 3, 1, 0, 7)  # one past the longest set, six points
 @example((7, 1), 1, 1, 2, 6)  # k = 1: the bound counts delta out of the free set
-@example((5, 1), 3, 1, 3, 4)  # {0, 2, 3, 4} passes, and no set through 1 does
+@example((5, 1), 3, 1, 3, 4)  # a nonzero delta: the colex search alone finds {0, 2, 3, 4}
 def test_exhaustive_matches_colex_scan(field, k, r, delta, n):
     ctx = make_field(*field)
     assume(r <= k and n <= ctx.q)
@@ -497,15 +496,14 @@ def test_exhaustive_r1_search_takes_the_sum_stack(monkeypatch):
 
 
 def count_pushes(monkeypatch):
-    """A counter of each exhaustive search's pushes, keyed by the point its
-    stack skips: None for the colex search, 1 for the search through 1."""
-    real, pushes = conditions._candidate_stack, Counter()
+    """The list of points that the exhaustive searches push, in order."""
+    real, pushes = conditions._candidate_stack, []
 
-    def counted(ctx, n, spec, skip=None):
-        next_free, lowest, push, pop = real(ctx, n, spec, skip)
+    def counted(ctx, n, spec):
+        next_free, lowest, push, pop = real(ctx, n, spec)
 
         def counted_push(v):
-            pushes[skip] += 1
+            pushes.append(v)
             push(v)
 
         return next_free, lowest, counted_push, pop
@@ -514,39 +512,31 @@ def count_pushes(monkeypatch):
     return pushes
 
 
-def run_alone(search):
-    """Drive one search generator to its end and return its set or None."""
-    while True:
-        try:
-            next(search)
-        except StopIteration as end:
-            return end.value
-
-
 @pytest.mark.parametrize("field,n,most", [((19, 1), 9, 2700), ((2, 4), 10, 150)])
 def test_exhaustive_bound_cuts_pushes(monkeypatch, field, n, most):
     # a branch whose lowest point has too few free candidates under it to
     # finish the set is never entered; without the bound these colex proofs
     # of `none` take 5 870 and 572 pushes
     pushes = count_pushes(monkeypatch)
-    search = conditions._colex_search(make_field(*field), n, ConditionSpec(k=3))
-    assert run_alone(search) is None
-    assert 0 < pushes[None] <= most and set(pushes) == {None}
+    assert conditions._colex_search(make_field(*field), n, ConditionSpec(k=3)) is None
+    assert 0 < len(pushes) <= most
 
 
-def test_search_through_1_proves_gf19_length_9_in_fewer_pushes(monkeypatch):
-    # alone, the colex search makes 2 647 pushes and the search through 1
-    # makes 746, the push of 1 included; taken in turn, one push each, they
-    # stop at the first `none` and cost at most twice the smaller plus one
+def test_top_block_proves_gf19_length_9_in_fewer_pushes(monkeypatch):
+    # the colex search makes 2 647 pushes and ends on the top block, the
+    # sets whose largest point is 18, in its last 855; the top block alone
+    # makes those same 855 pushes, and they prove `none`
     pushes = count_pushes(monkeypatch)
     ctx, spec = make_field(19), ConditionSpec(k=3)
-    for through in (None, 1):
-        assert run_alone(conditions._colex_search(ctx, 9, spec, through)) is None
-    alone = dict(pushes)
-    assert alone == {None: 2647, 1: 746}
+    assert conditions._colex_search(ctx, 9, spec) is None
+    colex = pushes[:]
+    pushes.clear()
+    assert conditions._colex_search(ctx, 9, spec, top=True) is None
+    assert (len(colex), len(pushes)) == (2647, 855)
+    assert pushes == colex[-855:] and pushes[0] == 18
     pushes.clear()
     assert search_eval_set(ctx, 9, spec, ExhaustiveSearch()) is None
-    assert sum(pushes.values()) <= 2 * min(alone.values()) + 1
+    assert len(pushes) == 855
 
 
 @pytest.mark.parametrize("field,n,found,tests", [
@@ -564,30 +554,34 @@ def test_exhaustive_walk_keeps_the_trivial_bound(monkeypatch, field, n, found, t
 
     monkeypatch.setattr(conditions, "first_failing_subset", counted)
     ctx, spec = make_field(*field), ConditionSpec(k=3, r=2)
-    assert run_alone(conditions._colex_search(ctx, n, spec)) == found
+    assert conditions._colex_search(ctx, n, spec) == found
     assert len(calls) == tests
     assert search_eval_set(ctx, n, spec, ExhaustiveSearch()) == found
 
 
-@pytest.mark.parametrize("delta,starts", [(0, [None, 1]), (3, [None])])
-def test_search_through_1_starts_only_for_a_zero_delta(monkeypatch, delta, starts):
-    # e_r(S/s) = s^-r e_r(S) keeps e_r = 0 and nothing else, so with delta
-    # != 0 a set through 1 stands for no other set: over GF(5) with k = 3
-    # and delta = 3, {0, 2, 3, 4} passes and no 4-set through 1 does
+@pytest.mark.parametrize("k,delta,n,starts", [
+    (3, 0, 4, [True, False]),  # {1, 2, 3, 4} passes: the colex search names it
+    (3, 0, 5, [True]),  # the top block proves `none`
+    (1, 4, 4, [False]),  # only {0, 1, 2, 3} passes, and it leaves out 4
+], ids=["zero-found", "zero-none", "nonzero"])
+def test_top_block_starts_only_for_a_zero_delta(monkeypatch, k, delta, n, starts):
+    # e_r(cS) = c^r e_r(S) keeps e_r = 0 and nothing else, so with delta
+    # != 0 an empty top block proves nothing: over GF(5) with k = 1 and
+    # delta = 4, the one passing 4-set avoids the top point 4
     real, seen = conditions._colex_search, []
 
-    def spy(ctx, n, spec, through=None):
-        seen.append(through)
-        return real(ctx, n, spec, through)
+    def spy(ctx, n, spec, top=False):
+        seen.append(top)
+        return real(ctx, n, spec, top)
 
     monkeypatch.setattr(conditions, "_colex_search", spy)
-    ctx, spec = make_field(5), ConditionSpec(k=3, delta=delta)
-    found = search_eval_set(ctx, 4, spec, ExhaustiveSearch())
+    ctx, spec = make_field(5), ConditionSpec(k=k, delta=delta)
+    found = search_eval_set(ctx, n, spec, ExhaustiveSearch())
     assert seen == starts
-    assert found == colex_scan(ctx, 4, 3, 1, delta)
+    assert found == colex_scan(ctx, n, k, 1, delta)
     if delta:
-        assert found == (0, 2, 3, 4)
-        assert run_alone(real(ctx, 4, spec, 1)) is None
+        assert found == (0, 1, 2, 3)
+        assert real(ctx, n, spec, top=True) is None
 
 
 @settings(max_examples=150, deadline=None)
@@ -597,26 +591,26 @@ def test_search_through_1_starts_only_for_a_zero_delta(monkeypatch, delta, start
     st.integers(1, 4),
     st.integers(1, 11),
 )
-@example((5, 1), 3, 1, 5)  # no 5-subset of GF(5): both searches end empty
-@example((11, 1), 3, 1, 6)  # the longest r = 1 set: found through 1 as well
-@example((11, 1), 3, 1, 7)  # one past it: the search through 1 proves `none`
+@example((5, 1), 3, 1, 5)  # no 5-subset of GF(5): the top block ends empty
+@example((11, 1), 3, 1, 6)  # the longest r = 1 set: the top block holds one too
+@example((11, 1), 3, 1, 7)  # one past it: the top block proves `none`
 @example((11, 1), 3, 2, 8)  # r = 2 on the walk stack: `none`
 @example((2, 3), 4, 1, 5)  # k = 4 in characteristic 2
 @example((3, 2), 2, 2, 5)  # r = k: e_k is the product, so 0 must stay out
 @example((7, 1), 1, 1, 6)  # k = 1: every nonzero point
-def test_search_through_1_agrees_with_the_colex_scan(field, k, r, n):
-    # delta = 0: the dovetailed search prints what the colex scan finds, and
-    # the search through 1 alone finds a set exactly when one exists
+def test_top_block_agrees_with_the_colex_scan(field, k, r, n):
+    # delta = 0: the search prints what the colex scan finds, and the top
+    # block alone finds a set exactly when one exists
     ctx = make_field(*field)
     assume(r <= k and n <= ctx.q)
     spec = ConditionSpec(k=k, r=r)
     first = colex_scan(ctx, n, k, r)
     assert search_eval_set(ctx, n, spec, ExhaustiveSearch()) == first
-    through = run_alone(conditions._colex_search(ctx, n, spec, 1))
-    assert (through is None) == (first is None)
-    if through is not None:
-        assert len(set(through)) == n and 1 in through
-        assert subset_scan(ctx, through, k, r) is None
+    top = conditions._colex_search(ctx, n, spec, top=True)
+    assert (top is None) == (first is None)
+    if top is not None:
+        assert len(set(top)) == n and max(top) == ctx.q - 1
+        assert subset_scan(ctx, top, k, r) is None
 
 
 def test_walk_stays_for_r2_searches(monkeypatch):

@@ -32,7 +32,7 @@ one leaf at a time, so deciding the last two columns of a prefix at once
 must print the same bytes.  The `search` proofs over GF(23) with n = 11
 and over GF(19) with n = 10 and r = 2 were recorded while the exhaustive
 search still walked the n-sets of the whole field alone, so a proof that
-ends on the sets through 1 must print the same bytes.
+ends on the top block of the colex tree must print the same bytes.
 """
 
 import contextlib
@@ -156,7 +156,7 @@ CHECK_DIGEST = "26db6cedc1592a7545c5bd9bc605307837470f7969e3c486637710cef1bbfffb
 #: (re-pinned once the code file's params began to record delta); then
 #: r = 1 searches whose branches mostly run out of free candidates before
 #: they meet a conflict, r = 2 searches on the walk route, and two proofs
-#: that the search through 1 ends, one on each stack
+#: that end on the top block, one on each stack
 SEARCHES = [
     ("19", 8, [], "628e3d1a2fb49c08732f47557560e8353bd0dbbd0588b48a99559eac42227b87", 0),
     ("19", 9, [], "7be3ac796e3edfe5617677992d0a31914d7f76e1f1da55f9b243eb85e4ae3adf", 1),
@@ -304,12 +304,13 @@ def test_search_stdout_is_pinned(field, n, extra, digest, rc):
     assert stdout_digest([*argv, *extra]) == (digest, rc)
 
 
-@pytest.mark.parametrize(
-    "field,n,extra", [s[:3] for s in SEARCHES],
-    ids=SEARCH_IDS,
-)
-def test_search_makes_at_most_twice_the_colex_pushes_plus_one(monkeypatch, field, n, extra):
-    # the searches taken in turn, one push each, against the colex search alone
+@pytest.mark.parametrize("field,n,extra,digest,rc", SEARCHES, ids=SEARCH_IDS)
+def test_search_pushes_the_top_block_then_the_colex_search(
+    monkeypatch, field, n, extra, digest, rc
+):
+    # delta = 0: a `none` costs the top block's pushes, which the colex
+    # search makes too, and a found set the top block's and then the colex
+    # search's; a nonzero delta costs the colex search's alone
     real, pushes = conditions._candidate_stack, []
 
     def counted(*args):
@@ -323,17 +324,24 @@ def test_search_makes_at_most_twice_the_colex_pushes_plus_one(monkeypatch, field
 
     monkeypatch.setattr(conditions, "_candidate_stack", counted)
     argv = ["search", "--field", field, "--n", str(n), "--k", "3", "--strategy", "exhaustive"]
-    stdout_digest([*argv, *extra])
-    both = len(pushes)
+    assert stdout_digest([*argv, *extra]) == (digest, rc)
+    made = len(pushes)
     ctx = make_field(*(int(t) for t in field.split(",")))
     options = dict(zip(extra[::2], extra[1::2]))
     delta = [int(t) for t in options.get("--delta", "0").split(",")]
     spec = ConditionSpec(k=3, r=int(options.get("--r", 1)),
                          delta=sum(d * ctx.p**i for i, d in enumerate(delta)))
-    search, pushes[:] = conditions._colex_search(ctx, n, spec), []
-    while next(search, True) is None:
-        pass
-    assert 0 < both <= 2 * len(pushes) + 1
+    alone = {}
+    for top in (True, False):
+        pushes.clear()
+        conditions._colex_search(ctx, n, spec, top)
+        alone[top] = len(pushes)
+    if spec.delta:
+        assert made == alone[False]
+    elif rc == 1:
+        assert made == alone[True] <= alone[False]
+    else:
+        assert made == alone[True] + alone[False]
 
 
 @pytest.mark.parametrize(
